@@ -46,24 +46,10 @@ from .kernel import (
     NetView,
     SimConfig,
     SimState,
-    StepFluxes,
-    compute_fluxes,
-    conductance,
-    cs_inflow,
-    gj_flux,
     step,
 )
 from .physiology import PhysioConfig, RespirationClamp
-from .plasticity import (
-    Classification,
-    InsufficientHistory,
-    PlasticityConfig,
-    apply_updates,
-    classify,
-    lagged_xcorr,
-    plasticity_step,
-    slope,
-)
+from .plasticity import PlasticityConfig, plasticity_step
 from .protocol import (
     Protocol,
     ProtocolError,

@@ -65,27 +65,15 @@ class Configs:
 
 
 def _coerce(field: dataclasses.Field, text: str):
-    ftype = field.type if not isinstance(field.type, str) else field.type
-    value = getattr(field, "default", None)
-    target = type(value) if value is not None and not isinstance(value, property) else None
-    if isinstance(value, bool) or ftype in ("bool", bool):
+    default = field.default
+    if isinstance(default, bool):
         low = text.lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"expected a boolean, got {text!r}")
-    if isinstance(value, enum.Enum):
-        return type(value)(text)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int(text)
-    if isinstance(value, float):
-        return float(text)
-    if isinstance(value, str):
-        return text
-    if target is None:
-        return float(text)
-    return target(text)
+    return type(default)(text)
 
 
 def apply_overrides(cfgs: Configs, pairs: list[str]) -> Configs:
@@ -114,7 +102,7 @@ def apply_overrides(cfgs: Configs, pairs: list[str]) -> Configs:
             raise OrtusError(f"bad value for {key!r}: {exc}") from exc
         setattr(target, name, value)
     # Re-run validation hooks after the overrides land.
-    for obj in (cfgs.build, cfgs.run.sim, cfgs.run.plasticity, cfgs.run.physio):
+    for obj in (cfgs.build, cfgs.run.sim, cfgs.run.plasticity, cfgs.run.physio, cfgs.run):
         post = getattr(obj, "__post_init__", None)
         if post is not None:
             post()
@@ -224,13 +212,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _probe_window(protocol: proto.Protocol) -> tuple[int, int] | None:
-    injects = [ev for ev in protocol.events if ev.kind is proto.EventKind.INJECT]
-    if not injects:
-        return None
-    return injects[-1].start, injects[-1].end
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
     cfgs, net, protocol = _prepare_run(args)
     outdir = Path(args.out)
@@ -245,15 +226,16 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     headline = args.headline
     rows: list[proto.MetricRow] = []
     extra: list[tuple[str, str, float]] = []
-    injects = [ev for ev in protocol.events if ev.kind is proto.EventKind.INJECT]
-    window = _probe_window(protocol)
+    probe_ev = proto.probe_event(protocol)
     if headline in net.name_to_id:
         # Per-burst peaks: the response lags the stimulus (gas dynamics), so
         # extend each window a little past the event end.
-        for ev in injects[:-1]:
-            rows.extend(summarize(trace, [Query("peak", headline, ev.start, min(ev.end + 15, protocol.total_steps))]))
-        if window is not None:
-            start, end = window
+        for ev in protocol.events:
+            if ev.kind is proto.EventKind.INJECT and ev is not probe_ev:
+                tail_end = min(ev.end + 15, protocol.total_steps)
+                rows.extend(summarize(trace, [Query("peak", headline, ev.start, tail_end)]))
+        if probe_ev is not None:
+            start, end = probe_ev.start, probe_ev.end
             probe = summarize(trace, [Query("peak", headline, start, end)])[0]
             control_probe = summarize(control, [Query("peak", headline, start, end)])[0]
             rows.append(probe)
@@ -288,7 +270,6 @@ def _parser() -> argparse.ArgumentParser:
         if protocol:
             p.add_argument("protocol", help="protocol file")
         p.add_argument("--set", action="append", metavar="NS.KEY=VALUE", help="config override")
-        p.add_argument("--threads", type=int, default=1, help="worker hint for flux accumulation")
 
     p = sub.add_parser("validate", help="parse and validate an .ort file")
     common(p)

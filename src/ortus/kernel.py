@@ -19,12 +19,11 @@ conductance both read the negated presynaptic activation.
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .connectome import ChemicalSynapse, Connectome, DEFAULT_PARAMS, GapJunction, NeuronParams
+from .connectome import Connectome
 from .errors import ConfigError, OrtusError
 
 H_LEN = 8
@@ -61,6 +60,7 @@ class NetView:
     syn_pre: np.ndarray
     syn_post: np.ndarray
     syn_rev: np.ndarray
+    syn_w0: np.ndarray  # built weight, per synapse
     syn_mi: np.ndarray
     syn_inverted: np.ndarray
     syn_gate: np.ndarray  # postsynaptic transmission threshold, per synapse
@@ -81,6 +81,7 @@ class NetView:
             syn_pre=pre,
             syn_post=post,
             syn_rev=np.array([s.reversal for s in net.chem], dtype=float),
+            syn_w0=np.array([s.weight for s in net.chem], dtype=float),
             syn_mi=np.array([s.mutability for s in net.chem], dtype=float),
             syn_inverted=np.array([s.inverted for s in net.chem], dtype=bool),
             syn_gate=thr[post] if len(net.chem) else np.zeros(0),
@@ -111,11 +112,7 @@ class SimState:
         a = np.zeros(view.n) if activation is None else np.asarray(activation, dtype=float).copy()
         if a.shape != (view.n,):
             raise ConfigError(f"initial activation must have shape ({view.n},)")
-        if isinstance(net, NetView):
-            weights = np.ones(len(view.syn_pre))
-        else:
-            weights = np.array([s.weight for s in net.chem], dtype=float)
-        return cls(a, np.tile(a, (H_LEN, 1)), weights, 0)
+        return cls(a, np.tile(a, (H_LEN, 1)), view.syn_w0.copy(), 0)
 
 
 @dataclass
@@ -129,73 +126,17 @@ class ExternalInputs:
         return cls(np.zeros(n), np.zeros(n, dtype=bool), np.zeros(n))
 
 
-@dataclass(frozen=True)
-class StepFluxes:
-    """Per-step diagnostic quantities, one entry per neuron or synapse."""
-
-    gj_in: np.ndarray
-    gj_out: np.ndarray
-    cs_in: np.ndarray
-    decay: np.ndarray
-    conductance: np.ndarray
-
-
-# ---------------------------------------------------------------------------
-# scalar building blocks
-# ---------------------------------------------------------------------------
-
-
-def conductance(a_pre: float, params: NeuronParams = DEFAULT_PARAMS, inverted: bool = False) -> float:
-    """Graded synaptic conductance in (0, 1).
-
-    A sigmoid of the presynaptic activation scaled by the activation range:
-    exactly 0.5 at equilibrium, a little over 0.92 at the excitatory
-    reversal, a little under 0.08 at the inhibitory reversal.
-    """
-    x = -a_pre if inverted else a_pre
-    return 1.0 / (1.0 + math.exp(-5.0 * x / params.range))
-
-
-def cs_inflow(
-    syn: ChemicalSynapse,
-    a_pre: float,
-    a_post: float,
-    threshold: float,
-    params: NeuronParams = DEFAULT_PARAMS,
-) -> float:
-    """Inflow contributed by one chemical synapse, zero below the
-    postsynaptic transmission threshold."""
-    drive = -a_pre if syn.inverted else a_pre
-    if drive < threshold:
-        return 0.0
-    g = conductance(a_pre, params, syn.inverted)
-    return syn.weight * g * (syn.reversal - a_post)
-
-
-def gj_flux(junction: GapJunction, a_a: float, a_b: float) -> tuple[float, float]:
-    """(flux into a, flux into b) for one junction; the two always cancel."""
-    into_b = junction.weight * (a_a - a_b) / 2.0
-    return -into_b, into_b
-
-
-# ---------------------------------------------------------------------------
-# vectorized step
-# ---------------------------------------------------------------------------
-
-
-def _chem_terms(
-    a: np.ndarray, weights: np.ndarray, view: NetView
-) -> tuple[np.ndarray, np.ndarray]:
+def _chem_terms(a: np.ndarray, weights: np.ndarray, view: NetView) -> np.ndarray:
     cs_in = np.zeros(view.n)
     if len(view.syn_pre) == 0:
-        return cs_in, np.zeros(0)
+        return cs_in
     a_pre = a[view.syn_pre]
     drive = np.where(view.syn_inverted, -a_pre, a_pre)
     g = 1.0 / (1.0 + np.exp(-5.0 * drive / view.syn_prerange))
     gate = drive >= view.syn_gate
     contrib = weights * g * (view.syn_rev - a[view.syn_post]) * gate
     np.add.at(cs_in, view.syn_post, contrib)
-    return cs_in, g
+    return cs_in
 
 
 def _gap_terms(a: np.ndarray, view: NetView) -> np.ndarray:
@@ -205,20 +146,6 @@ def _gap_terms(a: np.ndarray, view: NetView) -> np.ndarray:
         np.add.at(gj_in, view.gap_b, flux)
         np.add.at(gj_in, view.gap_a, -flux)
     return gj_in
-
-
-def compute_fluxes(
-    state: SimState, net: Connectome | NetView, cfg: SimConfig | None = None
-) -> StepFluxes:
-    """Evaluate one step's flux terms without committing a new state."""
-    cfg = cfg or SimConfig()
-    view = NetView.of(net)
-    a = state.activation
-    cs_in, g = _chem_terms(a, state.weights, view)
-    gj_in = _gap_terms(a, view)
-    gj_out = -gj_in
-    decay = cfg.decay_fraction * a - gj_out
-    return StepFluxes(gj_in=gj_in, gj_out=gj_out, cs_in=cs_in, decay=decay, conductance=g)
 
 
 def step(
@@ -241,7 +168,7 @@ def step(
         ext = ExternalInputs.zeros(view.n)
 
     a = state.activation
-    cs_in, _ = _chem_terms(a, state.weights, view)
+    cs_in = _chem_terms(a, state.weights, view)
     gj_in = _gap_terms(a, view)
 
     if cfg.check_conservation:

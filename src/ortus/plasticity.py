@@ -17,27 +17,15 @@ the present.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, OrtusError
+from .errors import ConfigError
 from .kernel import H_LEN, NetView, SimState
 from .connectome import Connectome
 
 ZERO_NORM = 1e-12
-
-
-class InsufficientHistory(OrtusError):
-    """The history window does not hold enough samples for the request."""
-
-
-class Classification(enum.Enum):
-    RAPID_STRENGTHEN = "rapid_strengthen"
-    SLOW_STRENGTHEN = "slow_strengthen"
-    SLOW_WEAKEN = "slow_weaken"
-    NONE = "none"
 
 
 @dataclass
@@ -60,104 +48,6 @@ class PlasticityConfig:
             raise ConfigError("rapid_xcorr_min cannot exceed the maximum correlation sum")
         if self.max_lag + self.xcorr_window > H_LEN:
             raise ConfigError("correlation windows cannot reach past the history ring")
-
-
-def lagged_xcorr(h_post: np.ndarray, h_j: np.ndarray, lag: int, window: int = 4) -> float:
-    """Cosine similarity between the most recent `window` samples of h_post
-    and the `window` samples of h_j starting `lag` steps back."""
-    h_post = np.asarray(h_post, dtype=float)
-    h_j = np.asarray(h_j, dtype=float)
-    if len(h_post) < window or len(h_j) < lag + window:
-        raise InsufficientHistory(
-            f"need {window} and {lag + window} samples, have {len(h_post)} and {len(h_j)}"
-        )
-    a = h_post[:window]
-    b = h_j[lag:lag + window]
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < ZERO_NORM or nb < ZERO_NORM:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
-def slope(h: np.ndarray, t: int = 0, u: int = 2) -> float:
-    """Least-squares slope of h[t .. t+u], positive when the signal is
-    rising toward the present (history index 0 is the newest sample)."""
-    h = np.asarray(h, dtype=float)
-    if len(h) < t + u + 1:
-        raise InsufficientHistory(f"need {t + u + 1} samples, have {len(h)}")
-    y = h[t:t + u + 1]
-    x = np.arange(u + 1, dtype=float)
-    fit = np.polyfit(x, y, 1)[0]
-    return float(-fit)
-
-
-def xcorr_lag_sum(h_post: np.ndarray, h_pre: np.ndarray, cfg: PlasticityConfig) -> float:
-    """Correlation summed over lags 1 .. max_lag (lag 0 is excluded)."""
-    return sum(
-        lagged_xcorr(h_post, h_pre, lag, cfg.xcorr_window) for lag in range(1, cfg.max_lag + 1)
-    )
-
-
-def slope_abs_sum(h: np.ndarray, cfg: PlasticityConfig) -> float:
-    """Sum of |slope| over the same lag offsets the correlation rule uses."""
-    return sum(abs(slope(h, t, cfg.slope_window)) for t in range(1, cfg.max_lag + 1))
-
-
-def classify(
-    a_pre: float,
-    a_post: float,
-    h_pre: np.ndarray,
-    h_post: np.ndarray,
-    cfg: PlasticityConfig | None = None,
-) -> Classification:
-    """Classify one synapse from its endpoints' activations and histories.
-
-    Rapid strengthening requires the full-correlation band AND both signals
-    nearly flat; it takes precedence over slow strengthening.  Everything is
-    gated on both endpoints being above the activity threshold right now.
-    """
-    cfg = cfg or PlasticityConfig()
-    if a_pre <= cfg.activity_threshold or a_post <= cfg.activity_threshold:
-        return Classification.NONE
-    xs = xcorr_lag_sum(h_post, h_pre, cfg)
-    if xs >= cfg.rapid_xcorr_min:
-        if (
-            slope_abs_sum(h_pre, cfg) <= cfg.rapid_slope_max
-            and slope_abs_sum(h_post, cfg) <= cfg.rapid_slope_max
-        ):
-            return Classification.RAPID_STRENGTHEN
-    if xs < cfg.weaken_xcorr_max:
-        return Classification.SLOW_WEAKEN
-    if xs > cfg.strengthen_xcorr_min:
-        return Classification.SLOW_STRENGTHEN
-    return Classification.NONE
-
-
-_DELTA_RATE = {
-    Classification.RAPID_STRENGTHEN: lambda cfg: cfg.rapid_rate,
-    Classification.SLOW_STRENGTHEN: lambda cfg: cfg.slow_rate,
-    Classification.SLOW_WEAKEN: lambda cfg: -cfg.slow_rate,
-    Classification.NONE: lambda cfg: 0.0,
-}
-
-
-def apply_updates(
-    weights: np.ndarray,
-    classifications: list[Classification],
-    mutabilities: np.ndarray,
-    cfg: PlasticityConfig | None = None,
-) -> np.ndarray:
-    """New weight array: each weight moves by (rate * mutability) in the
-    direction its classification dictates, clamped to [0, 1]."""
-    cfg = cfg or PlasticityConfig()
-    rates = np.array([_DELTA_RATE[c](cfg) for c in classifications])
-    return np.clip(weights + rates * mutabilities, 0.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# vectorized engine
-# ---------------------------------------------------------------------------
 
 
 def _lag_sums(history: np.ndarray, view: NetView, cfg: PlasticityConfig) -> np.ndarray:
@@ -187,35 +77,6 @@ def _slope_sums(history: np.ndarray, cfg: PlasticityConfig) -> np.ndarray:
         seg = history[t:t + u + 1, :]
         total += np.abs(-(c @ seg) / denom)
     return total
-
-
-def classify_all(
-    state: SimState, net: Connectome | NetView, cfg: PlasticityConfig | None = None
-) -> list[Classification]:
-    """Vectorized classification of every chemical synapse at once."""
-    cfg = cfg or PlasticityConfig()
-    view = NetView.of(net)
-    if len(view.syn_pre) == 0:
-        return []
-    a = state.activation
-    active = (a[view.syn_pre] > cfg.activity_threshold) & (a[view.syn_post] > cfg.activity_threshold)
-    xs = _lag_sums(state.history, view, cfg)
-    ss = _slope_sums(state.history, cfg)
-    flat = (ss[view.syn_pre] <= cfg.rapid_slope_max) & (ss[view.syn_post] <= cfg.rapid_slope_max)
-    rapid = active & (xs >= cfg.rapid_xcorr_min) & flat
-    weaken = active & ~rapid & (xs < cfg.weaken_xcorr_max)
-    slow = active & ~rapid & ~weaken & (xs > cfg.strengthen_xcorr_min)
-    out = []
-    for r, wk, sl in zip(rapid, weaken, slow):
-        if r:
-            out.append(Classification.RAPID_STRENGTHEN)
-        elif wk:
-            out.append(Classification.SLOW_WEAKEN)
-        elif sl:
-            out.append(Classification.SLOW_STRENGTHEN)
-        else:
-            out.append(Classification.NONE)
-    return out
 
 
 def plasticity_step(

@@ -24,11 +24,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from . import physiology
 from .connectome import Connectome
-from .errors import OrtusError
+from .errors import ConfigError, OrtusError
 from .kernel import ExternalInputs, H_LEN, NetView, SimConfig, SimState, step
 from .physiology import PhysioConfig, RespirationClamp
 from .plasticity import PlasticityConfig, plasticity_step
@@ -175,12 +174,18 @@ def load_protocol(path: str | Path, net: Connectome) -> Protocol:
     return parse_protocol(path.read_text(), net, source=str(path))
 
 
+def probe_event(protocol: Protocol) -> ProtocolEvent | None:
+    """The probe: the injection latest in time (greatest start; on a tie,
+    the one written last), or None when the protocol injects nothing."""
+    injects = [ev for ev in protocol.events if ev.kind is EventKind.INJECT]
+    return max(reversed(injects), key=lambda ev: ev.start, default=None)
+
+
 def control_variant(protocol: Protocol) -> Protocol:
     """The never-conditioned twin of a protocol: same length, but only the
-    final injection (the probe) survives."""
-    injects = [ev for ev in protocol.events if ev.kind is EventKind.INJECT]
-    keep = (injects[-1],) if injects else ()
-    return replace(protocol, events=keep)
+    probe injection survives."""
+    probe = probe_event(protocol)
+    return replace(protocol, events=(probe,) if probe is not None else ())
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +199,13 @@ class RunConfig:
     plasticity: PlasticityConfig = field(default_factory=PlasticityConfig)
     physio: PhysioConfig = field(default_factory=PhysioConfig)
     plasticity_enabled: bool = True
-    weight_snapshot_every: int = 10
+    weight_snapshot_every: int = 10  # 0 keeps only the first and last snapshots
+
+    def __post_init__(self) -> None:
+        if self.weight_snapshot_every < 0:
+            raise ConfigError(
+                f"weight_snapshot_every cannot be negative, got {self.weight_snapshot_every!r}"
+            )
 
 
 @dataclass
@@ -268,7 +279,7 @@ def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> Tr
         a0[binding.co2] = physio_cfg.initial_co2
         a0[binding.o2] = physio_cfg.initial_o2
 
-    state = SimState.initial(net, a0)
+    state = SimState.initial(view, a0)
     trace = np.zeros((protocol.total_steps, view.n))
     snapshots: list[tuple[int, np.ndarray]] = [(0, state.weights.copy())]
     markers: list[tuple[int, str]] = []
@@ -335,15 +346,41 @@ class MetricRow:
     value: float
 
 
+def _local_maxima(x: np.ndarray) -> np.ndarray:
+    """Samples with a strict rise before and a strict fall after.  A flat
+    top counts once, at its middle (the left one of two); the first and
+    last samples never count."""
+    change = np.flatnonzero(x[1:] != x[:-1]) + 1
+    starts = np.concatenate(([0], change))
+    ends = np.concatenate((change - 1, [len(x) - 1]))
+    level = x[starts]
+    top = np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1
+    return (starts[top] + ends[top]) // 2
+
+
+def _prominences(x: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """Height of each peak over the higher of the two lowest points between
+    it and the nearest strictly higher sample on each side (or the signal's
+    end when there is none)."""
+    out = np.empty(len(peaks))
+    for k, p in enumerate(peaks):
+        higher_left = np.flatnonzero(x[:p] > x[p])
+        higher_right = np.flatnonzero(x[p + 1:] > x[p])
+        lo = higher_left[-1] + 1 if len(higher_left) else 0
+        hi = p + 1 + higher_right[0] if len(higher_right) else len(x)
+        out[k] = x[p] - max(x[lo:p + 1].min(), x[p:hi].min())
+    return out
+
+
 def peak_indices(x: np.ndarray, min_prominence: float = 0.05) -> np.ndarray:
-    """Indices of local maxima whose prominence clears a fraction of the
-    signal's full swing; a flat signal has no peaks."""
+    """Indices of local maxima whose prominence is at least a fraction of
+    the signal's full swing; a flat signal has no peaks."""
     x = np.asarray(x, dtype=float)
-    swing = float(x.max() - x.min()) if len(x) else 0.0
-    if swing <= 0.0:
-        return np.zeros(0, dtype=int)
-    idx, _ = find_peaks(x, prominence=min_prominence * swing)
-    return idx
+    if len(x) < 3:
+        return np.zeros(0, dtype=np.intp)
+    peaks = _local_maxima(x)
+    threshold = min_prominence * float(x.max() - x.min())
+    return peaks[_prominences(x, peaks) >= threshold]
 
 
 def summarize(trace: TraceLog, queries: list[Query]) -> list[MetricRow]:

@@ -1,0 +1,189 @@
+"""Scalar reference maths for the kernel and the learning rule.
+
+One synapse, one junction or one history window at a time, written for
+clarity rather than speed.  The tests pin these functions with hand-computed
+values and then hold the vectorized engine in ``ortus.kernel`` and
+``ortus.plasticity`` to them, often on small hand-wired nets from
+``make_net``.
+"""
+
+from __future__ import annotations
+
+import enum
+import math
+
+import numpy as np
+
+from ortus.connectome import (
+    DEFAULT_PARAMS,
+    ChemicalSynapse,
+    Connectome,
+    GapJunction,
+    Layer,
+    Neuron,
+    NeuronParams,
+)
+from ortus.errors import OrtusError
+from ortus.plasticity import ZERO_NORM, PlasticityConfig
+
+# ---------------------------------------------------------------------------
+# kernel
+# ---------------------------------------------------------------------------
+
+
+def make_net(n, chem=(), gap=(), thresholds=None) -> Connectome:
+    """A connectome of `n` plain neurons named n0, n1, ... wired as given."""
+    thresholds = thresholds or [0.0] * n
+    neurons = [Neuron(i, f"n{i}", Layer.PLAIN, thresholds[i]) for i in range(n)]
+    return Connectome(
+        neurons=neurons,
+        chem=list(chem),
+        gap=list(gap),
+        sensor_ids=[],
+        emotion_ids=[],
+        motor_ids=[],
+        muscle_ids=[],
+        name_to_id={f"n{i}": i for i in range(n)},
+    )
+
+
+def conductance(a_pre: float, params: NeuronParams = DEFAULT_PARAMS, inverted: bool = False) -> float:
+    """Graded synaptic conductance in (0, 1).
+
+    A sigmoid of the presynaptic activation scaled by the activation range:
+    exactly 0.5 at equilibrium, a little over 0.92 at the excitatory
+    reversal, a little under 0.08 at the inhibitory reversal.
+    """
+    x = -a_pre if inverted else a_pre
+    return 1.0 / (1.0 + math.exp(-5.0 * x / params.range))
+
+
+def cs_inflow(
+    syn: ChemicalSynapse,
+    a_pre: float,
+    a_post: float,
+    threshold: float,
+    params: NeuronParams = DEFAULT_PARAMS,
+) -> float:
+    """Inflow contributed by one chemical synapse, zero below the
+    postsynaptic transmission threshold."""
+    drive = -a_pre if syn.inverted else a_pre
+    if drive < threshold:
+        return 0.0
+    g = conductance(a_pre, params, syn.inverted)
+    return syn.weight * g * (syn.reversal - a_post)
+
+
+def gj_flux(junction: GapJunction, a_a: float, a_b: float) -> tuple[float, float]:
+    """(flux into a, flux into b) for one junction; the two always cancel."""
+    into_b = junction.weight * (a_a - a_b) / 2.0
+    return -into_b, into_b
+
+
+# ---------------------------------------------------------------------------
+# learning rule
+# ---------------------------------------------------------------------------
+
+
+class InsufficientHistory(OrtusError):
+    """The history window does not hold enough samples for the request."""
+
+
+class Classification(enum.Enum):
+    RAPID_STRENGTHEN = "rapid_strengthen"
+    SLOW_STRENGTHEN = "slow_strengthen"
+    SLOW_WEAKEN = "slow_weaken"
+    NONE = "none"
+
+
+def lagged_xcorr(h_post: np.ndarray, h_j: np.ndarray, lag: int, window: int = 4) -> float:
+    """Cosine similarity between the most recent `window` samples of h_post
+    and the `window` samples of h_j starting `lag` steps back."""
+    h_post = np.asarray(h_post, dtype=float)
+    h_j = np.asarray(h_j, dtype=float)
+    if len(h_post) < window or len(h_j) < lag + window:
+        raise InsufficientHistory(
+            f"need {window} and {lag + window} samples, have {len(h_post)} and {len(h_j)}"
+        )
+    a = h_post[:window]
+    b = h_j[lag:lag + window]
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na < ZERO_NORM or nb < ZERO_NORM:
+        return 0.0
+    return float(np.dot(a, b) / (na * nb))
+
+
+def slope(h: np.ndarray, t: int = 0, u: int = 2) -> float:
+    """Least-squares slope of h[t .. t+u], positive when the signal is
+    rising toward the present (history index 0 is the newest sample)."""
+    h = np.asarray(h, dtype=float)
+    if len(h) < t + u + 1:
+        raise InsufficientHistory(f"need {t + u + 1} samples, have {len(h)}")
+    y = h[t:t + u + 1]
+    x = np.arange(u + 1, dtype=float)
+    fit = np.polyfit(x, y, 1)[0]
+    return float(-fit)
+
+
+def xcorr_lag_sum(h_post: np.ndarray, h_pre: np.ndarray, cfg: PlasticityConfig) -> float:
+    """Correlation summed over lags 1 .. max_lag (lag 0 is excluded)."""
+    return sum(
+        lagged_xcorr(h_post, h_pre, lag, cfg.xcorr_window) for lag in range(1, cfg.max_lag + 1)
+    )
+
+
+def slope_abs_sum(h: np.ndarray, cfg: PlasticityConfig) -> float:
+    """Sum of |slope| over the same lag offsets the correlation rule uses."""
+    return sum(abs(slope(h, t, cfg.slope_window)) for t in range(1, cfg.max_lag + 1))
+
+
+def classify(
+    a_pre: float,
+    a_post: float,
+    h_pre: np.ndarray,
+    h_post: np.ndarray,
+    cfg: PlasticityConfig | None = None,
+) -> Classification:
+    """Classify one synapse from its endpoints' activations and histories.
+
+    Rapid strengthening requires the full-correlation band AND both signals
+    nearly flat; it takes precedence over slow strengthening.  Everything is
+    gated on both endpoints being above the activity threshold right now.
+    """
+    cfg = cfg or PlasticityConfig()
+    if a_pre <= cfg.activity_threshold or a_post <= cfg.activity_threshold:
+        return Classification.NONE
+    xs = xcorr_lag_sum(h_post, h_pre, cfg)
+    if xs >= cfg.rapid_xcorr_min:
+        if (
+            slope_abs_sum(h_pre, cfg) <= cfg.rapid_slope_max
+            and slope_abs_sum(h_post, cfg) <= cfg.rapid_slope_max
+        ):
+            return Classification.RAPID_STRENGTHEN
+    if xs < cfg.weaken_xcorr_max:
+        return Classification.SLOW_WEAKEN
+    if xs > cfg.strengthen_xcorr_min:
+        return Classification.SLOW_STRENGTHEN
+    return Classification.NONE
+
+
+_DELTA_RATE = {
+    Classification.RAPID_STRENGTHEN: lambda cfg: cfg.rapid_rate,
+    Classification.SLOW_STRENGTHEN: lambda cfg: cfg.slow_rate,
+    Classification.SLOW_WEAKEN: lambda cfg: -cfg.slow_rate,
+    Classification.NONE: lambda cfg: 0.0,
+}
+
+
+def apply_updates(
+    weights: np.ndarray,
+    classifications: list[Classification],
+    mutabilities: np.ndarray,
+    cfg: PlasticityConfig | None = None,
+) -> np.ndarray:
+    """New weight array: each weight moves by (rate * mutability) in the
+    direction its classification dictates, clamped to [0, 1]."""
+    cfg = cfg or PlasticityConfig()
+    rates = np.array([_DELTA_RATE[c](cfg) for c in classifications])
+    return np.clip(weights + rates * mutabilities, 0.0, 1.0)

@@ -1,35 +1,35 @@
 """Behavioral acceptance suite for the shipped organism.
 
-Nine end-to-end criteria, one test each, covering: the respiratory central
-pattern generator, associative fear conditioning and its controls, the exact
-numeric contracts of the learning rule and the activation kernel, generator
-combinatorics against a brute-force oracle, byte-level determinism, and
-vectorized/brute-force oracle equivalence.
+Nine end-to-end criteria, one test each (two for determinism), covering: the
+respiratory central pattern generator, associative fear conditioning and its
+controls, the exact numeric contracts of the learning rule and the
+activation kernel, generator combinatorics against a brute-force oracle,
+byte-level determinism (run against run, and against the SHA-256 digests in
+``perfbench/golden.json``), and vectorized/brute-force oracle equivalence.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one verdict line
 per criterion.
 """
 
+import hashlib
 import itertools
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ortus.cli import asset_path
 from ortus.cli import main as cli_main
-from ortus.connectome import Layer
-from ortus.kernel import ExternalInputs, NetView, SimConfig, SimState, conductance, step
-from ortus.plasticity import (
-    Classification,
-    PlasticityConfig,
-    classify,
-    lagged_xcorr,
-    slope,
-    slope_abs_sum,
-    xcorr_lag_sum,
-)
+from ortus.connectome import ChemicalSynapse, Layer
+from ortus.kernel import H_LEN, ExternalInputs, NetView, SimConfig, SimState, step
+from ortus.plasticity import PlasticityConfig, _lag_sums, _slope_sums, plasticity_step
 from ortus.protocol import RunConfig, control_variant, load_protocol, parse_protocol, peak_indices, run
+from oracles import Classification, classify, make_net, slope_abs_sum, xcorr_lag_sum
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
 def report(number, text):
@@ -148,9 +148,10 @@ def test_criterion_4_learning_ablation(ablated_run, conditioning):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_5_rule_thresholds():
+def test_criterion_5_rule_thresholds(organism_net):
     cfg = PlasticityConfig()
     hot = cfg.activity_threshold + 0.3
+    cold = cfg.activity_threshold
 
     # constant synchronized supra-threshold pair
     flat = np.full(8, hot)
@@ -159,19 +160,38 @@ def test_criterion_5_rule_thresholds():
     assert abs(xs - 4.0) <= 1e-9
     assert xs >= cfg.rapid_xcorr_min
     assert abs(ss) <= 1e-9 and ss <= cfg.rapid_slope_max
-    assert classify(hot, hot, flat, flat, cfg) is Classification.RAPID_STRENGTHEN
+
+    # correlated pair still in motion
+    moving = np.linspace(hot + 0.4, hot - 0.3, 8)
+    assert slope_abs_sum(moving, cfg) > cfg.rapid_slope_max
 
     # orthogonal pair: no lagged window of one overlaps the other
     h_post = np.array([hot, 0, 0, 0, 0, 0, 0, 0.0])
     h_pre = np.array([hot, 0, 0, 0, 0, hot, 0, 0.0])
     assert xcorr_lag_sum(h_post, h_pre, cfg) < cfg.weaken_xcorr_max
-    assert classify(hot, hot, h_pre, h_post, cfg) is Classification.SLOW_WEAKEN
 
-    # sub-threshold pair: no update no matter how correlated
-    cold = cfg.activity_threshold
-    assert classify(cold, cold, flat, flat, cfg) is Classification.NONE
+    # the engine moves one mutable synapse of the organism, every other
+    # neuron at rest, by the rate the reference rule names
+    k = next(i for i, syn in enumerate(organism_net.chem) if syn.mutability > 0)
+    syn = organism_net.chem[k]
+    cases = [
+        (hot, flat, flat, Classification.RAPID_STRENGTHEN, cfg.rapid_rate),
+        (hot, moving, moving, Classification.SLOW_STRENGTHEN, cfg.slow_rate),
+        (hot, h_pre, h_post, Classification.SLOW_WEAKEN, -cfg.slow_rate),
+        (cold, flat, flat, Classification.NONE, 0.0),  # no update however correlated
+    ]
+    for a, pre_hist, post_hist, expected, rate in cases:
+        assert classify(a, a, pre_hist, post_hist, cfg) is expected
+        state = SimState.initial(organism_net)
+        state.step = H_LEN
+        state.weights[:] = 0.5
+        state.activation[[syn.pre, syn.post]] = a
+        state.history[:, syn.pre] = pre_hist
+        state.history[:, syn.post] = post_hist
+        moved = plasticity_step(state, organism_net, cfg)[k] - 0.5
+        assert moved == pytest.approx(rate * syn.mutability, abs=1e-15)
 
-    report(5, f"flat pair sums to {xs!r}; rules fire rapid/weaken/none on their bands")
+    report(5, f"flat pair sums to {xs!r}; the engine fires rapid/slow/weaken/none on their bands")
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +199,17 @@ def test_criterion_5_rule_thresholds():
 # ---------------------------------------------------------------------------
 
 
+def kernel_conductance(a_pre):
+    """The kernel's conductance at `a_pre`: one step of a synapse with unit
+    weight and reversal onto a resting, never-gated, non-decaying neuron."""
+    net = make_net(2, [ChemicalSynapse(0, 1, 1.0, 1.0, 0.0)], thresholds=[0.0, -1.0])
+    state = SimState.initial(net, np.array([a_pre, 0.0]))
+    return float(step(state, NetView.of(net), cfg=SimConfig(decay_fraction=0.0)).activation[1])
+
+
 def test_criterion_6_kernel_numerics(organism_net):
-    assert conductance(0.0) == 0.5
-    g_hi, g_lo = conductance(1.0), conductance(-1.0)
+    assert kernel_conductance(0.0) == 0.5
+    g_hi, g_lo = kernel_conductance(1.0), kernel_conductance(-1.0)
     assert 0.90 < g_hi < 0.93
     assert 0.07 < g_lo < 0.10
 
@@ -267,6 +295,24 @@ def test_criterion_8_byte_identical_runs(tmp_path):
     report(8, f"two experiment runs byte-identical across {len(compared)} output files")
 
 
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_criterion_8_outputs_match_golden_digests(tmp_path):
+    golden = json.loads(GOLDEN.read_text())["bundled"]
+    assets = {
+        "organism.ort": sha256(asset_path("ortus.ort")),
+        "experiment.protocol": sha256(asset_path("fear_conditioning.protocol")),
+    }
+    assert assets == golden["inputs"], "the bundled assets changed, not the simulator"
+    out = tmp_path / "exp"
+    assert cli_main(["experiment", "ortus.ort", "fear_conditioning.protocol", "--out", str(out)]) == 0
+    produced = {path.name: sha256(path) for path in out.iterdir()}
+    assert produced == golden["outputs"]
+    report(8, f"{len(produced)} experiment outputs match the stored SHA-256 digests")
+
+
 # ---------------------------------------------------------------------------
 # 9. vectorized learning math equals brute force
 # ---------------------------------------------------------------------------
@@ -291,19 +337,24 @@ def brute_slope(h, t, u=2):
 
 
 def test_criterion_9_oracle_equivalence():
+    # 1000 synapses, each from its own presynaptic to its own postsynaptic
+    # neuron, so every column of one random history is an independent case
+    pairs = 1000
+    net = make_net(2 * pairs, [ChemicalSynapse(i, pairs + i, 0.5, 1.0, 1.0) for i in range(pairs)])
     rng = np.random.default_rng(99)
+    history = rng.uniform(-1, 1, (H_LEN, 2 * pairs))
+    history[:, :pairs][:, rng.uniform(size=pairs) < 0.05] = 0.0  # exercise the zero-norm guard
+    cfg = PlasticityConfig()
+    lag_sums = _lag_sums(history, NetView.of(net), cfg)
+    slope_sums = _slope_sums(history, cfg)
     worst_x, worst_s = 0.0, 0.0
-    for _ in range(1000):
-        h_post = rng.uniform(-1, 1, 8)
-        h_pre = rng.uniform(-1, 1, 8)
-        if rng.uniform() < 0.05:
-            h_pre[:] = 0.0  # exercise the zero-norm guard
-        for lag in range(1, 5):
-            got = lagged_xcorr(h_post, h_pre, lag)
-            want = brute_cos(h_post[0:4], h_pre[lag : lag + 4])
-            worst_x = max(worst_x, abs(got - want))
-        for t in range(0, 5):
-            worst_s = max(worst_s, abs(slope(h_pre, t=t) - brute_slope(h_pre, t)))
+    for i in range(pairs):
+        h_pre, h_post = history[:, i], history[:, pairs + i]
+        want = math.fsum(brute_cos(h_post[0:4], h_pre[lag : lag + 4]) for lag in range(1, 5))
+        worst_x = max(worst_x, abs(lag_sums[i] - want))
+    for j in range(2 * pairs):
+        want = math.fsum(abs(brute_slope(history[:, j], t)) for t in range(1, 5))
+        worst_s = max(worst_s, abs(slope_sums[j] - want))
     assert worst_x < 1e-9
     assert worst_s < 1e-9
-    report(9, f"1000 random histories: max xcorr error {worst_x:.2e}, max slope error {worst_s:.2e}")
+    report(9, f"{pairs} random synapses: max lag-sum error {worst_x:.2e}, max slope-sum error {worst_s:.2e}")

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ortus.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main
+from ortus.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, Configs, apply_overrides, main
+from ortus.kernel import GjMode
 
 BAD_ORT = "element sX { type: sensory }\nelement sX { type: sensory }\n"
 TINY_PROTOCOL = "steps 40\nat 5..15 inject sH2O 0.5\nat 20..30 inject sH2O 0.5\n"
@@ -130,6 +131,9 @@ def test_set_overrides_are_applied_and_echoed(tmp_path):
         "sim.warp_speed=9",  # unknown key
         "sim.activation_clamp=maybe",  # uncoercible boolean
         "sim.decay_fraction=1.5",  # fails the config's own validation
+        "sim.gj_mode=sideways",  # not a member of the enum
+        "run.weight_snapshot_every=-1",  # fails the run config's validation
+        "run.weight_snapshot_every=2.5",  # not an integer
     ],
 )
 def test_bad_set_values_fail_cleanly(tmp_path, capsys, override):
@@ -138,6 +142,33 @@ def test_bad_set_values_fail_cleanly(tmp_path, capsys, override):
     code = main(["run", "ortus.ort", str(proto), "--out", str(tmp_path / "o"), "--set", override])
     assert code == EXIT_DOMAIN
     assert "error" in capsys.readouterr().err
+
+
+def test_set_coerces_by_the_default_type():
+    cfgs = apply_overrides(
+        Configs.defaults(),
+        [
+            "sim.gj_mode=paper-literal",
+            "sim.activation_clamp=off",
+            "run.weight_snapshot_every=0",
+            "build.sci_cap=8",
+            "plasticity.rapid_rate=0.02",
+            "physio.lung_name=LUNG2",
+        ],
+    )
+    assert cfgs.run.sim.gj_mode is GjMode.PAPER_LITERAL
+    assert cfgs.run.sim.activation_clamp is False
+    assert cfgs.run.weight_snapshot_every == 0
+    assert cfgs.build.sci_cap == 8
+    assert cfgs.run.plasticity.rapid_rate == 0.02
+    assert cfgs.run.physio.lung_name == "LUNG2"
+
+
+def test_threads_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "ortus.ort", "--threads", "4"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_no_plasticity_flag_freezes_weights(tmp_path):
@@ -200,3 +231,17 @@ def test_experiment_headline_override(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert "probe ePLEASURE peak ratio:" in capsys.readouterr().out
+
+
+def test_experiment_probe_is_latest_injection_in_time(tmp_path, capsys):
+    proto = tmp_path / "p.protocol"
+    proto.write_text("steps 100\nat 80..90 inject sH2O 0.5\nat 10..20 inject sCO2 0.5\n")
+    out = tmp_path / "exp"
+    assert main(["experiment", "ortus.ort", str(proto), "--out", str(out)]) == EXIT_OK
+    rows = [line.split(",")[:4] for line in (out / "summary.csv").read_text().splitlines()]
+    assert ["peak", "eFEAR", "10", "35"] in rows  # the earlier injection is a burst
+    assert ["peak", "eFEAR", "80", "90"] in rows  # the later one is the probe
+    assert ["control_peak", "eFEAR", "80", "90"] in rows
+    assert (out / "control_markers.csv").read_text() == (
+        "step,marker\n80,start inject sH2O 0.5\n90,end inject sH2O 0.5\n"
+    )

@@ -13,15 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ortus.connectome import (
-    Affect,
-    ChemicalSynapse,
-    Connectome,
-    GapJunction,
-    Layer,
-    Neuron,
-    NeuronParams,
-)
+from ortus.connectome import ChemicalSynapse, GapJunction
 from ortus.errors import ConfigError
 from ortus.kernel import (
     H_LEN,
@@ -31,35 +23,17 @@ from ortus.kernel import (
     NetView,
     SimConfig,
     SimState,
-    compute_fluxes,
-    conductance,
-    cs_inflow,
-    gj_flux,
     step,
 )
+from oracles import conductance, cs_inflow, gj_flux, make_net
 
 # sigmoid of +/- the full activation range, frozen
 G_AT_EXCIT_REVERSAL = 0.9241418199787566
 G_AT_INHIB_REVERSAL = 0.07585818002124355
 
 
-def make_net(n, chem=(), gap=(), thresholds=None):
-    thresholds = thresholds or [0.0] * n
-    neurons = [Neuron(i, f"n{i}", Layer.PLAIN, thresholds[i]) for i in range(n)]
-    return Connectome(
-        neurons=neurons,
-        chem=list(chem),
-        gap=list(gap),
-        sensor_ids=[],
-        emotion_ids=[],
-        motor_ids=[],
-        muscle_ids=[],
-        name_to_id={f"n{i}": i for i in range(n)},
-    )
-
-
 # ---------------------------------------------------------------------------
-# scalar pieces
+# scalar reference pieces
 # ---------------------------------------------------------------------------
 
 
@@ -113,6 +87,25 @@ def test_gj_flux_antisymmetric_and_halved():
     into_a, into_b = gj_flux(j, 0.8, 0.2)
     assert into_b == pytest.approx(0.5 * (0.8 - 0.2) / 2)
     assert into_a == -into_b
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False), st.booleans())
+def test_step_conductance_matches_oracle(a_pre, inverted):
+    # a gate that always passes, unit weight and reversal, no decay, and a
+    # postsynaptic neuron at rest: its next activation is the conductance
+    syn = ChemicalSynapse(0, 1, 1.0, 1.0, 0.0, inverted=inverted)
+    net = make_net(2, [syn], thresholds=[0.0, -1.0])
+    state = SimState.initial(net, np.array([a_pre, 0.0]))
+    state = step(state, NetView.of(net), cfg=SimConfig(decay_fraction=0.0))
+    assert state.activation[1] == pytest.approx(conductance(a_pre, inverted=inverted), abs=1e-15)
+
+
+def test_initial_state_from_view_keeps_built_weights(organism_net):
+    from_view = SimState.initial(NetView.of(organism_net))
+    from_net = SimState.initial(organism_net)
+    np.testing.assert_array_equal(from_view.weights, from_net.weights)
+    np.testing.assert_array_equal(from_net.weights, [s.weight for s in organism_net.chem])
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +254,21 @@ def test_activation_stays_bounded_forever(inject):
 
 
 def test_gap_fluxes_conserve_charge():
-    net = make_net(3, gap=[GapJunction(0, 1, 0.7), GapJunction(1, 2, 0.4)])
-    view = NetView.of(net)
-    state = SimState.initial(net, np.array([0.9, -0.2, 0.3]))
-    fluxes = compute_fluxes(state, view, SimConfig())
-    assert abs(fluxes.gj_in.sum()) < 1e-15
-    np.testing.assert_allclose(fluxes.gj_out, -fluxes.gj_in)
+    gap = [GapJunction(0, 1, 0.7), GapJunction(1, 2, 0.4)]
+    net = make_net(3, gap=gap)
+    a = np.array([0.9, -0.2, 0.3])
+    nxt = step(
+        SimState.initial(net, a),
+        NetView.of(net),
+        cfg=SimConfig(decay_fraction=0.0, check_conservation=True),
+    ).activation
+    want = np.zeros(3)
+    for j in gap:
+        into_a, into_b = gj_flux(j, a[j.a], a[j.b])
+        want[j.a] += into_a
+        want[j.b] += into_b
+    np.testing.assert_allclose(nxt - a, want, atol=1e-15)
+    assert abs(nxt.sum() - a.sum()) < 1e-15
 
 
 def test_conservation_check_passes_on_symmetric_mode():

@@ -1,21 +1,24 @@
 """Correlation-gated weight updates.
 
-The scalar reference path (lagged cosine similarity, short-window regression
-slope, four-way classification) is pinned with hand-computed values; the
-vectorized batch path must agree with the scalar path to well under 1e-9.
+The scalar reference rule in ``oracles`` (lagged cosine similarity,
+short-window regression slope, four-way classification) is pinned with
+hand-computed values; the vectorized engine, ``plasticity_step``, must agree
+with it synapse for synapse.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ortus.plasticity import (
+from ortus.kernel import NetView, SimState
+from ortus.plasticity import PlasticityConfig, plasticity_step
+from oracles import (
     Classification,
     InsufficientHistory,
-    PlasticityConfig,
     apply_updates,
     classify,
     lagged_xcorr,
@@ -121,6 +124,15 @@ def test_xcorr_always_in_unit_interval(xs, ys, lag):
     assert v == pytest.approx(brute_cos(xs[0:4], ys[lag : lag + 4]), abs=1e-9)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(min_value=-1, max_value=1, allow_nan=False), min_size=8, max_size=8),
+    st.integers(min_value=0, max_value=5),
+)
+def test_slope_matches_brute_force(h, t):
+    assert slope(np.array(h), t=t) == pytest.approx(brute_slope(h, t), abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
@@ -212,8 +224,6 @@ def test_apply_updates_clamps_to_unit_interval():
 
 
 def random_state(net, rng):
-    from ortus.kernel import SimState
-
     state = SimState.initial(net)
     state.activation = rng.uniform(-1, 1, net.n)
     state.history = rng.uniform(-1, 1, (8, net.n))
@@ -221,43 +231,33 @@ def random_state(net, rng):
     return state
 
 
-def test_classify_all_matches_scalar(organism_net):
-    from ortus.plasticity import classify_all
-
-    rng = np.random.default_rng(3)
+@pytest.mark.parametrize("all_mutable", [False, True])
+def test_plasticity_step_matches_oracle(organism_net, all_mutable):
+    # with every synapse mutable, each classification shows in the weights
+    view = NetView.of(organism_net)
+    if all_mutable:
+        view = replace(view, syn_mi=np.ones(len(view.syn_mi)))
+    rng = np.random.default_rng(4)
     cfg = PlasticityConfig()
     for _ in range(20):
         state = random_state(organism_net, rng)
-        vec = classify_all(state, organism_net, cfg)
-        for syn, got in zip(organism_net.chem, vec):
-            want = classify(
+        state.weights = rng.uniform(0, 1, len(organism_net.chem))
+        classes = [
+            classify(
                 state.activation[syn.pre],
                 state.activation[syn.post],
                 state.history[:, syn.pre],
                 state.history[:, syn.post],
                 cfg,
             )
-            assert got is want
-
-
-def test_plasticity_step_matches_scalar_pipeline(organism_net):
-    from ortus.plasticity import classify_all, plasticity_step
-
-    rng = np.random.default_rng(4)
-    cfg = PlasticityConfig()
-    mut = np.array([syn.mutability for syn in organism_net.chem])
-    for _ in range(10):
-        state = random_state(organism_net, rng)
-        state.weights = rng.uniform(0, 1, len(organism_net.chem))
-        got = plasticity_step(state, organism_net, cfg)
-        want = apply_updates(state.weights, classify_all(state, organism_net, cfg), mut, cfg)
-        np.testing.assert_allclose(got, want, atol=1e-15)
+            for syn in organism_net.chem
+        ]
+        want = apply_updates(state.weights, classes, view.syn_mi, cfg)
+        np.testing.assert_allclose(plasticity_step(state, view, cfg), want, atol=1e-15)
 
 
 def test_plasticity_step_inert_during_warmup(organism_net):
     rng = np.random.default_rng(5)
-    from ortus.plasticity import plasticity_step
-
     state = random_state(organism_net, rng)
     state.step = 7  # one short of a full history ring
     out = plasticity_step(state, organism_net)

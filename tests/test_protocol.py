@@ -1,10 +1,18 @@
 """Protocol parsing, the closed-loop runner, trace logging, and metrics."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ortus
+from ortus.errors import ConfigError
 from ortus.protocol import (
     EventKind,
     Protocol,
@@ -18,6 +26,7 @@ from ortus.protocol import (
     metrics_csv,
     parse_protocol,
     peak_indices,
+    probe_event,
     run,
     summarize,
 )
@@ -122,6 +131,28 @@ def test_control_variant_keeps_only_the_probe(organism_net):
     assert (probe.start, probe.end, probe.value) == (70, 80, 0.4)
 
 
+@pytest.mark.parametrize(
+    "lines,probe",
+    [
+        # the probe is the latest injection in time, not the last line
+        (["at 80..90 inject sH2O 0.5", "at 10..20 inject sCO2 0.3"], ("sH2O", 80)),
+        # on a tie in start, the line written last wins
+        (["at 80..90 inject sH2O 0.5", "at 80..85 inject sCO2 0.3"], ("sCO2", 80)),
+    ],
+)
+def test_probe_is_the_latest_injection(organism_net, lines, probe):
+    proto = parse_protocol("\n".join(["steps 100", *lines]) + "\n", organism_net)
+    ev = probe_event(proto)
+    assert (ev.element, ev.start) == probe
+    assert control_variant(proto).events == (ev,)
+
+
+def test_protocol_without_injections_has_no_probe(organism_net):
+    proto = parse_protocol("steps 10\nat 0..5 block respiration\n", organism_net)
+    assert probe_event(proto) is None
+    assert control_variant(proto).events == ()
+
+
 # ---------------------------------------------------------------------------
 # runner
 # ---------------------------------------------------------------------------
@@ -143,6 +174,11 @@ def test_run_weight_snapshot_cadence(organism_net):
     proto2 = parse_protocol("steps 20\n", organism_net)
     trace2 = run(organism_net, proto2, RunConfig(weight_snapshot_every=10))
     assert [s for s, _ in trace2.weight_snapshots] == [0, 10, 20]
+
+
+def test_run_config_rejects_negative_snapshot_cadence():
+    with pytest.raises(ConfigError):
+        RunConfig(weight_snapshot_every=-1)
 
 
 def test_injection_moves_the_sensor(organism_net):
@@ -253,6 +289,58 @@ def test_peak_indices_counts_cycles():
 def test_peak_indices_ignores_flat_signals():
     assert len(peak_indices(np.zeros(50))) == 0
     assert len(peak_indices(np.full(50, 0.7))) == 0
+
+
+def test_peak_indices_plateaus_and_edges():
+    # a flat top counts once at its middle (the left one of an even run);
+    # the first and last samples are never peaks
+    x = np.array([3, 1, 2, 2, 0, 2, 2, 2, 1, 1, 4], dtype=float)
+    np.testing.assert_array_equal(peak_indices(x, 0.0), [2, 6])
+    # prominence is measured against the whole signal and kept when >= the bar
+    x = np.array([0, 2, 1, 3, 0], dtype=float)  # swing 3; the peak at 1 stands 1 high
+    np.testing.assert_array_equal(peak_indices(x, 1 / 3), [1, 3])
+    np.testing.assert_array_equal(peak_indices(x, 0.34), [3])
+
+
+def test_peak_indices_match_scipy_on_bundled_traces(organism_net, conditioning_protocol_path):
+    signal = pytest.importorskip("scipy.signal")
+    proto = load_protocol(conditioning_protocol_path, organism_net)
+    checked = 0
+    for protocol in (proto, control_variant(proto)):
+        trace = run(organism_net, protocol, RunConfig())
+        for col in trace.activations.T:
+            want, _ = signal.find_peaks(col, prominence=0.05 * float(col.max() - col.min()))
+            got = peak_indices(col)
+            np.testing.assert_array_equal(got, want)
+            checked += len(got)
+    assert checked > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=4), max_size=60),
+    st.sampled_from([0.0, 0.05, 0.25, 0.5, 1.0]),
+)
+def test_peak_indices_match_scipy_with_plateaus(levels, min_prominence):
+    signal = pytest.importorskip("scipy.signal")
+    x = np.array(levels, dtype=float)
+    swing = float(x.max() - x.min()) if len(x) else 0.0
+    want, _ = signal.find_peaks(x, prominence=min_prominence * swing)
+    np.testing.assert_array_equal(peak_indices(x, min_prominence), want)
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(ortus.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, ortus; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_summarize_window_metrics():
