@@ -34,7 +34,7 @@ from .dsl import (
     Sign,
     validate_spec,
 )
-from .errors import OrtusError
+from .errors import ConfigError, OrtusError
 
 
 class BuildError(OrtusError):
@@ -153,6 +153,22 @@ class BuildConfig:
     eei_gj_weight: float = 0.8
     eei_feedback_weight: float = 0.02
     dominance_weight: float = 0.6
+
+    def __post_init__(self) -> None:
+        # The learning rule clips the weights it moves to [0, 1] and skips
+        # synapses of mutability 0; both assume built values inside [0, 1].
+        for name in (
+            "sei_weight",
+            "eei_initial_weight",
+            "eei_feedback_weight",
+            "dominance_weight",
+            "eei_mutability",
+        ):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
+        if not self.eei_gj_weight >= 0.0:
+            raise ConfigError(f"eei_gj_weight cannot be negative, got {self.eei_gj_weight!r}")
 
 
 @dataclass

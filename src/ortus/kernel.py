@@ -19,7 +19,7 @@ conductance both read the negated presynaptic activation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +49,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not (0.0 <= self.decay_fraction < 1.0):
             raise ConfigError(f"decay_fraction must lie in [0, 1), got {self.decay_fraction!r}")
+        if not self.conservation_tolerance >= 0.0:
+            raise ConfigError(
+                f"conservation_tolerance cannot be negative, got {self.conservation_tolerance!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,12 @@ class NetView:
     gap_a: np.ndarray
     gap_b: np.ndarray
     gap_w: np.ndarray
+    # indices of the mutable synapses (mutability > 0), derived from syn_mi so
+    # that dataclasses.replace cannot leave it stale
+    syn_mutable: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "syn_mutable", np.flatnonzero(self.syn_mi > 0))
 
     @classmethod
     def from_connectome(cls, net: Connectome) -> "NetView":

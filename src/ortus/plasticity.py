@@ -1,12 +1,13 @@
 """Correlation-driven weight updates for chemical synapses.
 
-Once per step each synapse is classified from the recent activation
-histories of its two endpoints.  A pair that is strongly correlated across
-all four lags while both signals hold nearly still strengthens rapidly; a
-correlated pair still in motion strengthens slowly; an uncorrelated pair
-weakens slowly.  Nothing happens unless both endpoints are currently above
-the activity threshold, and every update scales with the synapse's
-mutability index, so structural wiring with mutability 0 never moves.
+Once per step each active mutable synapse is classified from the recent
+activation histories of its two endpoints.  A pair that is strongly
+correlated across all four lags while both signals hold nearly still
+strengthens rapidly; a correlated pair still in motion strengthens slowly;
+an uncorrelated pair weakens slowly.  Every update scales with the
+synapse's mutability index, so the rule runs only on synapses with
+mutability above 0 whose two endpoints are both above the activity
+threshold right now; every other weight is returned untouched.
 
 Correlation at a lag is the cosine between the postsynaptic neuron's four
 most recent samples and the presynaptic neuron's four samples starting that
@@ -50,16 +51,22 @@ class PlasticityConfig:
             raise ConfigError("correlation windows cannot reach past the history ring")
 
 
-def _lag_sums(history: np.ndarray, view: NetView, cfg: PlasticityConfig) -> np.ndarray:
-    """Per-synapse correlation sums over lags 1..max_lag."""
+def _lag_sums(
+    history: np.ndarray, pre: np.ndarray, post: np.ndarray, cfg: PlasticityConfig
+) -> np.ndarray:
+    """Correlation sums over lags 1..max_lag, one per (pre[i], post[i]) pair."""
     w = cfg.xcorr_window
-    post_win = history[0:w, :][:, view.syn_post]  # (w, S)
-    sums = np.zeros(len(view.syn_pre))
-    na = np.linalg.norm(post_win, axis=0)
+    # per-neuron window norms at offsets 0..max_lag, indexed per pair below
+    norms = np.stack(
+        [np.linalg.norm(history[k:k + w, :], axis=0) for k in range(cfg.max_lag + 1)]
+    )
+    post_win = history[0:w, post]  # (w, K)
+    pre_hist = history[:, pre]  # (H_LEN, K)
+    na = norms[0, post]
+    sums = np.zeros(len(pre))
     for lag in range(1, cfg.max_lag + 1):
-        pre_win = history[lag:lag + w, :][:, view.syn_pre]
-        nb = np.linalg.norm(pre_win, axis=0)
-        num = (post_win * pre_win).sum(axis=0)
+        nb = norms[lag, pre]
+        num = (post_win * pre_hist[lag:lag + w]).sum(axis=0)
         ok = (na >= ZERO_NORM) & (nb >= ZERO_NORM)
         denom = np.where(ok, na * nb, 1.0)
         sums += np.where(ok, num / denom, 0.0)
@@ -89,19 +96,24 @@ def plasticity_step(
     """
     cfg = cfg or PlasticityConfig()
     view = NetView.of(net)
-    if state.step < H_LEN or len(view.syn_pre) == 0:
-        return state.weights.copy()
+    weights = state.weights.copy()
+    if state.step < H_LEN:
+        return weights
     a = state.activation
-    active = (a[view.syn_pre] > cfg.activity_threshold) & (a[view.syn_post] > cfg.activity_threshold)
+    idx = view.syn_mutable
+    pre, post = view.syn_pre[idx], view.syn_post[idx]
+    active = (a[pre] > cfg.activity_threshold) & (a[post] > cfg.activity_threshold)
     if not active.any():
-        return state.weights.copy()
-    xs = _lag_sums(state.history, view, cfg)
+        return weights
+    idx, pre, post = idx[active], pre[active], post[active]
+    xs = _lag_sums(state.history, pre, post, cfg)
     ss = _slope_sums(state.history, cfg)
-    flat = (ss[view.syn_pre] <= cfg.rapid_slope_max) & (ss[view.syn_post] <= cfg.rapid_slope_max)
-    rapid = active & (xs >= cfg.rapid_xcorr_min) & flat
-    weaken = active & ~rapid & (xs < cfg.weaken_xcorr_max)
-    slow = active & ~rapid & ~weaken & (xs > cfg.strengthen_xcorr_min)
-    delta = view.syn_mi * (
+    flat = (ss[pre] <= cfg.rapid_slope_max) & (ss[post] <= cfg.rapid_slope_max)
+    rapid = (xs >= cfg.rapid_xcorr_min) & flat
+    weaken = ~rapid & (xs < cfg.weaken_xcorr_max)
+    slow = ~rapid & ~weaken & (xs > cfg.strengthen_xcorr_min)
+    delta = view.syn_mi[idx] * (
         rapid * cfg.rapid_rate + slow * cfg.slow_rate - weaken * cfg.slow_rate
     )
-    return np.clip(state.weights + delta, 0.0, 1.0)
+    weights[idx] = np.clip(weights[idx] + delta, 0.0, 1.0)
+    return weights

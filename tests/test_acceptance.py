@@ -345,7 +345,8 @@ def test_criterion_9_oracle_equivalence():
     history = rng.uniform(-1, 1, (H_LEN, 2 * pairs))
     history[:, :pairs][:, rng.uniform(size=pairs) < 0.05] = 0.0  # exercise the zero-norm guard
     cfg = PlasticityConfig()
-    lag_sums = _lag_sums(history, NetView.of(net), cfg)
+    view = NetView.of(net)
+    lag_sums = _lag_sums(history, view.syn_pre, view.syn_post, cfg)
     slope_sums = _slope_sums(history, cfg)
     worst_x, worst_s = 0.0, 0.0
     for i in range(pairs):

@@ -1,5 +1,10 @@
 """End-to-end CLI behavior: subcommands, exit codes, --set plumbing, outputs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -134,6 +139,9 @@ def test_set_overrides_are_applied_and_echoed(tmp_path):
         "sim.gj_mode=sideways",  # not a member of the enum
         "run.weight_snapshot_every=-1",  # fails the run config's validation
         "run.weight_snapshot_every=2.5",  # not an integer
+        "sim.conservation_tolerance=-1",  # would fail every checked step
+        "build.sei_weight=1.5",  # the plasticity clip would move an immutable weight
+        "build.eei_mutability=-0.5",  # likewise
     ],
 )
 def test_bad_set_values_fail_cleanly(tmp_path, capsys, override):
@@ -141,7 +149,22 @@ def test_bad_set_values_fail_cleanly(tmp_path, capsys, override):
     proto.write_text("steps 5\n")
     code = main(["run", "ortus.ort", str(proto), "--out", str(tmp_path / "o"), "--set", override])
     assert code == EXIT_DOMAIN
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err
+    # the message names the key, or the namespace when that is unknown
+    ns, _, name = override.partition("=")[0].rpartition(".")
+    assert name in err or f"'{ns}'" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "ortus", "--help"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0
+    assert "experiment" in done.stdout
+    assert "RuntimeWarning" not in done.stderr
 
 
 def test_set_coerces_by_the_default_type():

@@ -24,6 +24,7 @@ from ortus.connectome import (
     write_csvs,
 )
 from ortus.dsl import parse_source
+from ortus.errors import ConfigError
 
 TWO_EMOTION = """
 element sCO2      { type: sensory  affect: negative  threshold: 0.01 }
@@ -99,6 +100,31 @@ def test_sci_cap_enforced():
     # 2^6 - 1 = 63 fits in the default cap
     net = net_of(src)
     assert sum(1 for n in net.neurons if n.layer is Layer.SCI) == 63
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sei_weight", 1.5),
+        ("sei_weight", -0.1),
+        ("eei_initial_weight", 1.01),
+        ("eei_feedback_weight", -0.02),
+        ("dominance_weight", 2.0),
+        ("eei_mutability", -0.5),
+        ("eei_mutability", 1.5),
+        ("eei_gj_weight", -0.8),
+        ("sei_weight", float("nan")),
+    ],
+)
+def test_build_config_rejects_out_of_range_values(field, value):
+    # a built weight outside [0, 1], or a negative mutability, would be moved
+    # by the plasticity clip even on a synapse that must never change
+    with pytest.raises(ConfigError, match=field):
+        BuildConfig(**{field: value})
+
+
+def test_build_config_accepts_the_range_edges():
+    BuildConfig(sei_weight=0.0, eei_initial_weight=1.0, eei_mutability=0.0, eei_gj_weight=0.0)
 
 
 def test_generated_neurons_use_configured_threshold():

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ortus.kernel import NetView, SimState
+from ortus import BuildConfig, build, parse_source
+from ortus.kernel import H_LEN, NetView, SimState
 from ortus.plasticity import PlasticityConfig, plasticity_step
 from oracles import (
     Classification,
@@ -254,6 +255,68 @@ def test_plasticity_step_matches_oracle(organism_net, all_mutable):
         ]
         want = apply_updates(state.weights, classes, view.syn_mi, cfg)
         np.testing.assert_allclose(plasticity_step(state, view, cfg), want, atol=1e-15)
+
+
+# two unconnected sensors declared after sH2O, so that the SCI layer expands
+# over five sensors (31 subsets) and the EEI layer with it
+EXTRA_SENSORS = (
+    "element swade     { type: sensory  threshold: 0.01 }\n"
+    "element sglint    { type: sensory  threshold: 0.01 }\n"
+)
+
+
+@pytest.fixture(scope="module")
+def five_sensor_net(organism_source):
+    lines = organism_source.splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if line.startswith("element sH2O")) + 1
+    return build(parse_source("".join(lines[:at]) + EXTRA_SENSORS + "".join(lines[at:])), BuildConfig())
+
+
+def mixed_history(n, rng):
+    """Noise, nearly flat and ramping columns, so that every class occurs."""
+    h = rng.uniform(-1, 1, (H_LEN, n))
+    kind = rng.integers(0, 3, n)
+    flat, ramp = kind == 1, kind == 2
+    h[:, flat] = rng.uniform(0.3, 0.9, flat.sum()) + rng.normal(0, 1e-4, (H_LEN, flat.sum()))
+    h[:, ramp] = np.linspace(0.9, 0.2, H_LEN)[:, None] * rng.uniform(0.5, 1.0, ramp.sum())
+    return h
+
+
+def test_sparse_pass_matches_oracle_beyond_bundled_organism(five_sensor_net):
+    net = five_sensor_net
+    view = NetView.of(net)
+    assert len(net.sensor_ids) == 5
+    rng = np.random.default_rng(6)
+    cfg = PlasticityConfig()
+    seen = set()
+    for _ in range(20):
+        state = random_state(net, rng)  # about 60% of the neurons sit at or below threshold
+        state.history = mixed_history(net.n, rng)
+        weights = rng.uniform(0, 1, len(net.chem))
+        edge = rng.uniform(size=len(weights))
+        weights[edge < 0.15] = 0.0
+        weights[edge > 0.85] = 1.0
+        state.weights = weights.copy()
+        classes = [
+            classify(
+                state.activation[syn.pre],
+                state.activation[syn.post],
+                state.history[:, syn.pre],
+                state.history[:, syn.post],
+                cfg,
+            )
+            for syn in net.chem
+        ]
+        out = plasticity_step(state, view, cfg)
+        np.testing.assert_allclose(out, apply_updates(weights, classes, view.syn_mi, cfg), atol=1e-15)
+        np.testing.assert_array_equal(state.weights, weights)  # the input is not written
+        a = state.activation
+        live = (view.syn_mi > 0) & (a[view.syn_pre] > cfg.activity_threshold) & (
+            a[view.syn_post] > cfg.activity_threshold
+        )
+        np.testing.assert_array_equal(out[~live], weights[~live])
+        seen.update(c for c, ok in zip(classes, live) if ok)
+    assert seen == set(Classification)
 
 
 def test_plasticity_step_inert_during_warmup(organism_net):
