@@ -51,9 +51,6 @@ def _resolve_input(path_str: str) -> Path:
 # --set plumbing
 # ---------------------------------------------------------------------------
 
-_NAMESPACES = ("build", "sim", "plasticity", "physio", "run")
-
-
 @dataclasses.dataclass
 class Configs:
     build: BuildConfig
@@ -62,6 +59,17 @@ class Configs:
     @classmethod
     def defaults(cls) -> "Configs":
         return cls(BuildConfig(), RunConfig())
+
+    def sections(self) -> dict[str, object]:
+        """Each ``--set`` namespace and the config it sets.  The run config's
+        nested configs are namespaces of their own, not keys of ``run``."""
+        return {
+            "build": self.build,
+            "sim": self.run.sim,
+            "plasticity": self.run.plasticity,
+            "physio": self.run.physio,
+            "run": self.run,
+        }
 
 
 def _coerce(field: dataclasses.Field, text: str):
@@ -78,23 +86,17 @@ def _coerce(field: dataclasses.Field, text: str):
 
 def apply_overrides(cfgs: Configs, pairs: list[str]) -> Configs:
     """Apply ``ns.key=value`` strings onto fresh config objects."""
-    targets = {
-        "build": cfgs.build,
-        "sim": cfgs.run.sim,
-        "plasticity": cfgs.run.plasticity,
-        "physio": cfgs.run.physio,
-        "run": cfgs.run,
-    }
+    sections = cfgs.sections()
     for pair in pairs:
         if "=" not in pair or "." not in pair.split("=", 1)[0]:
             raise OrtusError(f"--set expects ns.key=value, got {pair!r}")
         key, _, text = pair.partition("=")
         ns, _, name = key.partition(".")
-        if ns not in targets:
-            raise OrtusError(f"unknown config namespace {ns!r} (one of {', '.join(_NAMESPACES)})")
-        target = targets[ns]
+        if ns not in sections:
+            raise OrtusError(f"unknown config namespace {ns!r} (one of {', '.join(sections)})")
+        target = sections[ns]
         fields = {f.name: f for f in dataclasses.fields(target)}
-        if name not in fields or name in ("sim", "plasticity", "physio"):
+        if name not in fields or name in sections:
             raise OrtusError(f"unknown config key {key!r}")
         try:
             value = _coerce(fields[name], text)
@@ -102,25 +104,17 @@ def apply_overrides(cfgs: Configs, pairs: list[str]) -> Configs:
             raise OrtusError(f"bad value for {key!r}: {exc}") from exc
         setattr(target, name, value)
     # Re-run validation hooks after the overrides land.
-    for obj in (cfgs.build, cfgs.run.sim, cfgs.run.plasticity, cfgs.run.physio, cfgs.run):
-        post = getattr(obj, "__post_init__", None)
-        if post is not None:
-            post()
+    for obj in sections.values():
+        obj.__post_init__()
     return cfgs
 
 
 def resolved_config_text(cfgs: Configs) -> str:
     lines = []
-    sections = {
-        "build": cfgs.build,
-        "sim": cfgs.run.sim,
-        "plasticity": cfgs.run.plasticity,
-        "physio": cfgs.run.physio,
-        "run": cfgs.run,
-    }
+    sections = cfgs.sections()
     for ns, obj in sections.items():
         for f in dataclasses.fields(obj):
-            if f.name in ("sim", "plasticity", "physio"):
+            if f.name in sections:
                 continue
             value = getattr(obj, f.name)
             if isinstance(value, enum.Enum):
@@ -139,8 +133,9 @@ def _load_spec(path: Path) -> dsl.NetworkSpec:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    cfgs = apply_overrides(Configs.defaults(), args.set or [])
     spec = _load_spec(_resolve_input(args.ort))
-    diags = dsl.validate_spec(spec)
+    diags = dsl.validate_spec(spec, sci_cap=cfgs.build.sci_cap)
     for d in diags:
         print(d)
     if dsl.has_errors(diags):

@@ -29,7 +29,6 @@ from .dsl import (
     NetworkSpec,
     Polarity,
     RelationKind,
-    RelationshipDecl,
     Severity,
     Sign,
     validate_spec,
@@ -288,12 +287,10 @@ def generate_emotion_layer(
 
 def apply_relationships(draft: _Draft, spec: NetworkSpec, cfg: BuildConfig) -> None:
     """Translate declared relationships into synapses and gap junctions."""
-    kinds = {el.name: el.kind for el in spec.elements}
     for rel in spec.relationships:
         a = draft.name_to_id[rel.a]
         b = draft.name_to_id[rel.b]
         if rel.kind is RelationKind.CAUSES:
-            _reject_sensor_target(kinds, rel, rel.b)
             if rel.polarity is not None:
                 reversal = 1.0 if rel.polarity is Polarity.EXCITATORY else -1.0
             else:
@@ -303,23 +300,10 @@ def apply_relationships(draft: _Draft, spec: NetworkSpec, cfg: BuildConfig) -> N
         elif rel.kind is RelationKind.CORRELATED:
             draft.add_gap(a, b, rel.weight)
         elif rel.kind is RelationKind.OPPOSES:
-            _reject_sensor_target(kinds, rel, rel.a)
-            _reject_sensor_target(kinds, rel, rel.b)
             draft.add_chem(a, b, rel.weight, -1.0, 0.0)
             draft.add_chem(b, a, rel.weight, -1.0, 0.0)
         elif rel.kind is RelationKind.DOMINATES:
-            _reject_sensor_target(kinds, rel, rel.b)
             draft.add_chem(a, b, rel.weight, -1.0, 0.0)
-
-
-def _reject_sensor_target(
-    kinds: dict[str, ElementKind], rel: RelationshipDecl, target: str
-) -> None:
-    if kinds.get(target) is ElementKind.SENSORY:
-        raise UnsatisfiableRelationship(
-            f"{rel.kind.value} relationship would drive sensory element {target!r};"
-            " sensors are inputs only"
-        )
 
 
 def build(spec: NetworkSpec, cfg: BuildConfig | None = None) -> Connectome:
@@ -329,13 +313,13 @@ def build(spec: NetworkSpec, cfg: BuildConfig | None = None) -> Connectome:
     produce the same neuron ids, names, and storage order.
     """
     cfg = cfg or BuildConfig()
-    problems = [
-        d
-        for d in validate_spec(spec, sci_cap=cfg.sci_cap)
-        if d.severity is Severity.ERROR and d.code != "into-sensor"
-    ]
+    problems = [d for d in validate_spec(spec, sci_cap=cfg.sci_cap) if d.severity is Severity.ERROR]
     if problems:
-        raise BuildError("spec failed validation:\n" + "\n".join(str(d) for d in problems))
+        # Sensors are inputs: a relationship that drives one cannot be wired.
+        unwirable = any(d.code == "into-sensor" for d in problems)
+        raise (UnsatisfiableRelationship if unwirable else BuildError)(
+            "spec failed validation:\n" + "\n".join(str(d) for d in problems)
+        )
 
     draft = _Draft()
     for el in spec.elements:

@@ -27,7 +27,10 @@ attribute, when present, overrides the sign-derived reversal of the synapse.
 from __future__ import annotations
 
 import enum
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from .errors import OrtusError
 
@@ -101,66 +104,45 @@ _PUNCT = {
 }
 
 
+def _scanner(digits: str) -> re.Pattern[str]:
+    """The token pattern: one alternative per token class, tried in order,
+    the last taking any character no other accepts.  A number may carry an
+    exponent, so that printed floats (e.g. 6.1e-05) read back.  ``digits``
+    are characters that ``str.isdigit`` accepts but ``float`` cannot read,
+    such as ``'²'``: a number runs on over them and is then malformed.
+    ``re.compile`` keeps recent patterns, so each is compiled once."""
+    d = r"\d" + digits
+    return re.compile(
+        r"(?P<newline>\n)|(?P<space>[ \t\r]+|#[^\n]*)"
+        rf"|(?P<number>[.{d}]+(?:[eE][+-]?[{d}]+)?)"
+        r"|(?P<name>[^\W\d]\w*)|(?P<punct>[{}:+-])|(?P<bad>.)",
+        re.DOTALL,
+    )
+
+
 def tokenize(source: str) -> list[Token]:
     """Split source text into tokens, tracking 1-based line/column positions."""
+    digits = "".join(sorted(c for c in set(source) if c.isdigit() and not c.isdecimal()))
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, line, col))
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            start = i
-            start_col = col
-            dots = 0
-            while i < n and (source[i].isdigit() or source[i] == "."):
-                if source[i] == ".":
-                    dots += 1
-                i += 1
-                col += 1
-            # optional exponent, so printed floats (e.g. 6.1e-05) read back
-            if i < n and source[i] in "eE" and i > start:
-                j = i + 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j < n and source[j].isdigit():
-                    while j < n and source[j].isdigit():
-                        j += 1
-                    col += j - i
-                    i = j
-            text = source[start:i]
-            if dots > 1 or text == ".":
-                raise LexError(f"malformed number {text!r}", line, start_col)
-            tokens.append(Token(TokenKind.NUMBER, text, line, start_col, value=float(text)))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            start_col = col
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-                col += 1
-            text = source[start:i]
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, text, line, start_col))
-            continue
-        raise LexError(f"unexpected character {ch!r}", line, col)
+    line, line_start = 1, 0
+    for m in _scanner(digits).finditer(source):
+        kind, text, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "number":
+            try:
+                value = float(text)
+            except ValueError:
+                raise LexError(f"malformed number {text!r}", line, col) from None
+            tokens.append(Token(TokenKind.NUMBER, text, line, col, value=value))
+        elif kind == "punct":
+            tokens.append(Token(_PUNCT[text], text, line, col))
+        # a name starts with a letter or '_', not with a numeral such as '½'
+        elif kind == "name" and (text[0].isalpha() or text[0] == "_"):
+            word = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+            tokens.append(Token(word, text, line, col))
+        elif kind != "space":
+            raise LexError(f"unexpected character {text[0]!r}", line, col)
     return tokens
 
 
@@ -240,10 +222,7 @@ class NetworkSpec:
 # parser
 # ---------------------------------------------------------------------------
 
-_KIND_WORDS = {k.value for k in ElementKind}
-_AFFECT_WORDS = {a.value for a in Affect}
-_POLARITY_WORDS = {p.value for p in Polarity}
-_RELATION_WORDS = {r.value for r in RelationKind}
+_E = TypeVar("_E", bound=enum.Enum)
 
 
 class _Parser:
@@ -302,17 +281,41 @@ class _Parser:
         return NetworkSpec(elements, relationships)
 
     def _ident(self, context: str) -> Token:
-        tok = self.next(context, ("identifier",))
-        if tok.kind is TokenKind.KEYWORD:
+        tok = self.peek()
+        if tok is not None and tok.kind is TokenKind.KEYWORD:
             raise ParseError(f"{tok.text!r} is a reserved word", tok.line, tok.col, ("identifier",))
-        if tok.kind is not TokenKind.IDENT:
-            raise ParseError(
-                f"unexpected {tok.text!r} while parsing {context}",
-                tok.line,
-                tok.col,
-                ("identifier",),
-            )
-        return tok
+        return self.expect(TokenKind.IDENT, context, ("identifier",))
+
+    def _attributes(self, block: str, keys: tuple[str, ...]) -> Iterator[Token]:
+        """Read ``key: value`` pairs up to the closing brace of a block.
+
+        Yields each key token once its colon is read; the caller then reads
+        the value.  Unknown and repeated keys are rejected here.
+        """
+        expected = keys + ("}",)
+        seen: set[str] = set()
+        while (tok := self.next(f"{block} block", expected)).kind is not TokenKind.RBRACE:
+            if tok.kind is not TokenKind.IDENT or tok.text not in keys:
+                raise ParseError(
+                    f"unknown {block} attribute {tok.text!r}", tok.line, tok.col, expected
+                )
+            if tok.text in seen:
+                raise ParseError(f"duplicate attribute {tok.text!r}", tok.line, tok.col)
+            seen.add(tok.text)
+            self.expect(TokenKind.COLON, f"{tok.text} attribute", (":",))
+            yield tok
+
+    def _choice(self, token_kind: TokenKind, enum_type: type[_E], what: str) -> _E:
+        """Read one word of ``enum_type``, written as a ``token_kind`` token."""
+        words = tuple(sorted(member.value for member in enum_type))
+        tok = self.next(what, words)
+        if tok.kind is not token_kind or tok.text not in words:
+            raise ParseError(f"unknown {what} {tok.text!r}", tok.line, tok.col, words)
+        return enum_type(tok.text)
+
+    def _number(self, key: str) -> float:
+        tok = self.expect(TokenKind.NUMBER, f"{key} value", ("number",))
+        return float(tok.value)  # type: ignore[arg-type]
 
     def _element(self, kw: Token) -> ElementDecl:
         name = self._ident("element name")
@@ -320,53 +323,13 @@ class _Parser:
         kind: ElementKind | None = None
         affect = Affect.NEUTRAL
         threshold = DEFAULT_THRESHOLD
-        seen: set[str] = set()
-        while True:
-            tok = self.next("element block", ("type", "affect", "threshold", "}"))
-            if tok.kind is TokenKind.RBRACE:
-                break
-            if tok.kind is not TokenKind.IDENT:
-                raise ParseError(
-                    f"unexpected {tok.text!r} in element block",
-                    tok.line,
-                    tok.col,
-                    ("type", "affect", "threshold", "}"),
-                )
-            key = tok.text
-            if key not in ("type", "affect", "threshold"):
-                raise ParseError(
-                    f"unknown element attribute {key!r}",
-                    tok.line,
-                    tok.col,
-                    ("type", "affect", "threshold"),
-                )
-            if key in seen:
-                raise ParseError(f"duplicate attribute {key!r}", tok.line, tok.col)
-            seen.add(key)
-            self.expect(TokenKind.COLON, f"{key} attribute", (":",))
-            if key == "type":
-                val = self.next("element type", tuple(sorted(_KIND_WORDS)))
-                if val.kind is not TokenKind.IDENT or val.text not in _KIND_WORDS:
-                    raise ParseError(
-                        f"unknown element type {val.text!r}",
-                        val.line,
-                        val.col,
-                        tuple(sorted(_KIND_WORDS)),
-                    )
-                kind = ElementKind(val.text)
-            elif key == "affect":
-                val = self.next("affect value", tuple(sorted(_AFFECT_WORDS)))
-                if val.kind is not TokenKind.IDENT or val.text not in _AFFECT_WORDS:
-                    raise ParseError(
-                        f"unknown affect {val.text!r}",
-                        val.line,
-                        val.col,
-                        tuple(sorted(_AFFECT_WORDS)),
-                    )
-                affect = Affect(val.text)
+        for key in self._attributes("element", ("type", "affect", "threshold")):
+            if key.text == "type":
+                kind = self._choice(TokenKind.IDENT, ElementKind, "element type")
+            elif key.text == "affect":
+                affect = self._choice(TokenKind.IDENT, Affect, "affect")
             else:
-                val = self.expect(TokenKind.NUMBER, "threshold value", ("number",))
-                threshold = float(val.value)  # type: ignore[arg-type]
+                threshold = self._number(key.text)
         if kind is None:
             raise ParseError(
                 f"element {name.text!r} is missing a type attribute", name.line, name.col
@@ -384,72 +347,35 @@ class _Parser:
         self.expect(TokenKind.LBRACE, "relationship block", ("{",))
         a_sign = self._sign()
         a = self._ident("relationship source")
-        rel_tok = self.next("relationship kind", tuple(sorted(_RELATION_WORDS)))
-        if rel_tok.kind is not TokenKind.KEYWORD or rel_tok.text not in _RELATION_WORDS:
-            raise ParseError(
-                f"unknown relationship kind {rel_tok.text!r}",
-                rel_tok.line,
-                rel_tok.col,
-                tuple(sorted(_RELATION_WORDS)),
-            )
-        kind = RelationKind(rel_tok.text)
+        kind = self._choice(TokenKind.KEYWORD, RelationKind, "relationship kind")
+        kind_tok = self.tokens[self.pos - 1]
         b_sign = self._sign()
         b = self._ident("relationship target")
-        if kind is not RelationKind.CAUSES:
-            if a_sign is not None or b_sign is not None:
-                raise ParseError(
-                    f"signs are only valid on causes relationships, not {kind.value}",
-                    rel_tok.line,
-                    rel_tok.col,
-                )
-        else:
+        causes = kind is RelationKind.CAUSES
+        if causes:
             a_sign = a_sign or Sign.PLUS
             b_sign = b_sign or Sign.PLUS
+        elif a_sign is not None or b_sign is not None:
+            raise ParseError(
+                f"signs are only valid on causes relationships, not {kind.value}",
+                kind_tok.line,
+                kind_tok.col,
+            )
 
         weight = DEFAULT_WEIGHT
-        mutability: float | None = DEFAULT_MUTABILITY if kind is RelationKind.CAUSES else None
+        mutability = DEFAULT_MUTABILITY if causes else None
         polarity: Polarity | None = None
-        seen: set[str] = set()
-        while True:
-            tok = self.next("relationship block", ("weight", "mutability", "polarity", "}"))
-            if tok.kind is TokenKind.RBRACE:
-                break
-            if tok.kind is not TokenKind.IDENT or tok.text not in (
-                "weight",
-                "mutability",
-                "polarity",
-            ):
+        for key in self._attributes("relationship", ("weight", "mutability", "polarity")):
+            if key.text == "weight":
+                weight = self._number(key.text)
+            elif not causes:
                 raise ParseError(
-                    f"unknown relationship attribute {tok.text!r}",
-                    tok.line,
-                    tok.col,
-                    ("weight", "mutability", "polarity", "}"),
+                    f"{key.text} is only valid on causes relationships", key.line, key.col
                 )
-            key = tok.text
-            if key in seen:
-                raise ParseError(f"duplicate attribute {key!r}", tok.line, tok.col)
-            seen.add(key)
-            if key in ("mutability", "polarity") and kind is not RelationKind.CAUSES:
-                raise ParseError(
-                    f"{key} is only valid on causes relationships", tok.line, tok.col
-                )
-            self.expect(TokenKind.COLON, f"{key} attribute", (":",))
-            if key == "polarity":
-                val = self.next("polarity value", tuple(sorted(_POLARITY_WORDS)))
-                if val.kind is not TokenKind.IDENT or val.text not in _POLARITY_WORDS:
-                    raise ParseError(
-                        f"unknown polarity {val.text!r}",
-                        val.line,
-                        val.col,
-                        tuple(sorted(_POLARITY_WORDS)),
-                    )
-                polarity = Polarity(val.text)
+            elif key.text == "mutability":
+                mutability = self._number(key.text)
             else:
-                val = self.expect(TokenKind.NUMBER, f"{key} value", ("number",))
-                if key == "weight":
-                    weight = float(val.value)  # type: ignore[arg-type]
-                else:
-                    mutability = float(val.value)  # type: ignore[arg-type]
+                polarity = self._choice(TokenKind.IDENT, Polarity, "polarity")
         return RelationshipDecl(
             kind,
             a.text,

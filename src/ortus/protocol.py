@@ -99,7 +99,8 @@ def parse_protocol(text: str, net: Connectome, source: str = "<protocol>") -> Pr
         if words[0] == "steps":
             if total is not None:
                 raise fail(lineno, "steps declared twice")
-            if len(words) != 2 or not words[1].isdigit():
+            # isdecimal, not isdigit: int() cannot read digits such as '²'
+            if len(words) != 2 or not words[1].isdecimal():
                 raise fail(lineno, "expected: steps <N>")
             total = int(words[1])
             continue

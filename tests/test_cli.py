@@ -47,6 +47,22 @@ def test_validate_reports_errors(tmp_path, capsys):
     assert "error:" in out and "declared twice" in out
 
 
+def test_validate_reports_unreadable_numbers_with_a_position(tmp_path, capsys):
+    bad = tmp_path / "bad.ort"
+    bad.write_text("element sX { type: sensory }\nelement eY { type: emotion threshold: .e5 }\n")
+    assert main(["validate", str(bad)]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err == "error: 2:39: malformed number '.e5'\n"
+
+
+def test_validate_applies_overrides(capsys):
+    assert main(["validate", "ortus.ort", "--set", "build.sci_cap=3"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "warning:" in out and "exceeding the cap of 3" in out
+    assert main(["validate", "ortus.ort", "--set", "bogus.key=1"]) == EXIT_DOMAIN
+    assert "unknown config namespace 'bogus'" in capsys.readouterr().err
+
+
 def test_missing_file_is_a_usage_error(capsys):
     assert main(["validate", "nope_does_not_exist.ort"]) == EXIT_USAGE
     assert "no such file" in capsys.readouterr().err

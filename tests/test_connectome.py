@@ -263,9 +263,22 @@ def test_build_rejects_invalid_spec_with_diagnostics():
     assert "declared twice" in str(exc.value)
 
 
-def test_build_rejects_wiring_into_sensors():
+@pytest.mark.parametrize(
+    "relationship",
+    ["eFEAR causes sCO2", "eFEAR dominates sO2", "sH2O opposes eFEAR", "eFEAR opposes sH2O"],
+)
+def test_build_rejects_wiring_into_sensors(relationship):
+    with pytest.raises(UnsatisfiableRelationship) as exc:
+        net_of(TWO_EMOTION + f"relationship {{ {relationship} }}")
+    # the validator's diagnostic, with the relationship's line:col
+    assert "error:7:1: " in str(exc.value) and "sensors are inputs only" in str(exc.value)
+
+
+def test_wiring_into_a_sensor_is_reported_before_the_sci_cap():
     with pytest.raises(UnsatisfiableRelationship):
-        net_of(TWO_EMOTION + "relationship { eFEAR causes sCO2 }")
+        net_of(TWO_EMOTION + "relationship { eFEAR causes sCO2 }", BuildConfig(sci_cap=3))
+    with pytest.raises(SciCapExceeded):
+        net_of(TWO_EMOTION, BuildConfig(sci_cap=3))
 
 
 def test_duplicate_synapse_rejected():

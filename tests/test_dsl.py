@@ -72,15 +72,42 @@ def test_tokenize_scientific_notation():
     assert values == [6.103515625e-05, 1000.0, 200.0]
 
 
-def test_lex_error_carries_position():
+@pytest.mark.parametrize("char", ["$", "½", "\f", "\u00a0"])
+def test_lex_error_carries_position(char):
     with pytest.raises(LexError) as exc:
-        tokenize("element $bad")
-    assert "1:9" in str(exc.value)
+        tokenize(f"element {char}bad")
+    assert str(exc.value) == f"1:9: unexpected character {char!r}"
 
 
-def test_malformed_number_rejected():
-    with pytest.raises(LexError):
-        tokenize("weight: 0..5")
+@pytest.mark.parametrize("number", ["0..5", ".e5", ".E7", "1²", "²", "1e²"])
+def test_malformed_number_rejected(number):
+    with pytest.raises(LexError) as exc:
+        tokenize(f"# comment\nweight: {number} }}")
+    assert str(exc.value) == f"2:9: malformed number {number!r}"
+    assert (exc.value.line, exc.value.col) == (2, 9)
+
+
+@pytest.mark.parametrize(
+    "source,tokens",
+    [
+        # names start with a letter or '_' and go on over any letter or digit
+        ("x² _1 é", [(TokenKind.IDENT, "x²"), (TokenKind.IDENT, "_1"), (TokenKind.IDENT, "é")]),
+        # a number is made of the decimal digits of any script
+        ("٣.٥", [(TokenKind.NUMBER, "٣.٥")]),
+        (
+            "1e5x 2e",
+            [(TokenKind.NUMBER, "1e5"), (TokenKind.IDENT, "x"), (TokenKind.NUMBER, "2"), (TokenKind.IDENT, "e")],
+        ),
+    ],
+)
+def test_tokenize_names_and_numbers_beyond_ascii(source, tokens):
+    assert [(t.kind, t.text) for t in tokenize(source)] == tokens
+
+
+def test_tokenize_values_and_columns_beyond_ascii():
+    toks = tokenize("a\t٣.٥\r\n  x²:")
+    assert [(t.line, t.col) for t in toks] == [(1, 1), (1, 3), (2, 3), (2, 5)]
+    assert toks[1].value == 3.5
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +198,30 @@ def test_missing_type_rejected():
         parse_source("element sX { threshold: 0.1 }")
 
 
-def test_parse_error_carries_position():
+ELEMENT_KEYS = {"type", "affect", "threshold", "}"}
+RELATIONSHIP_KEYS = {"weight", "mutability", "polarity", "}"}
+
+
+@pytest.mark.parametrize(
+    "source,position,expected",
+    [
+        ("element sX { type: spaceship }", (1, 20), {k.value for k in ElementKind}),
+        ("element eX { affect: grumpy }", (1, 22), {a.value for a in Affect}),
+        ("element sX { type: sensory colour: red }", (1, 28), ELEMENT_KEYS),
+        ("element sX { type: sensory type: motor }", (1, 28), set()),
+        ("element sX { threshold 0.1 }", (1, 24), {":"}),
+        (MINIMAL + "relationship { sLIGHT loves eJOY }", (4, 23), {r.value for r in RelationKind}),
+        (MINIMAL + "relationship { sLIGHT causes eJOY polarity: up }", (4, 45), {p.value for p in Polarity}),
+        (MINIMAL + "relationship { sLIGHT causes eJOY speed: 1 }", (4, 35), RELATIONSHIP_KEYS),
+        (MINIMAL + "relationship { sLIGHT opposes eJOY polarity: excitatory }", (4, 36), set()),
+        (MINIMAL + "relationship { sLIGHT causes eJOY weight: 0.1", (4, 46), RELATIONSHIP_KEYS),
+    ],
+)
+def test_parse_error_carries_position(source, position, expected):
     with pytest.raises(ParseError) as exc:
-        parse_source("element sX { type: spaceship }")
-    assert "1:" in str(exc.value)
+        parse_source(source)
+    assert (exc.value.line, exc.value.col) == position
+    assert exc.value.expected == expected
 
 
 # ---------------------------------------------------------------------------
@@ -317,3 +364,30 @@ def test_format_parse_round_trip(spec):
     again = parse_source(format_spec(spec))
     assert again.elements == spec.elements
     assert again.relationships == spec.relationships
+
+
+# Words of the language, a few well-formed fragments, and characters that
+# start no token or no valid number.
+_soup = st.lists(
+    st.sampled_from(
+        [
+            "element", "relationship", "causes", "correlated", "opposes", "dominates",
+            "type", "affect", "threshold", "weight", "mutability", "polarity",
+            "sensory", "emotion", "motor", "positive", "excitatory", "sX", "eY",
+            "{", "}", ":", "+", "-", "0.5", "1e-3", ".", "..", "#", "\n",
+            "²", "٣", "$", "½", "element sX { type: sensory }",
+            "relationship { sX causes eY weight: 0.1 }",
+        ]
+    ),
+    max_size=20,
+).map(lambda words: " ".join(words))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_soup, st.sampled_from(["", " ", "²", ".e5", "1²"]))
+def test_parser_fails_only_with_positioned_errors(text, tail):
+    """Any text parses, or fails with a LexError or ParseError at a position."""
+    try:
+        parse_source(text + tail)
+    except (LexError, ParseError) as exc:
+        assert exc.line >= 1 and exc.col >= 1

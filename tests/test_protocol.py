@@ -90,6 +90,7 @@ def test_physiology_remap_directive(organism_net):
         ("at 0..5 inject sH2O 0.5\n", "steps must be declared before"),
         ("steps 10\nsteps 20\n", "declared twice"),
         ("steps ten\n", "expected: steps <N>"),
+        ("steps ²\n", "expected: steps <N>"),
         ("steps 10\nat 5..5 inject sH2O 0.5\n", "0 <= start < end"),
         ("steps 10\nat 5..20 inject sH2O 0.5\n", "0 <= start < end"),
         ("steps 10\nat 0..5 inject sH2O 1.5\n", "outside [-1, 1]"),
@@ -105,6 +106,32 @@ def test_parse_errors(organism_net, text, fragment):
     with pytest.raises(ProtocolError) as exc:
         parse_protocol(text, organism_net)
     assert fragment in str(exc.value)
+
+
+# Lines of a directive and up to three words: numbers, ranges, names, actions
+# and stray characters.
+_protocol_soup = st.lists(
+    st.tuples(
+        st.sampled_from(["steps", "at", "physiology"]),
+        st.lists(
+            st.sampled_from(
+                ["10", "0..5", "inject", "block", "respiration", "sH2O", "0.5", "nan", "²", "٣", "$", "0..²"]
+            ),
+            max_size=3,
+        ),
+    ).map(lambda line: " ".join([line[0], *line[1]])),
+    max_size=5,
+).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_protocol_soup)
+def test_protocol_parser_fails_only_with_protocol_errors(organism_net, text):
+    """Any text parses, or fails with a ProtocolError naming the source."""
+    try:
+        parse_protocol(text, organism_net, source="fuzz.protocol")
+    except ProtocolError as exc:
+        assert str(exc).startswith("fuzz.protocol:")
 
 
 def test_parse_errors_carry_source_and_line(organism_net):
