@@ -6,7 +6,6 @@ let correlation-driven plasticity reshape the mutable synapses, and script
 the whole thing with protocol files.
 """
 
-from .cli import asset_path, main
 from .connectome import (
     BuildConfig,
     BuildError,
@@ -15,7 +14,6 @@ from .connectome import (
     GapJunction,
     Layer,
     Neuron,
-    NeuronParams,
     SciCapExceeded,
     UnsatisfiableRelationship,
     build,

@@ -146,12 +146,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _build_from_args(args: argparse.Namespace, cfgs: Configs):
     spec = _load_spec(_resolve_input(args.ort))
-    diags = dsl.validate_spec(spec, sci_cap=cfgs.build.sci_cap)
-    for d in diags:
+    # build rejects the errors, with their positions; only warnings show here
+    for d in dsl.validate_spec(spec, sci_cap=cfgs.build.sci_cap):
         if d.severity is dsl.Severity.WARNING:
             print(d, file=sys.stderr)
-    if dsl.has_errors(diags):
-        raise OrtusError("\n".join(str(d) for d in diags if d.severity is dsl.Severity.ERROR))
     return build(spec, cfgs.build)
 
 

@@ -27,10 +27,8 @@ from .dsl import (
     Affect,
     ElementKind,
     NetworkSpec,
-    Polarity,
     RelationKind,
     Severity,
-    Sign,
     validate_spec,
 )
 from .errors import ConfigError, OrtusError
@@ -69,33 +67,12 @@ _DECLARED_LAYER = {
 
 
 @dataclass(frozen=True)
-class NeuronParams:
-    """Per-neuron electrical constants on the dimensionless activation scale."""
-
-    excit_reversal: float = 1.0
-    inhib_reversal: float = -1.0
-    equilibrium: float = 0.0
-
-    @property
-    def range(self) -> float:
-        return self.excit_reversal - self.inhib_reversal
-
-    def __post_init__(self) -> None:
-        if self.range <= 0:
-            raise BuildError("excitatory reversal must exceed inhibitory reversal")
-
-
-DEFAULT_PARAMS = NeuronParams()
-
-
-@dataclass(frozen=True)
 class Neuron:
     id: int
     name: str
     layer: Layer
     threshold: float
     affect: Affect = Affect.NEUTRAL
-    params: NeuronParams = DEFAULT_PARAMS
 
 
 @dataclass(frozen=True)
@@ -176,8 +153,6 @@ class _Draft:
     chem: list[ChemicalSynapse] = field(default_factory=list)
     gap: list[GapJunction] = field(default_factory=list)
     name_to_id: dict[str, int] = field(default_factory=dict)
-    chem_pairs: set[tuple[int, int]] = field(default_factory=set)
-    gap_pairs: set[tuple[int, int]] = field(default_factory=set)
 
     def add_neuron(
         self, name: str, layer: Layer, threshold: float, affect: Affect = Affect.NEUTRAL
@@ -198,18 +173,10 @@ class _Draft:
         mutability: float,
         inverted: bool = False,
     ) -> None:
-        if (pre, post) in self.chem_pairs:
-            a, b = self.neurons[pre].name, self.neurons[post].name
-            raise BuildError(f"duplicate chemical synapse {a} -> {b}")
-        self.chem_pairs.add((pre, post))
         self.chem.append(ChemicalSynapse(pre, post, weight, reversal, mutability, inverted))
 
     def add_gap(self, a: int, b: int, weight: float) -> None:
         a, b = (a, b) if a < b else (b, a)
-        if (a, b) in self.gap_pairs:
-            na, nb = self.neurons[a].name, self.neurons[b].name
-            raise BuildError(f"duplicate gap junction {na} <-> {nb}")
-        self.gap_pairs.add((a, b))
         self.gap.append(GapJunction(a, b, weight))
 
 
@@ -285,25 +252,14 @@ def generate_emotion_layer(
     return eei_of
 
 
-def apply_relationships(draft: _Draft, spec: NetworkSpec, cfg: BuildConfig) -> None:
+def apply_relationships(draft: _Draft, spec: NetworkSpec) -> None:
     """Translate declared relationships into synapses and gap junctions."""
+    ids = draft.name_to_id
     for rel in spec.relationships:
-        a = draft.name_to_id[rel.a]
-        b = draft.name_to_id[rel.b]
-        if rel.kind is RelationKind.CAUSES:
-            if rel.polarity is not None:
-                reversal = 1.0 if rel.polarity is Polarity.EXCITATORY else -1.0
-            else:
-                reversal = 1.0 if rel.b_sign is Sign.PLUS else -1.0
-            inverted = rel.a_sign is Sign.MINUS
-            draft.add_chem(a, b, rel.weight, reversal, rel.mutability or 0.0, inverted)
-        elif rel.kind is RelationKind.CORRELATED:
-            draft.add_gap(a, b, rel.weight)
-        elif rel.kind is RelationKind.OPPOSES:
-            draft.add_chem(a, b, rel.weight, -1.0, 0.0)
-            draft.add_chem(b, a, rel.weight, -1.0, 0.0)
-        elif rel.kind is RelationKind.DOMINATES:
-            draft.add_chem(a, b, rel.weight, -1.0, 0.0)
+        for pre, post, reversal, mutability, inverted in rel.synapses():
+            draft.add_chem(ids[pre], ids[post], rel.weight, reversal, mutability, inverted)
+        if rel.kind is RelationKind.CORRELATED:
+            draft.add_gap(ids[rel.a], ids[rel.b], rel.weight)
 
 
 def build(spec: NetworkSpec, cfg: BuildConfig | None = None) -> Connectome:
@@ -334,17 +290,16 @@ def build(spec: NetworkSpec, cfg: BuildConfig | None = None) -> Connectome:
     sci_ids = generate_scis(draft, sensor_ids, sei_of, cfg)
 
     emotion_names = {draft.neurons[e].name for e in emotion_ids}
-    dominance_pairs: list[tuple[int, int]] = []
-    for rel in spec.relationships:
-        if rel.a in emotion_names and rel.b in emotion_names:
-            if rel.kind is RelationKind.DOMINATES:
-                dominance_pairs.append((draft.name_to_id[rel.a], draft.name_to_id[rel.b]))
-            elif rel.kind is RelationKind.OPPOSES:
-                dominance_pairs.append((draft.name_to_id[rel.a], draft.name_to_id[rel.b]))
-                dominance_pairs.append((draft.name_to_id[rel.b], draft.name_to_id[rel.a]))
+    dominance_pairs = [
+        (draft.name_to_id[pre], draft.name_to_id[post])
+        for rel in spec.relationships
+        if rel.kind in (RelationKind.DOMINATES, RelationKind.OPPOSES)
+        and {rel.a, rel.b} <= emotion_names
+        for pre, post, *_ in rel.synapses()
+    ]
     generate_emotion_layer(draft, sci_ids, emotion_ids, dominance_pairs, cfg)
 
-    apply_relationships(draft, spec, cfg)
+    apply_relationships(draft, spec)
 
     return Connectome(
         neurons=draft.neurons,

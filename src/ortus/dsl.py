@@ -205,6 +205,24 @@ class RelationshipDecl:
     line: int = field(default=0, compare=False)
     col: int = field(default=0, compare=False)
 
+    def synapses(self) -> list[tuple[str, str, float, float, bool]]:
+        """The chemical synapses this relationship wires, in build order, as
+        ``(pre, post, reversal, mutability, inverted)``; each carries the
+        relationship's weight.  ``correlated`` wires none: its gap junction
+        joins ``a`` and ``b``."""
+        if self.kind is RelationKind.CAUSES:
+            if self.polarity is not None:
+                excitatory = self.polarity is Polarity.EXCITATORY
+            else:
+                excitatory = self.b_sign is Sign.PLUS
+            reversal = 1.0 if excitatory else -1.0
+            return [(self.a, self.b, reversal, self.mutability or 0.0, self.a_sign is Sign.MINUS)]
+        if self.kind is RelationKind.DOMINATES:
+            return [(self.a, self.b, -1.0, 0.0, False)]
+        if self.kind is RelationKind.OPPOSES:
+            return [(self.a, self.b, -1.0, 0.0, False), (self.b, self.a, -1.0, 0.0, False)]
+        return []
+
 
 @dataclass
 class NetworkSpec:
@@ -469,6 +487,7 @@ def validate_spec(spec: NetworkSpec, *, sci_cap: int = DEFAULT_SCI_CAP) -> list[
         err("no-emotion", "an organism needs at least one emotion element")
 
     referenced: set[str] = set()
+    wired: dict[tuple[str, str, str], RelationshipDecl] = {}
     for rel in spec.relationships:
         referenced.add(rel.a)
         referenced.add(rel.b)
@@ -487,18 +506,29 @@ def validate_spec(spec: NetworkSpec, *, sci_cap: int = DEFAULT_SCI_CAP) -> list[
                 rel.col,
             )
         # Sensors are inputs: nothing may synapse onto them.
-        targets_sensor = []
-        if rel.kind in (RelationKind.CAUSES, RelationKind.DOMINATES, RelationKind.OPPOSES):
-            targets_sensor.append(rel.b)
-        if rel.kind is RelationKind.OPPOSES:
-            targets_sensor.append(rel.a)
-        for name in targets_sensor:
-            el = seen.get(name)
+        synapses = rel.synapses()
+        for _, post, *_ in synapses:
+            el = seen.get(post)
             if el is not None and el.kind is ElementKind.SENSORY:
                 err(
                     "into-sensor",
-                    f"{rel.kind.value} relationship would drive sensory element {name!r};"
+                    f"{rel.kind.value} relationship would drive sensory element {post!r};"
                     " sensors are inputs only",
+                    rel.line,
+                    rel.col,
+                )
+        # Two relationships may not wire the same synapse or gap junction.
+        wires = [(pre, "->", post) for pre, post, *_ in synapses]
+        if rel.kind is RelationKind.CORRELATED:
+            lo, hi = sorted((rel.a, rel.b))
+            wires.append((lo, "<->", hi))
+        for wire in wires:
+            first = wired.setdefault(wire, rel)
+            if first is not rel:
+                err(
+                    "duplicate-wiring",
+                    f"{' '.join(wire)} is already wired by the relationship at"
+                    f" {first.line}:{first.col}",
                     rel.line,
                     rel.col,
                 )

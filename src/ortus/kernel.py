@@ -27,6 +27,8 @@ from .connectome import Connectome
 from .errors import ConfigError, OrtusError
 
 H_LEN = 8
+# Activation range: the excitatory reversal (1) less the inhibitory one (-1).
+ACTIVATION_RANGE = 2.0
 
 
 class ConservationError(OrtusError):
@@ -68,7 +70,6 @@ class NetView:
     syn_mi: np.ndarray
     syn_inverted: np.ndarray
     syn_gate: np.ndarray  # postsynaptic transmission threshold, per synapse
-    syn_prerange: np.ndarray  # presynaptic activation range, per synapse
     gap_a: np.ndarray
     gap_b: np.ndarray
     gap_w: np.ndarray
@@ -82,20 +83,22 @@ class NetView:
     @classmethod
     def from_connectome(cls, net: Connectome) -> "NetView":
         thr = np.array([nr.threshold for nr in net.neurons], dtype=float)
-        rng = np.array([nr.params.range for nr in net.neurons], dtype=float)
-        pre = np.array([s.pre for s in net.chem], dtype=int)
-        post = np.array([s.post for s in net.chem], dtype=int)
+        # One pass over the synapses.  Freeing the (synapses, 6) table lifts
+        # glibc's dynamic mmap and trim thresholds above a step's temporaries,
+        # so a large network's heap is not trimmed and re-faulted every step.
+        table = [(s.pre, s.post, s.reversal, s.weight, s.mutability, s.inverted) for s in net.chem]
+        pre, post, rev, w0, mi, inverted = np.array(table, dtype=float).reshape(-1, 6).T.copy()
+        pre, post = pre.astype(int), post.astype(int)
         return cls(
             n=net.n,
             names=tuple(nr.name for nr in net.neurons),
             syn_pre=pre,
             syn_post=post,
-            syn_rev=np.array([s.reversal for s in net.chem], dtype=float),
-            syn_w0=np.array([s.weight for s in net.chem], dtype=float),
-            syn_mi=np.array([s.mutability for s in net.chem], dtype=float),
-            syn_inverted=np.array([s.inverted for s in net.chem], dtype=bool),
-            syn_gate=thr[post] if len(net.chem) else np.zeros(0),
-            syn_prerange=rng[pre] if len(net.chem) else np.zeros(0),
+            syn_rev=rev,
+            syn_w0=w0,
+            syn_mi=mi,
+            syn_inverted=inverted.astype(bool),
+            syn_gate=thr[post],
             gap_a=np.array([g.a for g in net.gap], dtype=int),
             gap_b=np.array([g.b for g in net.gap], dtype=int),
             gap_w=np.array([g.weight for g in net.gap], dtype=float),
@@ -142,7 +145,7 @@ def _chem_terms(a: np.ndarray, weights: np.ndarray, view: NetView) -> np.ndarray
         return cs_in
     a_pre = a[view.syn_pre]
     drive = np.where(view.syn_inverted, -a_pre, a_pre)
-    g = 1.0 / (1.0 + np.exp(-5.0 * drive / view.syn_prerange))
+    g = 1.0 / (1.0 + np.exp(-5.0 * drive / ACTIVATION_RANGE))
     gate = drive >= view.syn_gate
     contrib = weights * g * (view.syn_rev - a[view.syn_post]) * gate
     np.add.at(cs_in, view.syn_post, contrib)

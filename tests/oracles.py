@@ -14,15 +14,7 @@ import math
 
 import numpy as np
 
-from ortus.connectome import (
-    DEFAULT_PARAMS,
-    ChemicalSynapse,
-    Connectome,
-    GapJunction,
-    Layer,
-    Neuron,
-    NeuronParams,
-)
+from ortus.connectome import ChemicalSynapse, Connectome, GapJunction, Layer, Neuron
 from ortus.errors import OrtusError
 from ortus.plasticity import ZERO_NORM, PlasticityConfig
 
@@ -47,30 +39,25 @@ def make_net(n, chem=(), gap=(), thresholds=None) -> Connectome:
     )
 
 
-def conductance(a_pre: float, params: NeuronParams = DEFAULT_PARAMS, inverted: bool = False) -> float:
+def conductance(a_pre: float, inverted: bool = False) -> float:
     """Graded synaptic conductance in (0, 1).
 
-    A sigmoid of the presynaptic activation scaled by the activation range:
+    A sigmoid of the presynaptic activation scaled by the activation range
+    (2, from the inhibitory reversal -1 to the excitatory reversal 1):
     exactly 0.5 at equilibrium, a little over 0.92 at the excitatory
     reversal, a little under 0.08 at the inhibitory reversal.
     """
     x = -a_pre if inverted else a_pre
-    return 1.0 / (1.0 + math.exp(-5.0 * x / params.range))
+    return 1.0 / (1.0 + math.exp(-5.0 * x / 2.0))
 
 
-def cs_inflow(
-    syn: ChemicalSynapse,
-    a_pre: float,
-    a_post: float,
-    threshold: float,
-    params: NeuronParams = DEFAULT_PARAMS,
-) -> float:
+def cs_inflow(syn: ChemicalSynapse, a_pre: float, a_post: float, threshold: float) -> float:
     """Inflow contributed by one chemical synapse, zero below the
     postsynaptic transmission threshold."""
     drive = -a_pre if syn.inverted else a_pre
     if drive < threshold:
         return 0.0
-    g = conductance(a_pre, params, syn.inverted)
+    g = conductance(a_pre, syn.inverted)
     return syn.weight * g * (syn.reversal - a_post)
 
 

@@ -93,6 +93,25 @@ def test_build_rejects_invalid_spec(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_duplicate_wiring_fails_with_a_position(tmp_path, capsys):
+    dup = tmp_path / "dup.ort"
+    dup.write_text(
+        "element sH2O { type: sensory }\n"
+        "element eFEAR { type: emotion affect: negative }\n"
+        "element mX { type: motor }\n"
+        "\n"
+        "relationship { sH2O causes mX }\n"
+        "relationship { sH2O causes mX }\n"
+    )
+    diagnostic = "error:6:1: sH2O -> mX is already wired by the relationship at 5:1"
+    assert main(["validate", str(dup)]) == EXIT_DOMAIN
+    assert diagnostic in capsys.readouterr().out
+    assert main(["build", str(dup), "--out", str(tmp_path / "o")]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.count(diagnostic) == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_export_dot_to_stdout(tiny_ort, capsys):
     assert main(["export", str(tiny_ort), "--dot"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -172,11 +191,12 @@ def test_bad_set_values_fail_cleanly(tmp_path, capsys, override):
     assert name in err or f"'{ns}'" in err
 
 
-def test_python_dash_m_runs_the_cli():
+@pytest.mark.parametrize("module", ["ortus", "ortus.cli"])
+def test_python_dash_m_runs_the_cli(module):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
-        [sys.executable, "-m", "ortus", "--help"], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-m", module, "--help"], capture_output=True, text=True, env=env, timeout=60
     )
     assert done.returncode == 0
     assert "experiment" in done.stdout

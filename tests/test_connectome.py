@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ortus.connectome import (
     BuildConfig,
@@ -23,7 +25,7 @@ from ortus.connectome import (
     to_dot,
     write_csvs,
 )
-from ortus.dsl import parse_source
+from ortus.dsl import has_errors, parse_source, validate_spec
 from ortus.errors import ConfigError
 
 TWO_EMOTION = """
@@ -287,8 +289,74 @@ element mP { type: motor }
 relationship { sCO2 causes mP }
 relationship { +sCO2 causes -mP }
 """
-    with pytest.raises(BuildError):
+    with pytest.raises(BuildError) as exc:
         net_of(src)
+    assert "error:10:1: sCO2 -> mP is already wired by the relationship at 9:1" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "source,generated",
+    [
+        (TWO_EMOTION + "element issH2O { type: interneuron }", "issH2O"),
+        (
+            "element sA { type: sensory }\nelement sB { type: sensory }\n"
+            "element sA_sB { type: sensory }\nelement eX { type: emotion affect: positive }",
+            "c_sA_sB",
+        ),
+    ],
+)
+def test_generated_name_collision_rejected(source, generated):
+    with pytest.raises(BuildError, match=f"generated name '{generated}' collides"):
+        net_of(source)
+
+
+@st.composite
+def random_specs(draw):
+    """Upper-case names, so that no generated name (``is...``, ``c_...``,
+    ``x...``) can collide with a declared one."""
+    sensors = [f"S{i}" for i in range(draw(st.integers(1, 4)))]
+    emotions = [f"E{i}" for i in range(draw(st.integers(1, 3)))]
+    motors = [f"M{i}" for i in range(draw(st.integers(0, 2)))]
+    lines = [f"element {s} {{ type: sensory }}" for s in sensors]
+    for e in emotions:
+        affect = draw(st.sampled_from(["positive", "negative"]))
+        lines.append(f"element {e} {{ type: emotion affect: {affect} }}")
+    lines += [f"element {m} {{ type: motor }}" for m in motors]
+    names = st.sampled_from(sensors + emotions + motors)
+    for _ in range(draw(st.integers(0, 8))):
+        a, b = draw(names), draw(names)
+        clause = draw(
+            st.sampled_from(
+                [
+                    f"{a} causes {b}",
+                    f"-{a} causes -{b}",
+                    f"{a} causes {b} polarity: inhibitory",
+                    f"{a} correlated {b}",
+                    f"{a} opposes {b}",
+                    f"{a} dominates {b}",
+                ]
+            )
+        )
+        lines.append(f"relationship {{ {clause} }}")
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_specs())
+def test_build_fails_exactly_when_validation_does(source):
+    spec = parse_source(source)
+    invalid = has_errors(validate_spec(spec))
+    try:
+        net = build(spec)
+    except BuildError:
+        assert invalid
+        return
+    assert not invalid
+    pairs = [(s.pre, s.post) for s in net.chem]
+    assert len(set(pairs)) == len(pairs)
+    gaps = [(j.a, j.b) for j in net.gap]
+    assert len(set(gaps)) == len(gaps)
+    assert all(a < b for a, b in gaps)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ MINIMAL = """
 element sLIGHT { type: sensory }
 element eJOY   { type: emotion affect: positive }
 """
+TWO_EMOTIONS = MINIMAL + "element eFEAR { type: emotion affect: negative }\n"
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +253,40 @@ def test_minimal_spec_validates_clean():
         (MINIMAL + "relationship { eJOY causes sLIGHT }", "into-sensor"),
         (MINIMAL + "relationship { eJOY dominates sLIGHT }", "into-sensor"),
         (MINIMAL + "relationship { sLIGHT opposes eJOY }", "into-sensor"),
+        (MINIMAL + "relationship { sLIGHT causes eJOY }\nrelationship { sLIGHT causes -eJOY }", "duplicate-wiring"),
+        (TWO_EMOTIONS + "relationship { eFEAR dominates eJOY }\nrelationship { eFEAR opposes eJOY }", "duplicate-wiring"),
+        (TWO_EMOTIONS + "relationship { eFEAR opposes eJOY }\nrelationship { eJOY causes eFEAR }", "duplicate-wiring"),
+        (MINIMAL + "relationship { sLIGHT correlated eJOY }\nrelationship { eJOY correlated sLIGHT }", "duplicate-wiring"),
     ],
 )
 def test_validation_codes(source, code):
     diags = validate_spec(parse_source(source))
     assert code in codes(diags)
     assert has_errors(diags)
+
+
+@pytest.mark.parametrize(
+    "relationships,message",
+    [
+        ("eFEAR dominates eJOY }\nrelationship { eFEAR opposes eJOY", "eFEAR -> eJOY"),
+        ("eFEAR opposes eJOY }\nrelationship { eJOY causes eFEAR", "eJOY -> eFEAR"),
+        ("eFEAR correlated eJOY }\nrelationship { eJOY correlated eFEAR", "eFEAR <-> eJOY"),
+    ],
+)
+def test_duplicate_wiring_names_both_relationships(relationships, message):
+    diags = validate_spec(parse_source(TWO_EMOTIONS + f"relationship {{ {relationships} }}"))
+    # reported once, at the later relationship, naming the declared elements
+    assert [str(d) for d in diags] == [
+        f"error:6:1: {message} is already wired by the relationship at 5:1"
+    ]
+
+
+def test_distinct_wiring_between_the_same_elements_is_fine():
+    src = TWO_EMOTIONS + """relationship { eJOY causes eFEAR }
+relationship { eFEAR causes eJOY }
+relationship { eJOY correlated eFEAR }
+"""
+    assert validate_spec(parse_source(src)) == []
 
 
 def test_dominance_cycle_detected():

@@ -123,7 +123,7 @@ def reference_step(net, a, weights, inject, decay):
         drive = -a[pre] if syn.inverted else a[pre]
         if drive < net.neurons[post].threshold:
             continue
-        g = 1.0 / (1.0 + math.exp(-5.0 * drive / net.neurons[pre].params.range))
+        g = 1.0 / (1.0 + math.exp(-5.0 * drive / 2.0))
         cs[post] += w * g * (syn.reversal - a[post])
     gj = [0.0] * n
     for junction in net.gap:
