@@ -46,7 +46,7 @@ from .kernel import (
     SimState,
     step,
 )
-from .physiology import PhysioConfig, RespirationClamp
+from .physiology import PhysioConfig
 from .plasticity import PlasticityConfig, plasticity_step
 from .protocol import (
     Protocol,

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: ``validate`` an .ort file, ``build`` it into connectome CSVs,
-``export`` it (CSV or DOT), ``run`` a protocol against it, or run a full
+``export`` it as Graphviz DOT, ``run`` a protocol against it, or run a full
 ``experiment`` (protocol plus a never-conditioned control and a summary).
 Exit codes: 0 success, 1 domain error (parse/validate/build/run), 2 usage or
 I/O error.  Every config value is overridable with ``--set ns.key=value``;
@@ -145,12 +145,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _build_from_args(args: argparse.Namespace, cfgs: Configs):
-    spec = _load_spec(_resolve_input(args.ort))
-    # build rejects the errors, with their positions; only warnings show here
-    for d in dsl.validate_spec(spec, sci_cap=cfgs.build.sci_cap):
-        if d.severity is dsl.Severity.WARNING:
-            print(d, file=sys.stderr)
-    return build(spec, cfgs.build)
+    # build validates: it raises the errors, with their positions, and
+    # hands back the warnings
+    net = build(_load_spec(_resolve_input(args.ort)), cfgs.build)
+    for d in net.warnings:
+        print(d, file=sys.stderr)
+    return net
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -168,20 +168,14 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     cfgs = apply_overrides(Configs.defaults(), args.set or [])
-    net = _build_from_args(args, cfgs)
-    if args.dot:
-        text = cn.to_dot(net)
-        if args.out:
-            outdir = Path(args.out)
-            outdir.mkdir(parents=True, exist_ok=True)
-            (outdir / "connectome.dot").write_text(text)
-            print(f"wrote {outdir / 'connectome.dot'}")
-        else:
-            print(text, end="")
+    text = cn.to_dot(_build_from_args(args, cfgs))
+    if args.out:
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / "connectome.dot").write_text(text)
+        print(f"wrote {outdir / 'connectome.dot'}")
     else:
-        outdir = Path(args.out or "ortus_out")
-        cn.write_csvs(net, outdir)
-        print(f"wrote connectome CSVs -> {outdir}")
+        print(text, end="")
     return EXIT_OK
 
 
@@ -273,10 +267,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="ortus_out")
     p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("export", help="export the connectome (CSV, or DOT with --dot)")
+    p = sub.add_parser("export", help="print the connectome as Graphviz DOT")
     common(p)
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of CSVs")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None, help="write connectome.dot here instead")
     p.set_defaults(func=_cmd_export)
 
     p = sub.add_parser("run", help="run one protocol and record traces")

@@ -25,6 +25,7 @@ from pathlib import Path
 
 from .dsl import (
     Affect,
+    Diagnostic,
     ElementKind,
     NetworkSpec,
     RelationKind,
@@ -102,6 +103,7 @@ class Connectome:
     motor_ids: list[int]
     muscle_ids: list[int]
     name_to_id: dict[str, int]
+    warnings: list[Diagnostic] = field(default_factory=list)  # from the build's validation
 
     @property
     def n(self) -> int:
@@ -198,15 +200,10 @@ def generate_scis(
 
     Subsets are enumerated in ascending bitmask order over the sensors'
     declaration order, and each SCI's fan-in weights are 1/k so that its
-    total sensory drive sums to one regardless of subset size.
+    total sensory drive sums to one regardless of subset size.  ``build``
+    has already held the count to ``sci_cap``.
     """
     n = len(sensor_ids)
-    count = 2**n - 1
-    if count > cfg.sci_cap:
-        raise SciCapExceeded(
-            f"{n} sensors expand to 2^{n}-1 = {count} consolidation interneurons,"
-            f" above the cap of {cfg.sci_cap}"
-        )
     sci_ids: list[int] = []
     for mask in range(1, 2**n):
         members = [sensor_ids[i] for i in range(n) if mask >> i & 1]
@@ -265,17 +262,25 @@ def apply_relationships(draft: _Draft, spec: NetworkSpec) -> None:
 def build(spec: NetworkSpec, cfg: BuildConfig | None = None) -> Connectome:
     """Compile a validated spec into a Connectome.
 
-    Building is pure and deterministic: the same spec and config always
-    produce the same neuron ids, names, and storage order.
+    The spec is validated here, once: errors raise, and the warnings are
+    kept on the result.  A consolidation layer over ``sci_cap``, only a
+    warning to ``validate_spec``, cannot be built and raises.  Building is
+    pure and deterministic: the same spec and config always produce the
+    same neuron ids, names, and storage order.
     """
     cfg = cfg or BuildConfig()
-    problems = [d for d in validate_spec(spec, sci_cap=cfg.sci_cap) if d.severity is Severity.ERROR]
+    diags = validate_spec(spec, sci_cap=cfg.sci_cap)
+    problems = [d for d in diags if d.severity is Severity.ERROR]
     if problems:
         # Sensors are inputs: a relationship that drives one cannot be wired.
         unwirable = any(d.code == "into-sensor" for d in problems)
         raise (UnsatisfiableRelationship if unwirable else BuildError)(
             "spec failed validation:\n" + "\n".join(str(d) for d in problems)
         )
+    warnings = [d for d in diags if d.severity is Severity.WARNING]
+    for d in warnings:
+        if d.code == "sci-explosion":
+            raise SciCapExceeded(d.message)
 
     draft = _Draft()
     for el in spec.elements:
@@ -310,6 +315,7 @@ def build(spec: NetworkSpec, cfg: BuildConfig | None = None) -> Connectome:
         motor_ids=motor_ids,
         muscle_ids=muscle_ids,
         name_to_id=draft.name_to_id,
+        warnings=warnings,
     )
 
 

@@ -6,7 +6,8 @@ junction, so what one side gains the other loses), gains graded
 chemical-synapse input, and receives external injections; the result is
 clamped to the reversal range and clamped neurons are then overridden.  All
 reads come from the previous step's committed values, so the evaluation
-order of neurons cannot change the outcome.
+order of neurons cannot change the outcome.  A step reads the synaptic
+weights and hands the same array on; only plasticity makes a new one.
 
 A chemical synapse transmits nothing until its presynaptic drive reaches the
 postsynaptic neuron's transmission threshold.  Above it, the inflow is
@@ -81,7 +82,7 @@ class NetView:
         object.__setattr__(self, "syn_mutable", np.flatnonzero(self.syn_mi > 0))
 
     @classmethod
-    def from_connectome(cls, net: Connectome) -> "NetView":
+    def of(cls, net: Connectome) -> "NetView":
         thr = np.array([nr.threshold for nr in net.neurons], dtype=float)
         # One pass over the synapses.  Freeing the (synapses, 6) table lifts
         # glibc's dynamic mmap and trim thresholds above a step's temporaries,
@@ -104,15 +105,13 @@ class NetView:
             gap_w=np.array([g.weight for g in net.gap], dtype=float),
         )
 
-    @classmethod
-    def of(cls, net: "Connectome | NetView") -> "NetView":
-        return net if isinstance(net, NetView) else cls.from_connectome(net)
-
 
 @dataclass
 class SimState:
     """Activations, their recent history (row 0 = most recent), and the
-    live synaptic weights.  Produced fresh by each step."""
+    live synaptic weights.  Each step makes new activation and history
+    arrays and carries the weight array over unchanged; plasticity replaces
+    it with a new one."""
 
     activation: np.ndarray
     history: np.ndarray  # (H_LEN, n)
@@ -120,8 +119,7 @@ class SimState:
     step: int = 0
 
     @classmethod
-    def initial(cls, net: Connectome | NetView, activation: np.ndarray | None = None) -> "SimState":
-        view = NetView.of(net)
+    def initial(cls, view: NetView, activation: np.ndarray | None = None) -> "SimState":
         a = np.zeros(view.n) if activation is None else np.asarray(activation, dtype=float).copy()
         if a.shape != (view.n,):
             raise ConfigError(f"initial activation must have shape ({view.n},)")
@@ -163,11 +161,12 @@ def _gap_terms(a: np.ndarray, view: NetView) -> np.ndarray:
 
 def step(
     state: SimState,
-    net: Connectome | NetView,
+    view: NetView,
     ext: ExternalInputs | None = None,
     cfg: SimConfig | None = None,
 ) -> SimState:
-    """Advance the network one step and return the new state.
+    """Advance the network one step and return the new state, which shares
+    ``state.weights`` (never written here).
 
     Flux contributions accumulate in connectome storage order, so two runs
     from the same state are bitwise identical.  In paper-literal gap-junction
@@ -176,7 +175,6 @@ def step(
     refuses conservation checking.
     """
     cfg = cfg or SimConfig()
-    view = NetView.of(net)
     if ext is None:
         ext = ExternalInputs.zeros(view.n)
 
@@ -204,4 +202,4 @@ def step(
         nxt = np.where(ext.clamp_mask, ext.clamp_value, nxt)
 
     history = np.vstack((nxt[None, :], state.history[:-1]))
-    return SimState(nxt, history, state.weights.copy(), state.step + 1)
+    return SimState(nxt, history, state.weights, state.step + 1)

@@ -5,7 +5,8 @@ the CO2 sensor up and pulls the O2 sensor down by fixed amounts every step.
 When the lung muscle is active above its threshold, breathing moves both
 back, proportionally to lung activation, unless the corresponding half of
 respiration is blocked.  Without breathing a gas settles where production
-balances decay (production / decay fraction).
+balances decay (production / decay fraction).  Both add their amounts in
+place into a step's external injection array.
 """
 
 from __future__ import annotations
@@ -16,13 +17,6 @@ import numpy as np
 
 from .connectome import Connectome
 from .errors import ConfigError
-from .kernel import SimState
-
-
-@dataclass(frozen=True)
-class RespirationClamp:
-    block_exhale: bool = False
-    block_inhale: bool = False
 
 
 @dataclass
@@ -63,27 +57,25 @@ def bind(net: Connectome, cfg: PhysioConfig) -> PhysioBinding:
     return PhysioBinding(*ids)
 
 
-def metabolic_step(state: SimState, cfg: PhysioConfig, binding: PhysioBinding) -> np.ndarray:
-    """External-input deltas contributed by metabolism this step."""
-    deltas = np.zeros(len(state.activation))
-    deltas[binding.co2] += cfg.co2_production
-    deltas[binding.o2] -= cfg.o2_consumption
-    return deltas
+def metabolic_step(inject: np.ndarray, cfg: PhysioConfig, binding: PhysioBinding) -> None:
+    """Add this step's metabolic gas drive to `inject`."""
+    inject[binding.co2] += cfg.co2_production
+    inject[binding.o2] -= cfg.o2_consumption
 
 
 def lung_exchange(
-    state: SimState,
+    inject: np.ndarray,
+    lung: float,
     cfg: PhysioConfig,
     binding: PhysioBinding,
-    clamp: RespirationClamp = RespirationClamp(),
-) -> np.ndarray:
-    """External-input deltas from breathing, honoring respiration blocks."""
-    deltas = np.zeros(len(state.activation))
-    lung = float(state.activation[binding.lung])
+    block_exhale: bool,
+    block_inhale: bool,
+) -> None:
+    """Add this step's breathing to `inject`, given the lung activation,
+    except for the blocked halves."""
     if lung > cfg.lung_threshold:
         amount = cfg.exchange_gain * lung
-        if not clamp.block_inhale:
-            deltas[binding.o2] += amount
-        if not clamp.block_exhale:
-            deltas[binding.co2] -= amount
-    return deltas
+        if not block_inhale:
+            inject[binding.o2] += amount
+        if not block_exhale:
+            inject[binding.co2] -= amount

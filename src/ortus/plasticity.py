@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .kernel import H_LEN, NetView, SimState
-from .connectome import Connectome
 
 ZERO_NORM = 1e-12
 
@@ -87,15 +86,15 @@ def _slope_sums(history: np.ndarray, cfg: PlasticityConfig) -> np.ndarray:
 
 
 def plasticity_step(
-    state: SimState, net: Connectome | NetView, cfg: PlasticityConfig | None = None
+    state: SimState, view: NetView, cfg: PlasticityConfig | None = None
 ) -> np.ndarray:
-    """One full plasticity pass; returns the new weight array.
+    """One full plasticity pass; returns a new weight array and leaves
+    ``state.weights`` as it was.
 
     Inert until the history ring has been filled by real steps, so the
     padded start-up history can never drive learning.
     """
     cfg = cfg or PlasticityConfig()
-    view = NetView.of(net)
     weights = state.weights.copy()
     if state.step < H_LEN:
         return weights

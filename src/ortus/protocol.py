@@ -29,7 +29,7 @@ from . import physiology
 from .connectome import Connectome
 from .errors import ConfigError, OrtusError
 from .kernel import ExternalInputs, H_LEN, NetView, SimConfig, SimState, step
-from .physiology import PhysioConfig, RespirationClamp
+from .physiology import PhysioConfig
 from .plasticity import PlasticityConfig, plasticity_step
 
 
@@ -261,7 +261,7 @@ class TraceLog:
 def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> TraceLog:
     """Drive the closed loop for every protocol step and record the trace.
 
-    Each step: physiology deltas from the current state, protocol
+    Each step: physiology drive from the current state, protocol
     injections and clamps, one kernel step, one plasticity pass (skipped
     while the history warms up), then the committed activations are logged.
     """
@@ -292,12 +292,16 @@ def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> Tr
         ext = ExternalInputs.zeros(view.n)
         active = [ev for ev in protocol.events if ev.start <= m < ev.end]
         if binding is not None:
-            clamp = RespirationClamp(
-                block_exhale=any(ev.block_exhale for ev in active if ev.kind is EventKind.BLOCK),
-                block_inhale=any(ev.block_inhale for ev in active if ev.kind is EventKind.BLOCK),
+            blocks = [ev for ev in active if ev.kind is EventKind.BLOCK]
+            physiology.metabolic_step(ext.inject, physio_cfg, binding)
+            physiology.lung_exchange(
+                ext.inject,
+                float(state.activation[binding.lung]),
+                physio_cfg,
+                binding,
+                any(ev.block_exhale for ev in blocks),
+                any(ev.block_inhale for ev in blocks),
             )
-            ext.inject += physiology.metabolic_step(state, physio_cfg, binding)
-            ext.inject += physiology.lung_exchange(state, physio_cfg, binding, clamp)
         for ev in active:
             if ev.kind is EventKind.INJECT:
                 ext.inject[ev.element_id] += ev.value

@@ -172,6 +172,7 @@ def test_criterion_5_rule_thresholds(organism_net):
 
     # the engine moves one mutable synapse of the organism, every other
     # neuron at rest, by the rate the reference rule names
+    view = NetView.of(organism_net)
     k = next(i for i, syn in enumerate(organism_net.chem) if syn.mutability > 0)
     syn = organism_net.chem[k]
     cases = [
@@ -182,13 +183,13 @@ def test_criterion_5_rule_thresholds(organism_net):
     ]
     for a, pre_hist, post_hist, expected, rate in cases:
         assert classify(a, a, pre_hist, post_hist, cfg) is expected
-        state = SimState.initial(organism_net)
+        state = SimState.initial(view)
         state.step = H_LEN
         state.weights[:] = 0.5
         state.activation[[syn.pre, syn.post]] = a
         state.history[:, syn.pre] = pre_hist
         state.history[:, syn.post] = post_hist
-        moved = plasticity_step(state, organism_net, cfg)[k] - 0.5
+        moved = plasticity_step(state, view, cfg)[k] - 0.5
         assert moved == pytest.approx(rate * syn.mutability, abs=1e-15)
 
     report(5, f"flat pair sums to {xs!r}; the engine fires rapid/slow/weaken/none on their bands")
@@ -202,9 +203,9 @@ def test_criterion_5_rule_thresholds(organism_net):
 def kernel_conductance(a_pre):
     """The kernel's conductance at `a_pre`: one step of a synapse with unit
     weight and reversal onto a resting, never-gated, non-decaying neuron."""
-    net = make_net(2, [ChemicalSynapse(0, 1, 1.0, 1.0, 0.0)], thresholds=[0.0, -1.0])
-    state = SimState.initial(net, np.array([a_pre, 0.0]))
-    return float(step(state, NetView.of(net), cfg=SimConfig(decay_fraction=0.0)).activation[1])
+    view = NetView.of(make_net(2, [ChemicalSynapse(0, 1, 1.0, 1.0, 0.0)], thresholds=[0.0, -1.0]))
+    state = SimState.initial(view, np.array([a_pre, 0.0]))
+    return float(step(state, view, cfg=SimConfig(decay_fraction=0.0)).activation[1])
 
 
 def test_criterion_6_kernel_numerics(organism_net):
@@ -215,9 +216,9 @@ def test_criterion_6_kernel_numerics(organism_net):
 
     # diffusion-only network: total activation is conserved step by step
     gj_only = replace(organism_net, chem=[])
-    view = NetView.from_connectome(gj_only)
+    view = NetView.of(gj_only)
     rng = np.random.default_rng(2024)
-    state = SimState.initial(gj_only, rng.uniform(-0.9, 0.9, gj_only.n))
+    state = SimState.initial(view, rng.uniform(-0.9, 0.9, gj_only.n))
     cfg = SimConfig(decay_fraction=0.0)
     worst = 0.0
     for _ in range(1000):

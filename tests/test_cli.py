@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ortus.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, Configs, apply_overrides, main
+from ortus import connectome, dsl
+from ortus.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, Configs, apply_overrides, asset_path, main
 from ortus.kernel import GjMode
 
 BAD_ORT = "element sX { type: sensory }\nelement sX { type: sensory }\n"
@@ -112,16 +113,56 @@ def test_duplicate_wiring_fails_with_a_position(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_export_dot_to_stdout(tiny_ort, capsys):
-    assert main(["export", str(tiny_ort), "--dot"]) == EXIT_OK
+def test_export_prints_dot(tiny_ort, capsys):
+    assert main(["export", str(tiny_ort)]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.startswith("digraph") and "eCALM" in out
 
 
 def test_export_dot_to_directory(tiny_ort, tmp_path):
     out = tmp_path / "dots"
-    assert main(["export", str(tiny_ort), "--dot", "--out", str(out)]) == EXIT_OK
+    assert main(["export", str(tiny_ort), "--out", str(out)]) == EXIT_OK
+    assert [p.name for p in out.iterdir()] == ["connectome.dot"]
     assert (out / "connectome.dot").read_text().startswith("digraph")
+
+
+def test_export_dot_flag_is_gone(tiny_ort, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["export", str(tiny_ort), "--dot"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--dot" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build", "experiment"])
+def test_spec_is_validated_once_and_warnings_reach_stderr(command, tmp_path, monkeypatch, capsys):
+    calls = []
+    original = dsl.validate_spec
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dsl, "validate_spec", counted)
+    monkeypatch.setattr(connectome, "validate_spec", counted)
+    ort = tmp_path / "idle.ort"
+    ort.write_text("element mIDLE { type: motor }\n" + asset_path("ortus.ort").read_text())
+    proto = tmp_path / "p.protocol"
+    proto.write_text(TINY_PROTOCOL)
+    inputs = [str(ort), str(proto)] if command == "experiment" else [str(ort)]
+
+    assert main([command, *inputs, "--out", str(tmp_path / "ok")]) == EXIT_OK
+    assert len(calls) == 1
+    err = capsys.readouterr().err
+    assert err.count("motor element 'mIDLE' is not referenced by any relationship") == 1
+
+    calls.clear()
+    code = main([command, *inputs, "--out", str(tmp_path / "capped"), "--set", "build.sci_cap=3"])
+    assert code == EXIT_DOMAIN
+    assert len(calls) == 1
+    err = capsys.readouterr().err
+    explosion = "3 sensory elements expand to 2^3-1 = 7 sensory consolidation interneurons"
+    assert err.count(explosion) == 1 and "exceeding the cap of 3" in err
+    assert not (tmp_path / "capped").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ortus.connectome import (
     BuildConfig,
@@ -27,6 +26,7 @@ from ortus.connectome import (
 )
 from ortus.dsl import has_errors, parse_source, validate_spec
 from ortus.errors import ConfigError
+from strategies import random_specs
 
 TWO_EMOTION = """
 element sCO2      { type: sensory  affect: negative  threshold: 0.01 }
@@ -308,37 +308,6 @@ relationship { +sCO2 causes -mP }
 def test_generated_name_collision_rejected(source, generated):
     with pytest.raises(BuildError, match=f"generated name '{generated}' collides"):
         net_of(source)
-
-
-@st.composite
-def random_specs(draw):
-    """Upper-case names, so that no generated name (``is...``, ``c_...``,
-    ``x...``) can collide with a declared one."""
-    sensors = [f"S{i}" for i in range(draw(st.integers(1, 4)))]
-    emotions = [f"E{i}" for i in range(draw(st.integers(1, 3)))]
-    motors = [f"M{i}" for i in range(draw(st.integers(0, 2)))]
-    lines = [f"element {s} {{ type: sensory }}" for s in sensors]
-    for e in emotions:
-        affect = draw(st.sampled_from(["positive", "negative"]))
-        lines.append(f"element {e} {{ type: emotion affect: {affect} }}")
-    lines += [f"element {m} {{ type: motor }}" for m in motors]
-    names = st.sampled_from(sensors + emotions + motors)
-    for _ in range(draw(st.integers(0, 8))):
-        a, b = draw(names), draw(names)
-        clause = draw(
-            st.sampled_from(
-                [
-                    f"{a} causes {b}",
-                    f"-{a} causes -{b}",
-                    f"{a} causes {b} polarity: inhibitory",
-                    f"{a} correlated {b}",
-                    f"{a} opposes {b}",
-                    f"{a} dominates {b}",
-                ]
-            )
-        )
-        lines.append(f"relationship {{ {clause} }}")
-    return "\n".join(lines)
 
 
 @settings(max_examples=200, deadline=None)

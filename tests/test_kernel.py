@@ -95,17 +95,18 @@ def test_step_conductance_matches_oracle(a_pre, inverted):
     # a gate that always passes, unit weight and reversal, no decay, and a
     # postsynaptic neuron at rest: its next activation is the conductance
     syn = ChemicalSynapse(0, 1, 1.0, 1.0, 0.0, inverted=inverted)
-    net = make_net(2, [syn], thresholds=[0.0, -1.0])
-    state = SimState.initial(net, np.array([a_pre, 0.0]))
-    state = step(state, NetView.of(net), cfg=SimConfig(decay_fraction=0.0))
+    view = NetView.of(make_net(2, [syn], thresholds=[0.0, -1.0]))
+    state = SimState.initial(view, np.array([a_pre, 0.0]))
+    state = step(state, view, cfg=SimConfig(decay_fraction=0.0))
     assert state.activation[1] == pytest.approx(conductance(a_pre, inverted=inverted), abs=1e-15)
 
 
-def test_initial_state_from_view_keeps_built_weights(organism_net):
-    from_view = SimState.initial(NetView.of(organism_net))
-    from_net = SimState.initial(organism_net)
-    np.testing.assert_array_equal(from_view.weights, from_net.weights)
-    np.testing.assert_array_equal(from_net.weights, [s.weight for s in organism_net.chem])
+def test_initial_weights_are_a_copy_of_the_built_weights(organism_net):
+    view = NetView.of(organism_net)
+    state = SimState.initial(view)
+    np.testing.assert_array_equal(state.weights, view.syn_w0)
+    np.testing.assert_array_equal(view.syn_w0, [s.weight for s in organism_net.chem])
+    assert not np.shares_memory(state.weights, view.syn_w0)
 
 
 # ---------------------------------------------------------------------------
@@ -146,21 +147,22 @@ def test_step_matches_reference_on_random_net():
     ]
     gap = [GapJunction(0, 1, 0.3), GapJunction(2, 3, 0.8)]
     net = make_net(4, chem, gap, thresholds=[0.0, 0.05, 0.1, 0.0])
-    state = SimState.initial(net, rng.uniform(-1, 1, 4))
+    view = NetView.of(net)
+    state = SimState.initial(view, rng.uniform(-1, 1, 4))
     cfg = SimConfig()
     for _ in range(25):
         inject = rng.uniform(-0.2, 0.2, 4)
         expected = reference_step(net, state.activation, state.weights, inject, cfg.decay_fraction)
         ext = ExternalInputs.zeros(4)
         ext.inject += inject
-        state = step(state, NetView.of(net), ext, cfg)
+        state = step(state, view, ext, cfg)
         np.testing.assert_allclose(state.activation, expected, atol=1e-12)
 
 
 def test_step_matches_reference_on_organism(organism_net):
     rng = np.random.default_rng(11)
-    view = NetView.from_connectome(organism_net)
-    state = SimState.initial(organism_net, rng.uniform(-0.5, 0.5, organism_net.n))
+    view = NetView.of(organism_net)
+    state = SimState.initial(view, rng.uniform(-0.5, 0.5, organism_net.n))
     cfg = SimConfig()
     for _ in range(10):
         inject = rng.uniform(-0.05, 0.05, organism_net.n)
@@ -177,58 +179,72 @@ def test_reads_come_from_the_previous_step_only():
     """A three-neuron chain advances one hop per step: the classic smoke test
     for double buffering."""
     chem = [ChemicalSynapse(0, 1, 0.8, 1.0, 0.0), ChemicalSynapse(1, 2, 0.8, 1.0, 0.0)]
-    net = make_net(3, chem, thresholds=[0.0, 0.3, 0.3])
-    state = SimState.initial(net, np.array([1.0, 0.0, 0.0]))
-    state = step(state, NetView.of(net), ExternalInputs.zeros(3), SimConfig())
+    view = NetView.of(make_net(3, chem, thresholds=[0.0, 0.3, 0.3]))
+    state = SimState.initial(view, np.array([1.0, 0.0, 0.0]))
+    state = step(state, view, ExternalInputs.zeros(3), SimConfig())
     assert state.activation[1] > 0.3
     assert state.activation[2] == 0.0  # n1 was below gate when this step read it
-    state = step(state, NetView.of(net), ExternalInputs.zeros(3), SimConfig())
+    state = step(state, view, ExternalInputs.zeros(3), SimConfig())
     assert state.activation[2] > 0.0
 
 
 def test_clamp_overrides_dynamics():
-    net = make_net(2, [ChemicalSynapse(0, 1, 0.9, 1.0, 0.0)])
-    state = SimState.initial(net, np.array([0.9, 0.0]))
+    view = NetView.of(make_net(2, [ChemicalSynapse(0, 1, 0.9, 1.0, 0.0)]))
+    state = SimState.initial(view, np.array([0.9, 0.0]))
     ext = ExternalInputs.zeros(2)
     ext.clamp_mask[1] = True
     ext.clamp_value[1] = -0.25
-    state = step(state, NetView.of(net), ext, SimConfig())
+    state = step(state, view, ext, SimConfig())
     assert state.activation[1] == -0.25
 
 
 def test_activations_clip_to_unit_interval():
-    net = make_net(1)
-    state = SimState.initial(net, np.array([0.5]))
+    view = NetView.of(make_net(1))
+    state = SimState.initial(view, np.array([0.5]))
     ext = ExternalInputs.zeros(1)
     ext.inject[0] = 5.0
-    state = step(state, NetView.of(net), ext, SimConfig())
+    state = step(state, view, ext, SimConfig())
     assert state.activation[0] == 1.0
     ext.inject[0] = -5.0
-    state = step(state, NetView.of(net), ext, SimConfig())
+    state = step(state, view, ext, SimConfig())
     assert state.activation[0] == -1.0
 
 
 def test_history_is_a_sliding_window_newest_first():
-    net = make_net(1)
-    state = SimState.initial(net, np.array([0.0]))
+    view = NetView.of(make_net(1))
+    state = SimState.initial(view, np.array([0.0]))
     seen = []
     for k in range(H_LEN + 2):
         ext = ExternalInputs.zeros(1)
         ext.clamp_mask[0] = True
         ext.clamp_value[0] = k / 100.0
-        state = step(state, NetView.of(net), ext, SimConfig())
+        state = step(state, view, ext, SimConfig())
         seen.append(k / 100.0)
     assert state.history.shape == (H_LEN, 1)
     np.testing.assert_allclose(state.history[:, 0], seen[::-1][:H_LEN])
 
 
 def test_step_counter_and_weight_carry():
-    net = make_net(2, [ChemicalSynapse(0, 1, 0.33, 1.0, 0.9)])
-    state = SimState.initial(net)
+    view = NetView.of(make_net(2, [ChemicalSynapse(0, 1, 0.33, 1.0, 0.9)]))
+    state = SimState.initial(view)
     assert state.step == 0
-    state = step(state, NetView.of(net), ExternalInputs.zeros(2), SimConfig())
+    state = step(state, view, ExternalInputs.zeros(2), SimConfig())
     assert state.step == 1
     assert state.weights.tolist() == [0.33]
+
+
+def test_step_never_writes_the_weights(organism_net):
+    view = NetView.of(organism_net)
+    rng = np.random.default_rng(3)
+    state = SimState.initial(view, rng.uniform(-1, 1, view.n))
+    weights = state.weights
+    weights.flags.writeable = False  # a write inside step would raise
+    for _ in range(H_LEN + 2):
+        ext = ExternalInputs.zeros(view.n)
+        ext.inject += rng.uniform(-0.3, 0.3, view.n)
+        state = step(state, view, ext, SimConfig(check_conservation=True))
+        assert state.weights is weights
+    np.testing.assert_array_equal(weights, view.syn_w0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -239,12 +255,12 @@ def test_activation_stays_bounded_forever(inject):
         ChemicalSynapse(1, 2, 1.0, -1.0, 0.0),
         ChemicalSynapse(2, 3, 1.0, 1.0, 0.0, inverted=True),
     ]
-    net = make_net(4, chem, [GapJunction(0, 3, 1.0)])
-    state = SimState.initial(net)
+    view = NetView.of(make_net(4, chem, [GapJunction(0, 3, 1.0)]))
+    state = SimState.initial(view)
     ext = ExternalInputs.zeros(4)
     ext.inject += np.array(inject)
     for _ in range(50):
-        state = step(state, NetView.of(net), ext, SimConfig())
+        state = step(state, view, ext, SimConfig())
         assert np.all(state.activation <= 1.0) and np.all(state.activation >= -1.0)
 
 
@@ -255,11 +271,11 @@ def test_activation_stays_bounded_forever(inject):
 
 def test_gap_fluxes_conserve_charge():
     gap = [GapJunction(0, 1, 0.7), GapJunction(1, 2, 0.4)]
-    net = make_net(3, gap=gap)
+    view = NetView.of(make_net(3, gap=gap))
     a = np.array([0.9, -0.2, 0.3])
     nxt = step(
-        SimState.initial(net, a),
-        NetView.of(net),
+        SimState.initial(view, a),
+        view,
         cfg=SimConfig(decay_fraction=0.0, check_conservation=True),
     ).activation
     want = np.zeros(3)
@@ -272,11 +288,11 @@ def test_gap_fluxes_conserve_charge():
 
 
 def test_conservation_check_passes_on_symmetric_mode():
-    net = make_net(2, gap=[GapJunction(0, 1, 1.0)])
+    view = NetView.of(make_net(2, gap=[GapJunction(0, 1, 1.0)]))
     cfg = SimConfig(check_conservation=True)
-    state = SimState.initial(net, np.array([1.0, -1.0]))
+    state = SimState.initial(view, np.array([1.0, -1.0]))
     for _ in range(10):
-        state = step(state, NetView.of(net), ExternalInputs.zeros(2), cfg)
+        state = step(state, view, ExternalInputs.zeros(2), cfg)
     # diffusion: both ends meet in the middle
     assert abs(state.activation[0] - state.activation[1]) < abs(1.0 - -1.0)
 
@@ -284,22 +300,22 @@ def test_conservation_check_passes_on_symmetric_mode():
 def test_literal_mode_neutralizes_gap_junctions():
     """In the literal formulation the decay term re-adds the outgoing flux,
     which exactly cancels the incoming flux: the pair never equilibrates."""
-    net = make_net(2, gap=[GapJunction(0, 1, 1.0)])
-    sym = SimState.initial(net, np.array([0.5, -0.5]))
-    lit = SimState.initial(net, np.array([0.5, -0.5]))
+    view = NetView.of(make_net(2, gap=[GapJunction(0, 1, 1.0)]))
+    sym = SimState.initial(view, np.array([0.5, -0.5]))
+    lit = SimState.initial(view, np.array([0.5, -0.5]))
     for _ in range(5):
-        sym = step(sym, NetView.of(net), ExternalInputs.zeros(2), SimConfig())
-        lit = step(lit, NetView.of(net), ExternalInputs.zeros(2), SimConfig(gj_mode=GjMode.PAPER_LITERAL))
+        sym = step(sym, view, ExternalInputs.zeros(2), SimConfig())
+        lit = step(lit, view, ExternalInputs.zeros(2), SimConfig(gj_mode=GjMode.PAPER_LITERAL))
     # symmetric mode pulls the pair together; literal mode leaves pure decay
     assert abs(sym.activation[0] - sym.activation[1]) < 0.8 ** 5
     np.testing.assert_allclose(lit.activation, [0.5 * 0.8 ** 5, -0.5 * 0.8 ** 5], atol=1e-12)
 
 
 def test_literal_mode_refuses_conservation_check():
-    net = make_net(2, gap=[GapJunction(0, 1, 1.0)])
+    view = NetView.of(make_net(2, gap=[GapJunction(0, 1, 1.0)]))
     cfg = SimConfig(gj_mode=GjMode.PAPER_LITERAL, check_conservation=True)
     with pytest.raises(ConfigError):
-        step(SimState.initial(net), NetView.of(net), ExternalInputs.zeros(2), cfg)
+        step(SimState.initial(view), view, ExternalInputs.zeros(2), cfg)
 
 
 def test_decay_fraction_validated():

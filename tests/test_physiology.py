@@ -9,13 +9,9 @@ import pytest
 
 from ortus.errors import ConfigError
 from ortus.kernel import ExternalInputs, NetView, SimConfig, SimState, step
-from ortus.physiology import (
-    PhysioConfig,
-    RespirationClamp,
-    bind,
-    lung_exchange,
-    metabolic_step,
-)
+from ortus.physiology import PhysioConfig, bind, lung_exchange, metabolic_step
+
+BLOCKS = [(False, False), (True, False), (False, True), (True, True)]
 
 
 @pytest.fixture()
@@ -24,50 +20,46 @@ def bound(organism_net):
     return organism_net, cfg, bind(organism_net, cfg)
 
 
-def state_with(net, **named):
-    state = SimState.initial(net)
-    for name, value in named.items():
-        state.activation[net.id_of(name)] = value
-    return state
-
-
 # ---------------------------------------------------------------------------
-# per-step gas deltas
+# per-step gas drive, added in place
 # ---------------------------------------------------------------------------
 
 
-def test_metabolism_produces_co2_and_consumes_o2(bound):
+def test_metabolism_adds_co2_and_removes_o2_in_place(bound):
     net, cfg, binding = bound
-    deltas = metabolic_step(SimState.initial(net), cfg, binding)
-    assert deltas[binding.co2] == cfg.co2_production == 0.01
-    assert deltas[binding.o2] == -cfg.o2_consumption == -0.01
-    assert np.count_nonzero(deltas) == 2
+    inject = np.linspace(-0.3, 0.3, net.n)
+    before = inject.copy()
+    assert metabolic_step(inject, cfg, binding) is None
+    assert inject[binding.co2] == before[binding.co2] + cfg.co2_production
+    assert inject[binding.o2] == before[binding.o2] - cfg.o2_consumption
+    others = np.ones(net.n, dtype=bool)
+    others[[binding.co2, binding.o2]] = False
+    np.testing.assert_array_equal(inject[others], before[others])
 
 
-def test_lung_exchange_needs_an_inflated_lung(bound):
+@pytest.mark.parametrize("block_exhale,block_inhale", BLOCKS)
+def test_idle_lung_adds_nothing(bound, block_exhale, block_inhale):
     net, cfg, binding = bound
-    idle = state_with(net, LUNG=0.5)  # threshold is strict
-    assert not lung_exchange(idle, cfg, binding, RespirationClamp()).any()
-
-    pumping = state_with(net, LUNG=0.75)
-    deltas = lung_exchange(pumping, cfg, binding, RespirationClamp())
-    assert deltas[binding.co2] == pytest.approx(-cfg.exchange_gain * 0.75)
-    assert deltas[binding.o2] == pytest.approx(cfg.exchange_gain * 0.75)
+    inject = np.linspace(-0.3, 0.3, net.n)
+    before = inject.copy()
+    # the threshold is strict: a lung exactly at it does not breathe
+    lung_exchange(inject, cfg.lung_threshold, cfg, binding, block_exhale, block_inhale)
+    np.testing.assert_array_equal(inject, before)
 
 
-def test_block_flags_suppress_each_direction(bound):
+@pytest.mark.parametrize("block_exhale,block_inhale", BLOCKS)
+def test_breathing_moves_each_unblocked_gas(bound, block_exhale, block_inhale):
     net, cfg, binding = bound
-    pumping = state_with(net, LUNG=0.9)
-    no_exhale = lung_exchange(pumping, cfg, binding, RespirationClamp(block_exhale=True))
-    assert no_exhale[binding.co2] == 0.0
-    assert no_exhale[binding.o2] == pytest.approx(cfg.exchange_gain * 0.9)
-    no_inhale = lung_exchange(pumping, cfg, binding, RespirationClamp(block_inhale=True))
-    assert no_inhale[binding.co2] == pytest.approx(-cfg.exchange_gain * 0.9)
-    assert no_inhale[binding.o2] == 0.0
-    both = lung_exchange(
-        pumping, cfg, binding, RespirationClamp(block_exhale=True, block_inhale=True)
-    )
-    assert not both.any()
+    inject = np.linspace(-0.3, 0.3, net.n)
+    before = inject.copy()
+    assert lung_exchange(inject, 0.75, cfg, binding, block_exhale, block_inhale) is None
+    amount = cfg.exchange_gain * 0.75
+    want = before.copy()
+    if not block_exhale:
+        want[binding.co2] -= amount
+    if not block_inhale:
+        want[binding.o2] += amount
+    np.testing.assert_array_equal(inject, want)
 
 
 def test_bind_requires_the_named_neurons(organism_net):
@@ -104,10 +96,10 @@ def test_gas_equilibrium_without_breathing(organism_net):
     binding = bind(organism_net, cfg)
     view = NetView.of(organism_net)
     sim = SimConfig()
-    state = SimState.initial(organism_net)
+    state = SimState.initial(view)
     for _ in range(200):
         ext = ExternalInputs.zeros(organism_net.n)
-        ext.inject += metabolic_step(state, cfg, binding)
+        metabolic_step(ext.inject, cfg, binding)
         # never any lung stroke: clamp the muscle itself at rest
         ext.clamp_mask[binding.lung] = True
         ext.clamp_value[binding.lung] = 0.0

@@ -224,10 +224,10 @@ def test_apply_updates_clamps_to_unit_interval():
 # ---------------------------------------------------------------------------
 
 
-def random_state(net, rng):
-    state = SimState.initial(net)
-    state.activation = rng.uniform(-1, 1, net.n)
-    state.history = rng.uniform(-1, 1, (8, net.n))
+def random_state(view, rng):
+    state = SimState.initial(view)
+    state.activation = rng.uniform(-1, 1, view.n)
+    state.history = rng.uniform(-1, 1, (8, view.n))
     state.step = 8
     return state
 
@@ -241,7 +241,7 @@ def test_plasticity_step_matches_oracle(organism_net, all_mutable):
     rng = np.random.default_rng(4)
     cfg = PlasticityConfig()
     for _ in range(20):
-        state = random_state(organism_net, rng)
+        state = random_state(view, rng)
         state.weights = rng.uniform(0, 1, len(organism_net.chem))
         classes = [
             classify(
@@ -290,7 +290,7 @@ def test_sparse_pass_matches_oracle_beyond_bundled_organism(five_sensor_net):
     cfg = PlasticityConfig()
     seen = set()
     for _ in range(20):
-        state = random_state(net, rng)  # about 60% of the neurons sit at or below threshold
+        state = random_state(view, rng)  # about 60% of the neurons sit at or below threshold
         state.history = mixed_history(net.n, rng)
         weights = rng.uniform(0, 1, len(net.chem))
         edge = rng.uniform(size=len(weights))
@@ -321,8 +321,9 @@ def test_sparse_pass_matches_oracle_beyond_bundled_organism(five_sensor_net):
 
 def test_plasticity_step_inert_during_warmup(organism_net):
     rng = np.random.default_rng(5)
-    state = random_state(organism_net, rng)
+    view = NetView.of(organism_net)
+    state = random_state(view, rng)
     state.step = 7  # one short of a full history ring
-    out = plasticity_step(state, organism_net)
+    out = plasticity_step(state, view)
     np.testing.assert_array_equal(out, state.weights)
     assert out is not state.weights

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ortus
@@ -30,6 +30,7 @@ from ortus.protocol import (
     run,
     summarize,
 )
+from strategies import random_specs
 
 GOOD = """
 # conditioning-style schedule
@@ -416,3 +417,72 @@ def test_metrics_csv_format():
     assert lines[0] == "metric,neuron,start,end,value"
     assert lines[1].startswith("peak,osc,0,40,")
     assert lines[2] == "probe_peak_ratio,osc,,,2.5"
+
+
+# ---------------------------------------------------------------------------
+# whole-loop properties: any valid organism, any protocol
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def organisms_and_protocols(draw):
+    """A buildable random organism and protocol text for it: inject, clamp
+    and block events over random windows, and physiology bound to three
+    declared elements (repeats allowed) or switched off."""
+    # About a third of the random specs build; drawing again, rather than
+    # rejecting the example, keeps Hypothesis from filtering too much.
+    for _ in range(10):
+        try:
+            net = ortus.build(ortus.parse_source(draw(random_specs())))
+            break
+        except ortus.BuildError:
+            pass
+    else:
+        assume(False)
+    names = [nr.name for nr in net.neurons]
+    total = draw(st.integers(1, 60))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    lines = [f"steps {total}"]
+    physio = draw(st.booleans())
+    if physio:
+        bound = draw(st.lists(st.sampled_from(names), min_size=3, max_size=3))
+        lines.append("physiology " + " ".join(bound))
+    for _ in range(draw(st.integers(0, 6))):
+        start = draw(st.integers(0, total - 1))
+        window = f"at {start}..{draw(st.integers(start + 1, total))}"
+        kind = draw(st.sampled_from(["inject", "clamp", "block"]))
+        if kind == "block":
+            flags = draw(st.sampled_from(["", " exhale", " inhale", " exhale inhale"]))
+            lines.append(f"{window} block respiration{flags}")
+        else:
+            lines.append(f"{window} {kind} {draw(st.sampled_from(names))} {draw(unit)!r}")
+    cfg = RunConfig(
+        sim=ortus.SimConfig(check_conservation=True),
+        physio=ortus.PhysioConfig(enabled=physio),
+        weight_snapshot_every=1,
+    )
+    return net, parse_protocol("\n".join(lines), net), cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(organisms_and_protocols())
+def test_closed_loop_invariants_hold_for_any_organism_and_protocol(case):
+    net, protocol, cfg = case
+    view = ortus.NetView.of(net)
+    immutable = view.syn_mi == 0
+    trace = run(net, protocol, cfg)  # gap-junction flux is checked every step
+
+    a = trace.activations
+    assert a.shape == (protocol.total_steps, net.n)
+    assert np.isfinite(a).all() and (np.abs(a) <= 1.0).all()
+    assert [s for s, _ in trace.weight_snapshots] == list(range(protocol.total_steps + 1))
+    for _, weights in trace.weight_snapshots:
+        assert ((weights >= 0.0) & (weights <= 1.0)).all()
+        assert weights[immutable].tobytes() == view.syn_w0[immutable].tobytes()
+
+    again = run(net, protocol, cfg)
+    assert again.activations.tobytes() == a.tobytes()
+    assert [(s, w.tobytes()) for s, w in again.weight_snapshots] == [
+        (s, w.tobytes()) for s, w in trace.weight_snapshots
+    ]
+    assert again.markers == trace.markers
