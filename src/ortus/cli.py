@@ -21,7 +21,7 @@ from . import connectome as cn
 from . import dsl
 from . import protocol as proto
 from .connectome import BuildConfig, build
-from .errors import OrtusError
+from .errors import ConfigError, OrtusError
 from .kernel import SimConfig
 from .physiology import PhysioConfig
 from .plasticity import PlasticityConfig
@@ -201,6 +201,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     cfgs, net, protocol = _prepare_run(args)
+    headline = args.headline
+    if headline not in net.name_to_id:
+        raise ConfigError(f"unknown --headline element {headline!r}")
     outdir = Path(args.out)
     trace = run(net, protocol, cfgs.run)
     control = run(net, control_variant(protocol), cfgs.run)
@@ -210,26 +213,24 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     control.write_csv(outdir, prefix="control_")
     (outdir / "config.resolved").write_text(resolved_config_text(cfgs))
 
-    headline = args.headline
     rows: list[proto.MetricRow] = []
     extra: list[tuple[str, str, float]] = []
     probe_ev = proto.probe_event(protocol)
-    if headline in net.name_to_id:
-        # Per-burst peaks: the response lags the stimulus (gas dynamics), so
-        # extend each window a little past the event end.
-        for ev in protocol.events:
-            if ev.kind is proto.EventKind.INJECT and ev is not probe_ev:
-                tail_end = min(ev.end + 15, protocol.total_steps)
-                rows.extend(summarize(trace, [Query("peak", headline, ev.start, tail_end)]))
-        if probe_ev is not None:
-            start, end = probe_ev.start, probe_ev.end
-            probe = summarize(trace, [Query("peak", headline, start, end)])[0]
-            control_probe = summarize(control, [Query("peak", headline, start, end)])[0]
-            rows.append(probe)
-            rows.append(dataclasses.replace(control_probe, metric="control_peak"))
-            ratio = probe.value / control_probe.value if control_probe.value > 0 else float("inf")
-            extra.append(("probe_peak_ratio", headline, ratio))
-            print(f"probe {headline} peak ratio: {ratio!r}")
+    # Per-burst peaks: the response lags the stimulus (gas dynamics), so
+    # extend each window a little past the event end.
+    for ev in protocol.events:
+        if ev.kind is proto.EventKind.INJECT and ev is not probe_ev:
+            tail_end = min(ev.end + 15, protocol.total_steps)
+            rows.extend(summarize(trace, [Query("peak", headline, ev.start, tail_end)]))
+    if probe_ev is not None:
+        start, end = probe_ev.start, probe_ev.end
+        probe = summarize(trace, [Query("peak", headline, start, end)])[0]
+        control_probe = summarize(control, [Query("peak", headline, start, end)])[0]
+        rows.append(probe)
+        rows.append(dataclasses.replace(control_probe, metric="control_peak"))
+        ratio = probe.value / control_probe.value if control_probe.value > 0 else float("inf")
+        extra.append(("probe_peak_ratio", headline, ratio))
+        print(f"probe {headline} peak ratio: {ratio!r}")
     lung = cfgs.run.physio.lung_name
     if lung in net.name_to_id:
         rows.extend(

@@ -14,7 +14,10 @@ postsynaptic neuron's transmission threshold.  Above it, the inflow is
 ``weight * g * (reversal - a_post)`` where the conductance ``g`` is a
 sigmoid of the presynaptic activation scaled by the activation range.  A
 synapse marked inverted is keyed to presynaptic suppression: its drive and
-conductance both read the negated presynaptic activation.
+conductance both read the negated presynaptic activation.  Gated-off
+synapses are skipped, sigmoid included: each would add a signed zero to a
+sum that starts at +0.0, which changes no bit.  The rest accumulate per
+postsynaptic neuron in connectome storage order.
 """
 
 from __future__ import annotations
@@ -138,16 +141,13 @@ class ExternalInputs:
 
 
 def _chem_terms(a: np.ndarray, weights: np.ndarray, view: NetView) -> np.ndarray:
-    cs_in = np.zeros(view.n)
-    if len(view.syn_pre) == 0:
-        return cs_in
     a_pre = a[view.syn_pre]
     drive = np.where(view.syn_inverted, -a_pre, a_pre)
-    g = 1.0 / (1.0 + np.exp(-5.0 * drive / ACTIVATION_RANGE))
-    gate = drive >= view.syn_gate
-    contrib = weights * g * (view.syn_rev - a[view.syn_post]) * gate
-    np.add.at(cs_in, view.syn_post, contrib)
-    return cs_in
+    on = np.flatnonzero(drive >= view.syn_gate)
+    g = 1.0 / (1.0 + np.exp(-5.0 * drive[on] / ACTIVATION_RANGE))
+    post = view.syn_post[on]
+    contrib = weights[on] * g * (view.syn_rev[on] - a[post])
+    return np.bincount(post, contrib, minlength=view.n)
 
 
 def _gap_terms(a: np.ndarray, view: NetView) -> np.ndarray:

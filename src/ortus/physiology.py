@@ -48,13 +48,14 @@ class PhysioBinding:
 
 
 def bind(net: Connectome, cfg: PhysioConfig) -> PhysioBinding:
-    """Resolve the gas and lung element names against a connectome."""
-    ids = []
-    for name in (cfg.co2_name, cfg.o2_name, cfg.lung_name):
+    """Resolve the three distinct gas and lung elements against a connectome."""
+    names = (cfg.co2_name, cfg.o2_name, cfg.lung_name)
+    for name in names:
         if name not in net.name_to_id:
             raise ConfigError(f"physiology needs an element named {name!r}")
-        ids.append(net.name_to_id[name])
-    return PhysioBinding(*ids)
+    if len(set(names)) < 3:
+        raise ConfigError(f"physiology roles need three distinct elements, got {' '.join(names)}")
+    return PhysioBinding(*(net.name_to_id[name] for name in names))
 
 
 def metabolic_step(inject: np.ndarray, cfg: PhysioConfig, binding: PhysioBinding) -> None:

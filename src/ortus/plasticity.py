@@ -14,6 +14,11 @@ most recent samples and the presynaptic neuron's four samples starting that
 many steps back; a zero-norm window contributes 0.  The slope of a history
 window is a least-squares fit oriented so that positive means rising toward
 the present.
+
+The pass works on the active pairs' history columns, gathered once into
+(H_LEN, K) windows; norms, lag numerators and slopes come from those alone.
+Window sums add one row at a time, in the order a per-neuron
+``.sum(axis=0)`` uses, so no result depends on which pairs are active.
 """
 
 from __future__ import annotations
@@ -48,41 +53,51 @@ class PlasticityConfig:
             raise ConfigError("rapid_xcorr_min cannot exceed the maximum correlation sum")
         if self.max_lag + self.xcorr_window > H_LEN:
             raise ConfigError("correlation windows cannot reach past the history ring")
+        if not 1 <= self.slope_window < H_LEN - self.max_lag:
+            raise ConfigError(f"slope_window must lie in [1, {H_LEN - self.max_lag - 1}]")
 
 
-def _lag_sums(
-    history: np.ndarray, pre: np.ndarray, post: np.ndarray, cfg: PlasticityConfig
-) -> np.ndarray:
-    """Correlation sums over lags 1..max_lag, one per (pre[i], post[i]) pair."""
-    w = cfg.xcorr_window
-    # per-neuron window norms at offsets 0..max_lag, indexed per pair below
-    norms = np.stack(
-        [np.linalg.norm(history[k:k + w, :], axis=0) for k in range(cfg.max_lag + 1)]
-    )
-    post_win = history[0:w, post]  # (w, K)
-    pre_hist = history[:, pre]  # (H_LEN, K)
-    na = norms[0, post]
-    sums = np.zeros(len(pre))
-    for lag in range(1, cfg.max_lag + 1):
-        nb = norms[lag, pre]
-        num = (post_win * pre_hist[lag:lag + w]).sum(axis=0)
-        ok = (na >= ZERO_NORM) & (nb >= ZERO_NORM)
-        denom = np.where(ok, na * nb, 1.0)
-        sums += np.where(ok, num / denom, 0.0)
+def _row_sums(rows: np.ndarray, w: int) -> np.ndarray:
+    """Sums of every run of `w` consecutive rows, one row added at a time:
+    ((r0 + r1) + r2) + r3 for w = 4, the order ``.sum(axis=0)`` uses on a
+    (w, K) window, so the result does not depend on K."""
+    count = len(rows) - w + 1
+    total = rows[:count]
+    for r in range(1, w):
+        total = total + rows[r:r + count]
+    return total
+
+
+def _lag_sums(pre_win: np.ndarray, post_win: np.ndarray, cfg: PlasticityConfig) -> np.ndarray:
+    """Correlation sums over lags 1..max_lag, one per column of the gathered
+    (H_LEN, K) pre- and postsynaptic history windows."""
+    w, lags = cfg.xcorr_window, cfg.max_lag
+    post_now = post_win[:w]
+    na = np.sqrt(_row_sums(post_now * post_now, w))  # (1, K): offset 0
+    pre_back = pre_win[1:lags + w]
+    nb = np.sqrt(_row_sums(pre_back * pre_back, w))  # (max_lag, K): offsets 1..max_lag
+    num = post_now[0] * pre_back[:lags]
+    for r in range(1, w):
+        num = num + post_now[r] * pre_back[r:r + lags]
+    ok = (na >= ZERO_NORM) & (nb >= ZERO_NORM)
+    terms = np.where(ok, num / np.where(ok, na * nb, 1.0), 0.0)
+    sums = np.zeros(pre_win.shape[1])  # lag by lag from +0.0
+    for term in terms:
+        sums += term
     return sums
 
 
-def _slope_sums(history: np.ndarray, cfg: PlasticityConfig) -> np.ndarray:
-    """Per-neuron sums of |slope| over the rule's lag offsets."""
-    u = cfg.slope_window
-    x = np.arange(u + 1, dtype=float)
-    c = x - x.mean()
-    denom = float((c**2).sum())
-    total = np.zeros(history.shape[1])
-    for t in range(1, cfg.max_lag + 1):
-        seg = history[t:t + u + 1, :]
-        total += np.abs(-(c @ seg) / denom)
-    return total
+def _slope_sums(win: np.ndarray, cfg: PlasticityConfig) -> np.ndarray:
+    """Sums of |slope| over the rule's lag offsets, one per column of a
+    gathered (H_LEN, K) history window."""
+    u, lags = cfg.slope_window, cfg.max_lag
+    # Centred sample times: -1, 0, 1 for the default window, where every
+    # product is exact and so the sum's order cannot matter.
+    c = np.arange(u + 1) - u / 2
+    fit = c[0] * win[1:lags + 1]
+    for r in range(1, u + 1):
+        fit = fit + c[r] * win[1 + r:lags + 1 + r]
+    return np.abs(fit / float(c @ c)).sum(axis=0)
 
 
 def plasticity_step(
@@ -105,12 +120,13 @@ def plasticity_step(
     if not active.any():
         return weights
     idx, pre, post = idx[active], pre[active], post[active]
-    xs = _lag_sums(state.history, pre, post, cfg)
-    ss = _slope_sums(state.history, cfg)
-    flat = (ss[pre] <= cfg.rapid_slope_max) & (ss[post] <= cfg.rapid_slope_max)
+    pre_win, post_win = state.history.take(pre, axis=1), state.history.take(post, axis=1)
+    xs = _lag_sums(pre_win, post_win, cfg)
+    flat = _slope_sums(pre_win, cfg) <= cfg.rapid_slope_max
+    flat &= _slope_sums(post_win, cfg) <= cfg.rapid_slope_max
     rapid = (xs >= cfg.rapid_xcorr_min) & flat
     weaken = ~rapid & (xs < cfg.weaken_xcorr_max)
-    slow = ~rapid & ~weaken & (xs > cfg.strengthen_xcorr_min)
+    slow = ~rapid & (xs > cfg.strengthen_xcorr_min)  # so not weaken: the bands are ordered
     delta = view.syn_mi[idx] * (
         rapid * cfg.rapid_rate + slow * cfg.slow_rate - weaken * cfg.slow_rate
     )

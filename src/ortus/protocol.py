@@ -109,6 +109,8 @@ def parse_protocol(text: str, net: Connectome, source: str = "<protocol>") -> Pr
                 raise fail(lineno, "expected: physiology <co2> <o2> <lung>")
             for name in words[1:]:
                 resolve(lineno, name)
+            if len(set(words[1:])) < 3:
+                raise fail(lineno, "physiology roles need three distinct elements")
             physio_names = (words[1], words[2], words[3])
             continue
         if words[0] != "at":

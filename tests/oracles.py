@@ -5,6 +5,10 @@ clarity rather than speed.  The tests pin these functions with hand-computed
 values and then hold the vectorized engine in ``ortus.kernel`` and
 ``ortus.plasticity`` to them, often on small hand-wired nets from
 ``make_net``.
+
+The last section keeps whole-network array formulas (every synapse
+evaluated, window norms and slopes taken once per neuron) that the engine's
+gathered passes must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import numpy as np
 
 from ortus.connectome import ChemicalSynapse, Connectome, GapJunction, Layer, Neuron
 from ortus.errors import OrtusError
+from ortus.kernel import ACTIVATION_RANGE, NetView
 from ortus.plasticity import ZERO_NORM, PlasticityConfig
 
 # ---------------------------------------------------------------------------
@@ -174,3 +179,61 @@ def apply_updates(
     cfg = cfg or PlasticityConfig()
     rates = np.array([_DELTA_RATE[c](cfg) for c in classifications])
     return np.clip(weights + rates * mutabilities, 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# whole-network array formulas
+# ---------------------------------------------------------------------------
+
+
+def chem_terms_all_synapses(a: np.ndarray, weights: np.ndarray, view: NetView) -> np.ndarray:
+    """Chemical inflow per neuron with every synapse evaluated: a gated-off
+    synapse adds its inflow times 0.0, and ``np.add.at`` accumulates in
+    storage order."""
+    cs_in = np.zeros(view.n)
+    if len(view.syn_pre) == 0:
+        return cs_in
+    a_pre = a[view.syn_pre]
+    drive = np.where(view.syn_inverted, -a_pre, a_pre)
+    g = 1.0 / (1.0 + np.exp(-5.0 * drive / ACTIVATION_RANGE))
+    gate = drive >= view.syn_gate
+    contrib = weights * g * (view.syn_rev - a[view.syn_post]) * gate
+    np.add.at(cs_in, view.syn_post, contrib)
+    return cs_in
+
+
+def lag_sums_by_neuron(
+    history: np.ndarray, pre: np.ndarray, post: np.ndarray, cfg: PlasticityConfig
+) -> np.ndarray:
+    """Correlation sums over lags 1..max_lag per (pre[i], post[i]) pair, with
+    the window norms taken once per neuron of the network at every offset
+    0..max_lag and indexed per pair."""
+    w = cfg.xcorr_window
+    norms = np.stack(
+        [np.linalg.norm(history[k:k + w, :], axis=0) for k in range(cfg.max_lag + 1)]
+    )
+    post_win = history[0:w, post]
+    pre_hist = history[:, pre]
+    na = norms[0, post]
+    sums = np.zeros(len(pre))
+    for lag in range(1, cfg.max_lag + 1):
+        nb = norms[lag, pre]
+        num = (post_win * pre_hist[lag:lag + w]).sum(axis=0)
+        ok = (na >= ZERO_NORM) & (nb >= ZERO_NORM)
+        denom = np.where(ok, na * nb, 1.0)
+        sums += np.where(ok, num / denom, 0.0)
+    return sums
+
+
+def slope_sums_by_neuron(history: np.ndarray, cfg: PlasticityConfig) -> np.ndarray:
+    """Sums of |slope| over offsets 1..max_lag for every neuron, one matrix
+    product per offset."""
+    u = cfg.slope_window
+    x = np.arange(u + 1, dtype=float)
+    c = x - x.mean()
+    denom = float((c**2).sum())
+    total = np.zeros(history.shape[1])
+    for t in range(1, cfg.max_lag + 1):
+        seg = history[t:t + u + 1, :]
+        total += np.abs(-(c @ seg) / denom)
+    return total

@@ -1,11 +1,12 @@
 """Behavioral acceptance suite for the shipped organism.
 
-Nine end-to-end criteria, one test each (two for determinism), covering: the
+Nine end-to-end criteria, one test each (three for determinism), covering: the
 respiratory central pattern generator, associative fear conditioning and its
 controls, the exact numeric contracts of the learning rule and the
 activation kernel, generator combinatorics against a brute-force oracle,
 byte-level determinism (run against run, and against the SHA-256 digests in
-``perfbench/golden.json``), and vectorized/brute-force oracle equivalence.
+``perfbench/golden.json`` for the bundled and the benchmark's ``dense``
+experiment), and vectorized/brute-force oracle equivalence.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one verdict line
 per criterion.
@@ -314,6 +315,24 @@ def test_criterion_8_outputs_match_golden_digests(tmp_path):
     report(8, f"{len(produced)} experiment outputs match the stored SHA-256 digests")
 
 
+def test_dense_outputs_match_golden_digests(tmp_path, monkeypatch, load_perfbench):
+    """The benchmark's ``dense`` experiment (3,094 neurons, hundreds of active
+    mutable pairs per step) reproduces its stored digests and probe ratio."""
+    stored = json.loads(GOLDEN.read_text())
+    golden = stored["dense"]
+    monkeypatch.chdir(GOLDEN.parents[1])  # the generator reads the assets by relative path
+    inputs, child = load_perfbench("inputs"), load_perfbench("child")
+    digests = {}
+    for name, text in inputs.generate("dense", stored["seed"]).items():
+        (tmp_path / name).write_text(text)
+        digests[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == golden["inputs"], "the dense inputs changed, not the simulator"
+    result = child.dense_experiment(str(tmp_path / "organism.ort"), str(tmp_path / "experiment.protocol"))
+    assert result["outputs"] == golden["outputs"]
+    assert result["probe_ratio"] == golden["probe_ratio"]
+    report(8, f"dense experiment: {len(result['outputs'])} digests and probe ratio {result['probe_ratio']} match")
+
+
 # ---------------------------------------------------------------------------
 # 9. vectorized learning math equals brute force
 # ---------------------------------------------------------------------------
@@ -347,7 +366,9 @@ def test_criterion_9_oracle_equivalence():
     history[:, :pairs][:, rng.uniform(size=pairs) < 0.05] = 0.0  # exercise the zero-norm guard
     cfg = PlasticityConfig()
     view = NetView.of(net)
-    lag_sums = _lag_sums(history, view.syn_pre, view.syn_post, cfg)
+    lag_sums = _lag_sums(
+        history.take(view.syn_pre, axis=1), history.take(view.syn_post, axis=1), cfg
+    )
     slope_sums = _slope_sums(history, cfg)
     worst_x, worst_s = 0.0, 0.0
     for i in range(pairs):

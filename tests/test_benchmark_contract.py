@@ -6,33 +6,19 @@ The child is loaded as a module without running its ``main``, and without
 a bytecode cache, so nothing under ``perfbench/`` is written.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 
-CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
-
-def load_child(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_child", CHILD)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_every_wrapped_layer_entry_point_exists(monkeypatch):
-    child = load_child(monkeypatch)
+def test_every_wrapped_layer_entry_point_exists(load_perfbench):
+    child = load_perfbench("child")
     for name, targets in child.LAYERS.items():
         for owner, attr in targets:
             assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr}"
     assert callable(child.protocol.run)
 
 
-def test_netview_of_a_built_connectome(organism_net, monkeypatch):
-    view = load_child(monkeypatch).ortus.NetView.of(organism_net)
+def test_netview_of_a_built_connectome(organism_net, load_perfbench):
+    view = load_perfbench("child").ortus.NetView.of(organism_net)
     assert view.n == organism_net.n
     np.testing.assert_array_equal(view.syn_pre, [s.pre for s in organism_net.chem])
     np.testing.assert_array_equal(view.syn_mi, [s.mutability for s in organism_net.chem])

@@ -218,6 +218,7 @@ def test_set_overrides_are_applied_and_echoed(tmp_path):
         "sim.conservation_tolerance=-1",  # would fail every checked step
         "build.sei_weight=1.5",  # the plasticity clip would move an immutable weight
         "build.eei_mutability=-0.5",  # likewise
+        "plasticity.slope_window=4",  # the slope windows would reach past the history
     ],
 )
 def test_bad_set_values_fail_cleanly(tmp_path, capsys, override):
@@ -331,6 +332,38 @@ def test_experiment_headline_override(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert "probe ePLEASURE peak ratio:" in capsys.readouterr().out
+
+
+def test_experiment_rejects_an_unknown_headline_before_running(tmp_path, capsys):
+    out = tmp_path / "exp"
+    code = main(
+        ["experiment", "ortus.ort", "fear_conditioning.protocol", "--out", str(out), "--headline", "eNOPE"]
+    )
+    assert code == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert "eNOPE" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "physiology_line,overrides",
+    [
+        ("physiology sCO2 sCO2 sCO2\n", []),
+        ("physiology sCO2 sO2 sCO2\n", []),
+        ("", ["--set", "physio.o2_name=sCO2"]),
+        ("", ["--set", "physio.lung_name=sO2"]),
+    ],
+)
+def test_physiology_roles_must_be_distinct(tmp_path, capsys, physiology_line, overrides):
+    proto = tmp_path / "p.protocol"
+    proto.write_text("steps 30\n" + physiology_line)
+    out = tmp_path / "o"
+    assert main(["run", "ortus.ort", str(proto), "--out", str(out), *overrides]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert "three distinct elements" in err
+    if physiology_line:
+        assert f"{proto}:2:" in err
+    assert not out.exists()
 
 
 def test_experiment_probe_is_latest_injection_in_time(tmp_path, capsys):

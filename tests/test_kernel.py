@@ -23,9 +23,10 @@ from ortus.kernel import (
     NetView,
     SimConfig,
     SimState,
+    _chem_terms,
     step,
 )
-from oracles import conductance, cs_inflow, gj_flux, make_net
+from oracles import chem_terms_all_synapses, conductance, cs_inflow, gj_flux, make_net
 
 # sigmoid of +/- the full activation range, frozen
 G_AT_EXCIT_REVERSAL = 0.9241418199787566
@@ -245,6 +246,57 @@ def test_step_never_writes_the_weights(organism_net):
         state = step(state, view, ext, SimConfig(check_conservation=True))
         assert state.weights is weights
     np.testing.assert_array_equal(weights, view.syn_w0)
+
+
+# Levels for the "gate" draw: drives land exactly on the thresholds, and
+# +0.0 and -0.0 both occur as activations and as drives.
+GATE_LEVELS = np.array([-0.25, -0.0, 0.0, 0.25, 0.5])
+GATE_THRESHOLDS = np.array([-0.25, 0.0, 0.25])
+
+
+def chem_case(rng, kind, n=12, m=60):
+    """A random wiring (shared endpoints, half the synapses inverted, weights
+    including 0 and 1) and a state to evaluate it in."""
+    if kind == "gate":
+        a, thresholds = rng.choice(GATE_LEVELS, n), rng.choice(GATE_THRESHOLDS, n)
+    else:
+        a = rng.uniform(-1, 1, n)
+        a[rng.uniform(size=n) < 0.2] = -0.0
+        # "off" lifts every threshold above the largest possible drive
+        thresholds = np.full(n, 1.5) if kind == "off" else rng.uniform(-0.5, 0.5, n)
+    chem = [
+        ChemicalSynapse(int(pre), int(post), 0.5, float(rev), 0.0, inverted=bool(inv))
+        for pre, post, rev, inv in zip(
+            rng.integers(0, n, m), rng.integers(0, n, m), rng.choice([-1.0, 1.0], m),
+            rng.uniform(size=m) < 0.5,
+        )
+    ]
+    weights = rng.choice([0.0, 0.3, 0.7, 1.0], m) * rng.uniform(0.5, 1.0, m)
+    weights[rng.uniform(size=m) < 0.1] = 1.0
+    return a, weights, NetView.of(make_net(n, chem, thresholds=list(thresholds)))
+
+
+@pytest.mark.parametrize("kind", ["random", "gate", "off"])
+def test_gated_chem_terms_equal_the_all_synapse_formula_bit_for_bit(kind):
+    rng = np.random.default_rng(["random", "gate", "off"].index(kind))
+    on_gate = 0
+    for _ in range(40):
+        a, weights, view = chem_case(rng, kind)
+        got, want = _chem_terms(a, weights, view), chem_terms_all_synapses(a, weights, view)
+        np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # signed zeros included
+        drive = np.where(view.syn_inverted, -a[view.syn_pre], a[view.syn_pre])
+        on_gate += int((drive == view.syn_gate).sum())
+        if kind == "off":
+            assert got.tobytes() == np.zeros(view.n).tobytes()
+    if kind == "gate":
+        assert on_gate > 0
+
+
+def test_chem_terms_without_synapses_are_zero():
+    view = NetView.of(make_net(3))
+    got = _chem_terms(np.array([0.5, -0.0, 1.0]), np.zeros(0), view)
+    assert got.tobytes() == np.zeros(3).tobytes()
 
 
 @settings(max_examples=50, deadline=None)

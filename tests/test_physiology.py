@@ -67,6 +67,15 @@ def test_bind_requires_the_named_neurons(organism_net):
         bind(organism_net, PhysioConfig(lung_name="GILL"))
 
 
+@pytest.mark.parametrize(
+    "names", [("sCO2", "sCO2", "sCO2"), ("sCO2", "sCO2", "LUNG"), ("sCO2", "sO2", "sO2"), ("LUNG", "sO2", "LUNG")]
+)
+def test_bind_requires_three_distinct_elements(organism_net, names):
+    cfg = PhysioConfig(co2_name=names[0], o2_name=names[1], lung_name=names[2])
+    with pytest.raises(ConfigError, match="three distinct elements"):
+        bind(organism_net, cfg)
+
+
 def test_names_are_remappable(organism_net):
     cfg = PhysioConfig(co2_name="sO2", o2_name="sCO2", lung_name="LUNG")
     binding = bind(organism_net, cfg)

@@ -15,16 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ortus import BuildConfig, build, parse_source
+from ortus.errors import ConfigError
 from ortus.kernel import H_LEN, NetView, SimState
-from ortus.plasticity import PlasticityConfig, plasticity_step
+from ortus.plasticity import ZERO_NORM, PlasticityConfig, _lag_sums, _slope_sums, plasticity_step
 from oracles import (
     Classification,
     InsufficientHistory,
     apply_updates,
     classify,
+    lag_sums_by_neuron,
     lagged_xcorr,
     slope,
     slope_abs_sum,
+    slope_sums_by_neuron,
     xcorr_lag_sum,
 )
 
@@ -189,6 +192,14 @@ def test_config_band_ordering_validated():
         PlasticityConfig(weaken_xcorr_max=3.6, strengthen_xcorr_min=3.5)
 
 
+@pytest.mark.parametrize("slope_window", [0, 4, 9])
+def test_slope_windows_stay_inside_the_history_ring(slope_window):
+    # max_lag 4 leaves rows for a 3-step window at most; 0 steps fit no slope
+    with pytest.raises(ConfigError, match="slope_window"):
+        PlasticityConfig(slope_window=slope_window)
+    assert PlasticityConfig(slope_window=3).slope_window == 3
+
+
 # ---------------------------------------------------------------------------
 # weight updates
 # ---------------------------------------------------------------------------
@@ -317,6 +328,40 @@ def test_sparse_pass_matches_oracle_beyond_bundled_organism(five_sensor_net):
         np.testing.assert_array_equal(out[~live], weights[~live])
         seen.update(c for c, ok in zip(classes, live) if ok)
     assert seen == set(Classification)
+
+
+def edge_history(n, rng):
+    """Noise plus the columns the guards and signs are about: zero at every
+    offset, zero in the newest window only, zero in the oldest window only,
+    norms straddling ZERO_NORM, and +0.0 and -0.0 samples throughout."""
+    h = rng.uniform(-1, 1, (H_LEN, n))
+    kind = rng.integers(0, 5, n)
+    h[:, kind == 1] = 0.0
+    h[:4, kind == 2] = 0.0
+    h[4:, kind == 3] = 0.0
+    h[:, kind == 4] *= ZERO_NORM * rng.uniform(0.2, 2.0)
+    zeros = rng.uniform(size=h.shape) < 0.1
+    h[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+    return h
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (3, 1), (3, 40), (60, 1), (60, 400)])
+def test_gathered_windows_equal_the_per_neuron_formulas_bit_for_bit(n, k):
+    # with k > n the pairs share neurons on both sides
+    rng = np.random.default_rng(100 * n + k)
+    cfg = PlasticityConfig()
+    for _ in range(25):
+        history = edge_history(n, rng)
+        pre, post = rng.integers(0, n, k), rng.integers(0, n, k)
+        pre_win, post_win = history.take(pre, axis=1), history.take(post, axis=1)
+        got, want = _lag_sums(pre_win, post_win, cfg), lag_sums_by_neuron(history, pre, post, cfg)
+        np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+        by_neuron = slope_sums_by_neuron(history, cfg)
+        for idx, win in ((pre, pre_win), (post, post_win)):
+            got = _slope_sums(win, cfg)
+            np.testing.assert_array_equal(got, by_neuron[idx])
+            assert got.tobytes() == by_neuron[idx].tobytes()
 
 
 def test_plasticity_step_inert_during_warmup(organism_net):

@@ -100,6 +100,8 @@ def test_physiology_remap_directive(organism_net):
         ("steps 10\nat 0..5 block respiration sideways\n", "unknown respiration flag"),
         ("steps 10\nat 0..5 explode sH2O 1\n", "unknown action"),
         ("steps 10\nwait 0..5\n", "unknown directive"),
+        ("steps 10\nphysiology sCO2 sCO2 sCO2\n", "<protocol>:2: physiology roles need three distinct"),
+        ("steps 10\nphysiology sCO2 sO2 sO2\n", "<protocol>:2: physiology roles need three distinct"),
         ("", "missing steps"),
     ],
 )
@@ -428,7 +430,7 @@ def test_metrics_csv_format():
 def organisms_and_protocols(draw):
     """A buildable random organism and protocol text for it: inject, clamp
     and block events over random windows, and physiology bound to three
-    declared elements (repeats allowed) or switched off."""
+    distinct declared elements or switched off."""
     # About a third of the random specs build; drawing again, rather than
     # rejecting the example, keeps Hypothesis from filtering too much.
     for _ in range(10):
@@ -445,7 +447,7 @@ def organisms_and_protocols(draw):
     lines = [f"steps {total}"]
     physio = draw(st.booleans())
     if physio:
-        bound = draw(st.lists(st.sampled_from(names), min_size=3, max_size=3))
+        bound = draw(st.lists(st.sampled_from(names), min_size=3, max_size=3, unique=True))
         lines.append("physiology " + " ".join(bound))
     for _ in range(draw(st.integers(0, 6))):
         start = draw(st.integers(0, total - 1))
