@@ -38,7 +38,6 @@ from .dsl import (
 )
 from .errors import ConfigError, OrtusError
 from .kernel import (
-    ExternalInputs,
     GjMode,
     H_LEN,
     NetView,

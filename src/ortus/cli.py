@@ -38,12 +38,12 @@ def asset_path(name: str) -> Path:
 
 
 def _resolve_input(path_str: str) -> Path:
+    """The path as given, or a bundled asset when a bare file name is missing."""
     path = Path(path_str)
     if path.exists():
         return path
-    candidate = asset_path(Path(path_str).name)
-    if candidate.exists():
-        return candidate
+    if path_str == path.name and asset_path(path_str).is_file():
+        return asset_path(path_str)
     raise FileNotFoundError(f"no such file: {path_str}")
 
 

@@ -6,8 +6,9 @@ junction, so what one side gains the other loses), gains graded
 chemical-synapse input, and receives external injections; the result is
 clamped to the reversal range and clamped neurons are then overridden.  All
 reads come from the previous step's committed values, so the evaluation
-order of neurons cannot change the outcome.  A step reads the synaptic
-weights and hands the same array on; only plasticity makes a new one.
+order of neurons cannot change the outcome.  A step writes no array of the
+state it is given: it makes new activation and history arrays (the new row
+on top of the old rows but the last) and hands the weights on unchanged.
 
 A chemical synapse transmits nothing until its presynaptic drive reaches the
 postsynaptic neuron's transmission threshold.  Above it, the inflow is
@@ -17,7 +18,8 @@ synapse marked inverted is keyed to presynaptic suppression: its drive and
 conductance both read the negated presynaptic activation.  Gated-off
 synapses are skipped, sigmoid included: each would add a signed zero to a
 sum that starts at +0.0, which changes no bit.  The rest accumulate per
-postsynaptic neuron in connectome storage order.
+postsynaptic neuron in connectome storage order; gap-junction flux into
+each b end, then out of each a end, in junction order.
 """
 
 from __future__ import annotations
@@ -77,12 +79,22 @@ class NetView:
     gap_a: np.ndarray
     gap_b: np.ndarray
     gap_w: np.ndarray
-    # indices of the mutable synapses (mutability > 0), derived from syn_mi so
-    # that dataclasses.replace cannot leave it stale
+    # derived in __post_init__ so that dataclasses.replace cannot leave them
+    # stale: the mutable synapses and their endpoints, each synapse's drive
+    # sign (-1 inverted), and every junction's b end, then every a end
     syn_mutable: np.ndarray = field(init=False)
+    mut_pre: np.ndarray = field(init=False)
+    mut_post: np.ndarray = field(init=False)
+    syn_sign: np.ndarray = field(init=False)
+    gap_ends: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "syn_mutable", np.flatnonzero(self.syn_mi > 0))
+        mutable = np.flatnonzero(self.syn_mi > 0)
+        object.__setattr__(self, "syn_mutable", mutable)
+        object.__setattr__(self, "mut_pre", self.syn_pre[mutable])
+        object.__setattr__(self, "mut_post", self.syn_post[mutable])
+        object.__setattr__(self, "syn_sign", np.where(self.syn_inverted, -1.0, 1.0))
+        object.__setattr__(self, "gap_ends", np.concatenate((self.gap_b, self.gap_a)))
 
     @classmethod
     def of(cls, net: Connectome) -> "NetView":
@@ -114,7 +126,7 @@ class SimState:
     """Activations, their recent history (row 0 = most recent), and the
     live synaptic weights.  Each step makes new activation and history
     arrays and carries the weight array over unchanged; plasticity replaces
-    it with a new one."""
+    it with a new one on a step that writes a weight."""
 
     activation: np.ndarray
     history: np.ndarray  # (H_LEN, n)
@@ -129,21 +141,9 @@ class SimState:
         return cls(a, np.tile(a, (H_LEN, 1)), view.syn_w0.copy(), 0)
 
 
-@dataclass
-class ExternalInputs:
-    inject: np.ndarray
-    clamp_mask: np.ndarray
-    clamp_value: np.ndarray
-
-    @classmethod
-    def zeros(cls, n: int) -> "ExternalInputs":
-        return cls(np.zeros(n), np.zeros(n, dtype=bool), np.zeros(n))
-
-
 def _chem_terms(a: np.ndarray, weights: np.ndarray, view: NetView) -> np.ndarray:
-    a_pre = a[view.syn_pre]
-    drive = np.where(view.syn_inverted, -a_pre, a_pre)
-    on = np.flatnonzero(drive >= view.syn_gate)
+    drive = a[view.syn_pre] * view.syn_sign  # exactly -a_pre where inverted, signed zeros too
+    on = (drive >= view.syn_gate).nonzero()[0]
     g = 1.0 / (1.0 + np.exp(-5.0 * drive[on] / ACTIVATION_RANGE))
     post = view.syn_post[on]
     contrib = weights[on] * g * (view.syn_rev[on] - a[post])
@@ -151,22 +151,21 @@ def _chem_terms(a: np.ndarray, weights: np.ndarray, view: NetView) -> np.ndarray
 
 
 def _gap_terms(a: np.ndarray, view: NetView) -> np.ndarray:
-    gj_in = np.zeros(view.n)
-    if len(view.gap_a):
-        flux = view.gap_w * (a[view.gap_a] - a[view.gap_b]) * 0.5
-        np.add.at(gj_in, view.gap_b, flux)
-        np.add.at(gj_in, view.gap_a, -flux)
-    return gj_in
+    flux = view.gap_w * (a[view.gap_a] - a[view.gap_b]) * 0.5
+    return np.bincount(view.gap_ends, np.concatenate((flux, -flux)), minlength=view.n)
 
 
 def step(
     state: SimState,
     view: NetView,
-    ext: ExternalInputs | None = None,
+    inject: np.ndarray | None = None,
     cfg: SimConfig | None = None,
+    clamp_mask: np.ndarray | None = None,
+    clamp_value: np.ndarray | None = None,
 ) -> SimState:
-    """Advance the network one step and return the new state, which shares
-    ``state.weights`` (never written here).
+    """Advance the network one step: add ``inject``, then set the neurons in
+    ``clamp_mask`` to their ``clamp_value``.  The new state shares
+    ``state.weights``.
 
     Flux contributions accumulate in connectome storage order, so two runs
     from the same state are bitwise identical.  In paper-literal gap-junction
@@ -175,9 +174,6 @@ def step(
     refuses conservation checking.
     """
     cfg = cfg or SimConfig()
-    if ext is None:
-        ext = ExternalInputs.zeros(view.n)
-
     a = state.activation
     cs_in = _chem_terms(a, state.weights, view)
     gj_in = _gap_terms(a, view)
@@ -189,17 +185,19 @@ def step(
         if drift > cfg.conservation_tolerance:
             raise ConservationError(f"gap-junction flux drift {drift:g} per step")
 
-    if cfg.gj_mode is GjMode.PAPER_LITERAL:
-        gj_out = -gj_in
-        decay = cfg.decay_fraction * a - gj_out
-    else:
-        decay = cfg.decay_fraction * a
+    decay = cfg.decay_fraction * a
+    if cfg.gj_mode is GjMode.PAPER_LITERAL:  # re-adds the outgoing flux, -gj_in
+        decay = decay + gj_in
 
-    nxt = a - decay + gj_in + cs_in + ext.inject
-    if cfg.activation_clamp:
-        np.clip(nxt, -1.0, 1.0, out=nxt)
-    if ext.clamp_mask.any():
-        nxt = np.where(ext.clamp_mask, ext.clamp_value, nxt)
+    nxt = a - decay + gj_in + cs_in
+    if inject is not None:
+        nxt += inject
+    if cfg.activation_clamp:  # np.clip's bits (no bound is a signed zero), without its overhead
+        np.minimum(np.maximum(nxt, -1.0, out=nxt), 1.0, out=nxt)
+    if clamp_mask is not None:
+        np.copyto(nxt, clamp_value, where=clamp_mask)
 
-    history = np.vstack((nxt[None, :], state.history[:-1]))
+    history = np.empty_like(state.history)
+    history[0] = nxt
+    history[1:] = state.history[:-1]
     return SimState(nxt, history, state.weights, state.step + 1)

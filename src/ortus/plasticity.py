@@ -15,10 +15,12 @@ many steps back; a zero-norm window contributes 0.  The slope of a history
 window is a least-squares fit oriented so that positive means rising toward
 the present.
 
-The pass works on the active pairs' history columns, gathered once into
-(H_LEN, K) windows; norms, lag numerators and slopes come from those alone.
-Window sums add one row at a time, in the order a per-neuron
-``.sum(axis=0)`` uses, so no result depends on which pairs are active.
+The pass works on the active pairs' history columns, gathered by one
+``take`` into an (H_LEN, 2K) window, presynaptic columns then postsynaptic;
+norms, lag numerators and slopes come from it alone.  Window sums add one
+row at a time, in the order a per-neuron ``.sum(axis=0)`` uses, so no result
+depends on which pairs are active.  The weights are copied only on a step
+that writes one.
 """
 
 from __future__ import annotations
@@ -80,7 +82,8 @@ def _lag_sums(pre_win: np.ndarray, post_win: np.ndarray, cfg: PlasticityConfig) 
     for r in range(1, w):
         num = num + post_now[r] * pre_back[r:r + lags]
     ok = (na >= ZERO_NORM) & (nb >= ZERO_NORM)
-    terms = np.where(ok, num / np.where(ok, na * nb, 1.0), 0.0)
+    terms = np.zeros(num.shape)
+    np.divide(num, na * nb, out=terms, where=ok)
     sums = np.zeros(pre_win.shape[1])  # lag by lag from +0.0
     for term in terms:
         sums += term
@@ -103,32 +106,31 @@ def _slope_sums(win: np.ndarray, cfg: PlasticityConfig) -> np.ndarray:
 def plasticity_step(
     state: SimState, view: NetView, cfg: PlasticityConfig | None = None
 ) -> np.ndarray:
-    """One full plasticity pass; returns a new weight array and leaves
-    ``state.weights`` as it was.
+    """One full plasticity pass.  Returns ``state.weights`` itself when no
+    weight is written, else a new array; ``state.weights`` is never written.
 
     Inert until the history ring has been filled by real steps, so the
     padded start-up history can never drive learning.
     """
     cfg = cfg or PlasticityConfig()
-    weights = state.weights.copy()
     if state.step < H_LEN:
-        return weights
+        return state.weights
     a = state.activation
-    idx = view.syn_mutable
-    pre, post = view.syn_pre[idx], view.syn_post[idx]
-    active = (a[pre] > cfg.activity_threshold) & (a[post] > cfg.activity_threshold)
-    if not active.any():
-        return weights
-    idx, pre, post = idx[active], pre[active], post[active]
-    pre_win, post_win = state.history.take(pre, axis=1), state.history.take(post, axis=1)
-    xs = _lag_sums(pre_win, post_win, cfg)
-    flat = _slope_sums(pre_win, cfg) <= cfg.rapid_slope_max
-    flat &= _slope_sums(post_win, cfg) <= cfg.rapid_slope_max
-    rapid = (xs >= cfg.rapid_xcorr_min) & flat
+    pre, post = view.mut_pre, view.mut_post
+    active = ((a[pre] > cfg.activity_threshold) & (a[post] > cfg.activity_threshold)).nonzero()[0]
+    if not len(active):
+        return state.weights
+    idx, pre, post = view.syn_mutable[active], pre[active], post[active]
+    k = len(idx)
+    win = state.history.take(np.concatenate((pre, post)), axis=1)  # pre columns, then post
+    xs = _lag_sums(win[:, :k], win[:, k:], cfg)
+    flat = _slope_sums(win, cfg) <= cfg.rapid_slope_max
+    rapid = (xs >= cfg.rapid_xcorr_min) & flat[:k] & flat[k:]
     weaken = ~rapid & (xs < cfg.weaken_xcorr_max)
     slow = ~rapid & (xs > cfg.strengthen_xcorr_min)  # so not weaken: the bands are ordered
     delta = view.syn_mi[idx] * (
         rapid * cfg.rapid_rate + slow * cfg.slow_rate - weaken * cfg.slow_rate
     )
+    weights = state.weights.copy()
     weights[idx] = np.clip(weights[idx] + delta, 0.0, 1.0)
     return weights

@@ -11,15 +11,20 @@ overlap::
     at <start>..<end> block respiration [exhale] [inhale]
     physiology <co2-element> <o2-element> <lung-element>   # optional remap
 
-``block respiration`` with no trailing words blocks both halves.  The
-per-step loop applies physiology deltas, advances the kernel, applies
-plasticity, and records the committed activations; runs take no random
-input, so replaying a protocol reproduces its trace byte for byte.
+``block respiration`` with no trailing words blocks both halves.  A run
+compiles the protocol once into segments, one per stretch of steps between
+event boundaries, each holding its summed injections, clamps and
+respiration blocks (see ``schedule``).  The per-step loop builds the inject
+vector (metabolism, then breathing, then the injections in file order),
+advances the kernel, applies plasticity, and records the committed
+activations; runs take no random input, so replaying a protocol reproduces
+its trace byte for byte.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -28,8 +33,8 @@ import numpy as np
 from . import physiology
 from .connectome import Connectome
 from .errors import ConfigError, OrtusError
-from .kernel import ExternalInputs, H_LEN, NetView, SimConfig, SimState, step
-from .physiology import PhysioConfig
+from .kernel import H_LEN, NetView, SimConfig, SimState, step
+from .physiology import PhysioBinding, PhysioConfig
 from .plasticity import PlasticityConfig, plasticity_step
 
 
@@ -196,6 +201,55 @@ def control_variant(protocol: Protocol) -> Protocol:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Segment:
+    """Steps ``start`` to ``end - 1``, over which the same events are active."""
+
+    start: int
+    end: int
+    inject: np.ndarray  # injections summed in file order, except into the `late` elements
+    late: tuple[tuple[int, float], ...]  # (element, amount) into the gas elements, file order
+    clamp_mask: np.ndarray | None  # None when nothing is clamped
+    clamp_value: np.ndarray | None
+    block_exhale: bool
+    block_inhale: bool
+
+    def drive(self, a: np.ndarray, cfg: PhysioConfig, binding: PhysioBinding | None) -> np.ndarray:
+        """A step's inject vector, given the activations `a`: metabolism,
+        breathing, then the injections in file order."""
+        inject = self.inject.copy()
+        if binding is not None:
+            physiology.metabolic_step(inject, cfg, binding)
+            lung = float(a[binding.lung])
+            physiology.lung_exchange(inject, lung, cfg, binding, self.block_exhale, self.block_inhale)
+        for element, amount in self.late:
+            inject[element] += amount
+        return inject
+
+
+def schedule(protocol: Protocol, n: int, late: Collection[int] = ()) -> Iterator[Segment]:
+    """The protocol compiled into one segment per stretch between event
+    boundaries, in step order.  Injections into the `late` elements (those
+    physiology also drives) are kept apart so that they are added after it;
+    the last clamp in file order wins."""
+    bounds = sorted({0, protocol.total_steps, *(t for ev in protocol.events for t in (ev.start, ev.end))})
+    for start, end in zip(bounds, bounds[1:]):
+        active = [ev for ev in protocol.events if ev.start <= start < ev.end]
+        inject, deferred = np.zeros(n), []
+        mask, value = np.zeros(n, dtype=bool), np.zeros(n)
+        for ev in active:
+            if ev.kind is EventKind.INJECT and ev.element_id in late:
+                deferred.append((ev.element_id, ev.value))
+            elif ev.kind is EventKind.INJECT:
+                inject[ev.element_id] += ev.value
+            elif ev.kind is EventKind.CLAMP:
+                mask[ev.element_id] = True
+                value[ev.element_id] = ev.value
+        clamp = (mask, value) if mask.any() else (None, None)
+        blocks = (any(ev.block_exhale for ev in active), any(ev.block_inhale for ev in active))
+        yield Segment(start, end, inject, tuple(deferred), *clamp, *blocks)
+
+
 @dataclass
 class RunConfig:
     sim: SimConfig = field(default_factory=SimConfig)
@@ -231,39 +285,31 @@ class TraceLog:
         return self.activations[:, idx]
 
     def write_csv(self, outdir: str | Path, prefix: str = "") -> list[Path]:
-        """Write trace.csv, weights.csv, and markers.csv; deterministic bytes."""
+        """Write trace.csv, weights.csv, and markers.csv a line at a time;
+        deterministic bytes."""
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
+        pairs = [f",{pre},{post}," for pre, post in zip(self.syn_pre.tolist(), self.syn_post.tolist())]
+        trace = (",".join(map(repr, row.tolist())) for row in self.activations)
+        weights = (f"{n}{pair}{w!r}" for n, ws in self.weight_snapshots for pair, w in zip(pairs, ws.tolist()))
+        markers = (f"{step_no},{label}" for step_no, label in self.markers)
         paths = []
-
-        trace_path = outdir / f"{prefix}trace.csv"
-        lines = [",".join(self.names)]
-        for row in self.activations:
-            lines.append(",".join(repr(float(v)) for v in row))
-        trace_path.write_text("\n".join(lines) + "\n")
-        paths.append(trace_path)
-
-        weights_path = outdir / f"{prefix}weights.csv"
-        lines = ["step,pre,post,weight"]
-        for step_no, weights in self.weight_snapshots:
-            for pre, post, w in zip(self.syn_pre, self.syn_post, weights):
-                lines.append(f"{step_no},{pre},{post},{repr(float(w))}")
-        weights_path.write_text("\n".join(lines) + "\n")
-        paths.append(weights_path)
-
-        markers_path = outdir / f"{prefix}markers.csv"
-        lines = ["step,marker"]
-        for step_no, label in self.markers:
-            lines.append(f"{step_no},{label}")
-        markers_path.write_text("\n".join(lines) + "\n")
-        paths.append(markers_path)
+        for name, header, lines in (
+            ("trace.csv", ",".join(self.names), trace),
+            ("weights.csv", "step,pre,post,weight", weights),
+            ("markers.csv", "step,marker", markers),
+        ):
+            paths.append(outdir / f"{prefix}{name}")
+            with paths[-1].open("w") as fh:
+                fh.write(header + "\n")
+                fh.writelines(line + "\n" for line in lines)
         return paths
 
 
 def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> TraceLog:
     """Drive the closed loop for every protocol step and record the trace.
 
-    Each step: physiology drive from the current state, protocol
+    Each step: physiology drive from the current state, the segment's
     injections and clamps, one kernel step, one plasticity pass (skipped
     while the history warms up), then the committed activations are logged.
     """
@@ -290,33 +336,16 @@ def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> Tr
         markers.append((ev.start, f"start {ev.label}"))
         markers.append((ev.end, f"end {ev.label}"))
 
-    for m in range(protocol.total_steps):
-        ext = ExternalInputs.zeros(view.n)
-        active = [ev for ev in protocol.events if ev.start <= m < ev.end]
-        if binding is not None:
-            blocks = [ev for ev in active if ev.kind is EventKind.BLOCK]
-            physiology.metabolic_step(ext.inject, physio_cfg, binding)
-            physiology.lung_exchange(
-                ext.inject,
-                float(state.activation[binding.lung]),
-                physio_cfg,
-                binding,
-                any(ev.block_exhale for ev in blocks),
-                any(ev.block_inhale for ev in blocks),
-            )
-        for ev in active:
-            if ev.kind is EventKind.INJECT:
-                ext.inject[ev.element_id] += ev.value
-            elif ev.kind is EventKind.CLAMP:
-                ext.clamp_mask[ev.element_id] = True
-                ext.clamp_value[ev.element_id] = ev.value
-
-        state = step(state, view, ext, cfg.sim)
-        if cfg.plasticity_enabled and state.step >= H_LEN:
-            state.weights = plasticity_step(state, view, cfg.plasticity)
-        trace[m] = state.activation
-        if cfg.weight_snapshot_every and state.step % cfg.weight_snapshot_every == 0:
-            snapshots.append((state.step, state.weights.copy()))
+    gas = () if binding is None else (binding.co2, binding.o2)
+    for seg in schedule(protocol, view.n, gas):
+        for m in range(seg.start, seg.end):
+            inject = seg.drive(state.activation, physio_cfg, binding)
+            state = step(state, view, inject, cfg.sim, seg.clamp_mask, seg.clamp_value)
+            if cfg.plasticity_enabled and state.step >= H_LEN:
+                state.weights = plasticity_step(state, view, cfg.plasticity)
+            trace[m] = state.activation
+            if cfg.weight_snapshot_every and state.step % cfg.weight_snapshot_every == 0:
+                snapshots.append((state.step, state.weights.copy()))
 
     if protocol.total_steps and snapshots[-1][0] != protocol.total_steps:
         snapshots.append((protocol.total_steps, state.weights.copy()))

@@ -1,4 +1,5 @@
-"""Scalar reference maths for the kernel and the learning rule.
+"""Scalar reference maths for the kernel and the learning rule, and the
+runner's per-step event scan.
 
 One synapse, one junction or one history window at a time, written for
 clarity rather than speed.  The tests pin these functions with hand-computed
@@ -8,7 +9,8 @@ values and then hold the vectorized engine in ``ortus.kernel`` and
 
 The last section keeps whole-network array formulas (every synapse
 evaluated, window norms and slopes taken once per neuron) that the engine's
-gathered passes must reproduce bit for bit.
+gathered passes must reproduce bit for bit.  The protocol section keeps the
+scan over every event on every step that the compiled schedule replaces.
 """
 
 from __future__ import annotations
@@ -18,10 +20,13 @@ import math
 
 import numpy as np
 
+from ortus import physiology
 from ortus.connectome import ChemicalSynapse, Connectome, GapJunction, Layer, Neuron
 from ortus.errors import OrtusError
 from ortus.kernel import ACTIVATION_RANGE, NetView
+from ortus.physiology import PhysioBinding, PhysioConfig
 from ortus.plasticity import ZERO_NORM, PlasticityConfig
+from ortus.protocol import EventKind, Protocol
 
 # ---------------------------------------------------------------------------
 # kernel
@@ -202,6 +207,17 @@ def chem_terms_all_synapses(a: np.ndarray, weights: np.ndarray, view: NetView) -
     return cs_in
 
 
+def gap_terms_add_at(a: np.ndarray, view: NetView) -> np.ndarray:
+    """Gap-junction inflow per neuron: every junction's flux added into its
+    b end, then its negation into its a end, by two ``np.add.at`` calls."""
+    gj_in = np.zeros(view.n)
+    if len(view.gap_a):
+        flux = view.gap_w * (a[view.gap_a] - a[view.gap_b]) * 0.5
+        np.add.at(gj_in, view.gap_b, flux)
+        np.add.at(gj_in, view.gap_a, -flux)
+    return gj_in
+
+
 def lag_sums_by_neuron(
     history: np.ndarray, pre: np.ndarray, post: np.ndarray, cfg: PlasticityConfig
 ) -> np.ndarray:
@@ -237,3 +253,37 @@ def slope_sums_by_neuron(history: np.ndarray, cfg: PlasticityConfig) -> np.ndarr
         seg = history[t:t + u + 1, :]
         total += np.abs(-(c @ seg) / denom)
     return total
+
+
+# ---------------------------------------------------------------------------
+# protocol
+# ---------------------------------------------------------------------------
+
+
+def scan_events(
+    protocol: Protocol,
+    m: int,
+    activation: np.ndarray,
+    cfg: PhysioConfig,
+    binding: PhysioBinding | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool, bool]:
+    """Step `m`'s external drive, found by scanning every event: the inject
+    vector (metabolism, then breathing from the current lung activation,
+    then the injections in file order), the clamp mask and values (the last
+    clamp in file order wins), and the exhale and inhale blocks."""
+    n = len(activation)
+    inject, clamp_mask, clamp_value = np.zeros(n), np.zeros(n, dtype=bool), np.zeros(n)
+    active = [ev for ev in protocol.events if ev.start <= m < ev.end]
+    blocks = [ev for ev in active if ev.kind is EventKind.BLOCK]
+    exhale = any(ev.block_exhale for ev in blocks)
+    inhale = any(ev.block_inhale for ev in blocks)
+    if binding is not None:
+        physiology.metabolic_step(inject, cfg, binding)
+        physiology.lung_exchange(inject, float(activation[binding.lung]), cfg, binding, exhale, inhale)
+    for ev in active:
+        if ev.kind is EventKind.INJECT:
+            inject[ev.element_id] += ev.value
+        elif ev.kind is EventKind.CLAMP:
+            clamp_mask[ev.element_id] = True
+            clamp_value[ev.element_id] = ev.value
+    return inject, clamp_mask, clamp_value, exhale, inhale

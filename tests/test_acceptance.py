@@ -25,7 +25,7 @@ import pytest
 from ortus.cli import asset_path
 from ortus.cli import main as cli_main
 from ortus.connectome import ChemicalSynapse, Layer
-from ortus.kernel import H_LEN, ExternalInputs, NetView, SimConfig, SimState, step
+from ortus.kernel import H_LEN, NetView, SimConfig, SimState, step
 from ortus.plasticity import PlasticityConfig, _lag_sums, _slope_sums, plasticity_step
 from ortus.protocol import RunConfig, control_variant, load_protocol, parse_protocol, peak_indices, run
 from oracles import Classification, classify, make_net, slope_abs_sum, xcorr_lag_sum
@@ -224,7 +224,7 @@ def test_criterion_6_kernel_numerics(organism_net):
     worst = 0.0
     for _ in range(1000):
         before = float(state.activation.sum())
-        state = step(state, view, ExternalInputs.zeros(gj_only.n), cfg)
+        state = step(state, view, np.zeros(gj_only.n), cfg)
         worst = max(worst, abs(float(state.activation.sum()) - before))
     assert worst < 1e-9
     report(

@@ -74,6 +74,17 @@ def test_bundled_assets_resolve_by_bare_name(capsys):
     assert "ok: 8 elements" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", ["/nonexistent/dir/ortus.ort", "missing_dir/ortus.ort", "./ortus.ort"])
+def test_missing_path_with_a_directory_part_never_falls_back_to_the_assets(
+    name, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)  # holds no ortus.ort of its own
+    assert main(["validate", name]) == EXIT_USAGE
+    assert "no such file" in capsys.readouterr().err
+    assert main(["run", name, "fear_conditioning.protocol", "--out", "out"]) == EXIT_USAGE
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # build / export
 # ---------------------------------------------------------------------------

@@ -18,15 +18,15 @@ from ortus.errors import ConfigError
 from ortus.kernel import (
     H_LEN,
     ConservationError,
-    ExternalInputs,
     GjMode,
     NetView,
     SimConfig,
     SimState,
     _chem_terms,
+    _gap_terms,
     step,
 )
-from oracles import chem_terms_all_synapses, conductance, cs_inflow, gj_flux, make_net
+from oracles import chem_terms_all_synapses, conductance, gap_terms_add_at, cs_inflow, gj_flux, make_net
 
 # sigmoid of +/- the full activation range, frozen
 G_AT_EXCIT_REVERSAL = 0.9241418199787566
@@ -154,9 +154,7 @@ def test_step_matches_reference_on_random_net():
     for _ in range(25):
         inject = rng.uniform(-0.2, 0.2, 4)
         expected = reference_step(net, state.activation, state.weights, inject, cfg.decay_fraction)
-        ext = ExternalInputs.zeros(4)
-        ext.inject += inject
-        state = step(state, view, ext, cfg)
+        state = step(state, view, inject, cfg)
         np.testing.assert_allclose(state.activation, expected, atol=1e-12)
 
 
@@ -170,9 +168,7 @@ def test_step_matches_reference_on_organism(organism_net):
         expected = reference_step(
             organism_net, state.activation, state.weights, inject, cfg.decay_fraction
         )
-        ext = ExternalInputs.zeros(organism_net.n)
-        ext.inject += inject
-        state = step(state, view, ext, cfg)
+        state = step(state, view, inject, cfg)
         np.testing.assert_allclose(state.activation, expected, atol=1e-12)
 
 
@@ -182,32 +178,26 @@ def test_reads_come_from_the_previous_step_only():
     chem = [ChemicalSynapse(0, 1, 0.8, 1.0, 0.0), ChemicalSynapse(1, 2, 0.8, 1.0, 0.0)]
     view = NetView.of(make_net(3, chem, thresholds=[0.0, 0.3, 0.3]))
     state = SimState.initial(view, np.array([1.0, 0.0, 0.0]))
-    state = step(state, view, ExternalInputs.zeros(3), SimConfig())
+    state = step(state, view, np.zeros(3), SimConfig())
     assert state.activation[1] > 0.3
     assert state.activation[2] == 0.0  # n1 was below gate when this step read it
-    state = step(state, view, ExternalInputs.zeros(3), SimConfig())
+    state = step(state, view, np.zeros(3), SimConfig())
     assert state.activation[2] > 0.0
 
 
 def test_clamp_overrides_dynamics():
     view = NetView.of(make_net(2, [ChemicalSynapse(0, 1, 0.9, 1.0, 0.0)]))
     state = SimState.initial(view, np.array([0.9, 0.0]))
-    ext = ExternalInputs.zeros(2)
-    ext.clamp_mask[1] = True
-    ext.clamp_value[1] = -0.25
-    state = step(state, view, ext, SimConfig())
+    state = step(state, view, None, SimConfig(), np.array([False, True]), np.array([0.0, -0.25]))
     assert state.activation[1] == -0.25
 
 
 def test_activations_clip_to_unit_interval():
     view = NetView.of(make_net(1))
     state = SimState.initial(view, np.array([0.5]))
-    ext = ExternalInputs.zeros(1)
-    ext.inject[0] = 5.0
-    state = step(state, view, ext, SimConfig())
+    state = step(state, view, np.array([5.0]), SimConfig())
     assert state.activation[0] == 1.0
-    ext.inject[0] = -5.0
-    state = step(state, view, ext, SimConfig())
+    state = step(state, view, np.array([-5.0]), SimConfig())
     assert state.activation[0] == -1.0
 
 
@@ -216,10 +206,7 @@ def test_history_is_a_sliding_window_newest_first():
     state = SimState.initial(view, np.array([0.0]))
     seen = []
     for k in range(H_LEN + 2):
-        ext = ExternalInputs.zeros(1)
-        ext.clamp_mask[0] = True
-        ext.clamp_value[0] = k / 100.0
-        state = step(state, view, ext, SimConfig())
+        state = step(state, view, None, SimConfig(), np.array([True]), np.array([k / 100.0]))
         seen.append(k / 100.0)
     assert state.history.shape == (H_LEN, 1)
     np.testing.assert_allclose(state.history[:, 0], seen[::-1][:H_LEN])
@@ -229,7 +216,7 @@ def test_step_counter_and_weight_carry():
     view = NetView.of(make_net(2, [ChemicalSynapse(0, 1, 0.33, 1.0, 0.9)]))
     state = SimState.initial(view)
     assert state.step == 0
-    state = step(state, view, ExternalInputs.zeros(2), SimConfig())
+    state = step(state, view, np.zeros(2), SimConfig())
     assert state.step == 1
     assert state.weights.tolist() == [0.33]
 
@@ -241,11 +228,28 @@ def test_step_never_writes_the_weights(organism_net):
     weights = state.weights
     weights.flags.writeable = False  # a write inside step would raise
     for _ in range(H_LEN + 2):
-        ext = ExternalInputs.zeros(view.n)
-        ext.inject += rng.uniform(-0.3, 0.3, view.n)
-        state = step(state, view, ext, SimConfig(check_conservation=True))
+        inject = rng.uniform(-0.3, 0.3, view.n)
+        state = step(state, view, inject, SimConfig(check_conservation=True))
         assert state.weights is weights
     np.testing.assert_array_equal(weights, view.syn_w0)
+
+
+def test_step_never_writes_its_inputs(organism_net):
+    view = NetView.of(organism_net)
+    rng = np.random.default_rng(8)
+    state = SimState.initial(view, rng.uniform(-1, 1, view.n))
+    inject, mask, value = rng.uniform(-0.3, 0.3, view.n), rng.uniform(size=view.n) < 0.3, np.zeros(view.n)
+    for _ in range(H_LEN + 2):
+        inputs = (state.activation, state.history, inject, mask, value)
+        before = [x.copy() for x in inputs]
+        for x in inputs:
+            x.flags.writeable = False  # a write inside step would raise
+        nxt = step(state, view, inject, SimConfig(), mask, value)
+        for x, was in zip(inputs, before):
+            assert x.tobytes() == was.tobytes()
+        np.testing.assert_array_equal(nxt.history[1:], state.history[:-1])
+        assert nxt.history[0].tobytes() == nxt.activation.tobytes()
+        state = nxt
 
 
 # Levels for the "gate" draw: drives land exactly on the thresholds, and
@@ -309,16 +313,30 @@ def test_activation_stays_bounded_forever(inject):
     ]
     view = NetView.of(make_net(4, chem, [GapJunction(0, 3, 1.0)]))
     state = SimState.initial(view)
-    ext = ExternalInputs.zeros(4)
-    ext.inject += np.array(inject)
     for _ in range(50):
-        state = step(state, view, ext, SimConfig())
+        state = step(state, view, np.array(inject), SimConfig())
         assert np.all(state.activation <= 1.0) and np.all(state.activation >= -1.0)
 
 
 # ---------------------------------------------------------------------------
 # gap-junction accounting
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, k", [(1, 0), (2, 1), (5, 12), (40, 300)])
+def test_gap_terms_equal_the_two_add_at_formula_bit_for_bit(n, k):
+    # with k > n many junctions share a neuron, at either end or both
+    rng = np.random.default_rng(10 * n + k)
+    for _ in range(20):
+        ends, weights = rng.integers(0, n, (k, 2)).tolist(), rng.uniform(0, 1, k).tolist()
+        gap = [GapJunction(i, j, w) for (i, j), w in zip(ends, weights)]
+        view = NetView.of(make_net(n, gap=gap))
+        a = rng.uniform(-1, 1, n)
+        a[rng.uniform(size=n) < 0.2] = rng.choice([0.0, -0.0])
+        got, want = _gap_terms(a, view), gap_terms_add_at(a, view)
+        np.testing.assert_array_equal(got, want)
+        # signed zeros included; with no junction, bincount returns integer zeros
+        assert got.astype(float).tobytes() == want.tobytes()
 
 
 def test_gap_fluxes_conserve_charge():
@@ -344,7 +362,7 @@ def test_conservation_check_passes_on_symmetric_mode():
     cfg = SimConfig(check_conservation=True)
     state = SimState.initial(view, np.array([1.0, -1.0]))
     for _ in range(10):
-        state = step(state, view, ExternalInputs.zeros(2), cfg)
+        state = step(state, view, np.zeros(2), cfg)
     # diffusion: both ends meet in the middle
     assert abs(state.activation[0] - state.activation[1]) < abs(1.0 - -1.0)
 
@@ -356,8 +374,8 @@ def test_literal_mode_neutralizes_gap_junctions():
     sym = SimState.initial(view, np.array([0.5, -0.5]))
     lit = SimState.initial(view, np.array([0.5, -0.5]))
     for _ in range(5):
-        sym = step(sym, view, ExternalInputs.zeros(2), SimConfig())
-        lit = step(lit, view, ExternalInputs.zeros(2), SimConfig(gj_mode=GjMode.PAPER_LITERAL))
+        sym = step(sym, view, np.zeros(2), SimConfig())
+        lit = step(lit, view, np.zeros(2), SimConfig(gj_mode=GjMode.PAPER_LITERAL))
     # symmetric mode pulls the pair together; literal mode leaves pure decay
     assert abs(sym.activation[0] - sym.activation[1]) < 0.8 ** 5
     np.testing.assert_allclose(lit.activation, [0.5 * 0.8 ** 5, -0.5 * 0.8 ** 5], atol=1e-12)
@@ -367,7 +385,7 @@ def test_literal_mode_refuses_conservation_check():
     view = NetView.of(make_net(2, gap=[GapJunction(0, 1, 1.0)]))
     cfg = SimConfig(gj_mode=GjMode.PAPER_LITERAL, check_conservation=True)
     with pytest.raises(ConfigError):
-        step(SimState.initial(view), view, ExternalInputs.zeros(2), cfg)
+        step(SimState.initial(view), view, np.zeros(2), cfg)
 
 
 def test_decay_fraction_validated():

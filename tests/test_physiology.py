@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ortus.errors import ConfigError
-from ortus.kernel import ExternalInputs, NetView, SimConfig, SimState, step
+from ortus.kernel import NetView, SimConfig, SimState, step
 from ortus.physiology import PhysioConfig, bind, lung_exchange, metabolic_step
 
 BLOCKS = [(False, False), (True, False), (False, True), (True, True)]
@@ -107,12 +107,12 @@ def test_gas_equilibrium_without_breathing(organism_net):
     sim = SimConfig()
     state = SimState.initial(view)
     for _ in range(200):
-        ext = ExternalInputs.zeros(organism_net.n)
-        metabolic_step(ext.inject, cfg, binding)
+        inject = np.zeros(organism_net.n)
+        metabolic_step(inject, cfg, binding)
         # never any lung stroke: clamp the muscle itself at rest
-        ext.clamp_mask[binding.lung] = True
-        ext.clamp_value[binding.lung] = 0.0
-        state = step(state, view, ext, sim)
+        mask = np.zeros(organism_net.n, dtype=bool)
+        mask[binding.lung] = True
+        state = step(state, view, inject, sim, mask, np.zeros(organism_net.n))
     assert state.activation[binding.co2] == pytest.approx(
         cfg.co2_production / sim.decay_fraction, abs=1e-6
     )

@@ -326,6 +326,7 @@ def test_sparse_pass_matches_oracle_beyond_bundled_organism(five_sensor_net):
             a[view.syn_post] > cfg.activity_threshold
         )
         np.testing.assert_array_equal(out[~live], weights[~live])
+        assert (out is state.weights) == (not live.any())  # copied only when written
         seen.update(c for c, ok in zip(classes, live) if ok)
     assert seen == set(Classification)
 
@@ -347,21 +348,21 @@ def edge_history(n, rng):
 
 @pytest.mark.parametrize("n, k", [(1, 1), (3, 1), (3, 40), (60, 1), (60, 400)])
 def test_gathered_windows_equal_the_per_neuron_formulas_bit_for_bit(n, k):
-    # with k > n the pairs share neurons on both sides
+    # with k > n the pairs share neurons on both sides; the windows are
+    # gathered as plasticity_step does, pre columns then post in one take
     rng = np.random.default_rng(100 * n + k)
     cfg = PlasticityConfig()
     for _ in range(25):
         history = edge_history(n, rng)
         pre, post = rng.integers(0, n, k), rng.integers(0, n, k)
-        pre_win, post_win = history.take(pre, axis=1), history.take(post, axis=1)
-        got, want = _lag_sums(pre_win, post_win, cfg), lag_sums_by_neuron(history, pre, post, cfg)
+        both = np.concatenate((pre, post))
+        win = history.take(both, axis=1)
+        got, want = _lag_sums(win[:, :k], win[:, k:], cfg), lag_sums_by_neuron(history, pre, post, cfg)
         np.testing.assert_array_equal(got, want)
         assert got.tobytes() == want.tobytes()
-        by_neuron = slope_sums_by_neuron(history, cfg)
-        for idx, win in ((pre, pre_win), (post, post_win)):
-            got = _slope_sums(win, cfg)
-            np.testing.assert_array_equal(got, by_neuron[idx])
-            assert got.tobytes() == by_neuron[idx].tobytes()
+        got, want = _slope_sums(win, cfg), slope_sums_by_neuron(history, cfg)[both]
+        np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_plasticity_step_inert_during_warmup(organism_net):
@@ -370,5 +371,7 @@ def test_plasticity_step_inert_during_warmup(organism_net):
     state = random_state(view, rng)
     state.step = 7  # one short of a full history ring
     out = plasticity_step(state, view)
-    np.testing.assert_array_equal(out, state.weights)
-    assert out is not state.weights
+    assert out is state.weights  # nothing written, so nothing copied
+    state.step = H_LEN
+    state.activation = np.full(view.n, PlasticityConfig().activity_threshold)  # no pair above it
+    assert plasticity_step(state, view) is state.weights

@@ -8,15 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ortus
 from ortus.errors import ConfigError
+from ortus.physiology import PhysioBinding, PhysioConfig
 from ortus.protocol import (
     EventKind,
     Protocol,
     ProtocolError,
+    ProtocolEvent,
     Query,
     QueryError,
     RunConfig,
@@ -28,8 +30,10 @@ from ortus.protocol import (
     peak_indices,
     probe_event,
     run,
+    schedule,
     summarize,
 )
+from oracles import scan_events
 from strategies import random_specs
 
 GOOD = """
@@ -488,3 +492,70 @@ def test_closed_loop_invariants_hold_for_any_organism_and_protocol(case):
         (s, w.tobytes()) for s, w in trace.weight_snapshots
     ]
     assert again.markers == trace.markers
+
+
+# ---------------------------------------------------------------------------
+# compiled schedule
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def crowded_protocols(draw):
+    """Events piled onto a few neurons and steps: overlapping injections into
+    one neuron, injections into the gas elements, overlapping clamps (with
+    +0.0 and -0.0 values) and blocks, with physiology bound or off."""
+    n = draw(st.integers(3, 6))
+    total = draw(st.integers(1, 40))
+    amount = st.one_of(
+        st.floats(-1.0, 1.0, allow_nan=False), st.sampled_from([0.1, 0.2, 0.3, 0.0, -0.0, 1e-17])
+    )
+    events = []
+    for _ in range(draw(st.integers(0, 12))):
+        start = draw(st.integers(0, total - 1))
+        end = draw(st.integers(start + 1, total))
+        kind = draw(st.sampled_from(EventKind))
+        if kind is EventKind.BLOCK:
+            exhale, inhale = draw(st.sampled_from([(True, False), (False, True), (True, True)]))
+            events.append(ProtocolEvent(start, end, kind, block_exhale=exhale, block_inhale=inhale))
+        else:
+            element = draw(st.integers(0, n - 1))
+            events.append(ProtocolEvent(start, end, kind, f"n{element}", element, draw(amount)))
+    roles = draw(st.one_of(st.none(), st.permutations(range(n))))
+    return n, Protocol(total, tuple(events)), None if roles is None else PhysioBinding(*roles[:3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(crowded_protocols(), st.integers(0, 2**32 - 1))
+@example(  # two injections at once into the CO2 sensor, while the lung breathes
+    (
+        3,
+        Protocol(
+            4,
+            (
+                ProtocolEvent(0, 4, EventKind.INJECT, "n0", 0, 0.1),
+                ProtocolEvent(1, 3, EventKind.INJECT, "n0", 0, 0.2),
+            ),
+        ),
+        PhysioBinding(0, 1, 2),
+    ),
+    0,
+)
+def test_compiled_schedule_equals_the_per_step_event_scan_bit_for_bit(case, seed):
+    n, protocol, binding = case
+    cfg = PhysioConfig()
+    rng = np.random.default_rng(seed)
+    gas = () if binding is None else (binding.co2, binding.o2)
+    segments = list(schedule(protocol, n, gas))
+    assert [seg.start for seg in segments] == [0] + [seg.end for seg in segments[:-1]]
+    assert segments[-1].end == protocol.total_steps
+    for seg in segments:
+        for m in range(seg.start, seg.end):
+            activation = rng.uniform(-1, 1, n)
+            activation[binding.lung if binding else 0] = rng.choice([0.2, 0.9])  # at rest or breathing
+            inject, mask, value, exhale, inhale = scan_events(protocol, m, activation, cfg, binding)
+            assert seg.drive(activation, cfg, binding).tobytes() == inject.tobytes()
+            assert (seg.clamp_mask is None) == (not mask.any())
+            if seg.clamp_mask is not None:
+                assert seg.clamp_mask.tobytes() == mask.tobytes()
+                assert seg.clamp_value.tobytes() == value.tobytes()
+            assert (seg.block_exhale, seg.block_inhale) == (exhale, inhale)
