@@ -38,9 +38,10 @@ def asset_path(name: str) -> Path:
 
 
 def _resolve_input(path_str: str) -> Path:
-    """The path as given, or a bundled asset when a bare file name is missing."""
+    """The file as given, or a bundled asset when a bare file name names no
+    file; a directory (the empty path too) is no file."""
     path = Path(path_str)
-    if path.exists():
+    if path.is_file():
         return path
     if path_str == path.name and asset_path(path_str).is_file():
         return asset_path(path_str)

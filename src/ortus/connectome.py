@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .dsl import (
+    DEFAULT_SCI_CAP,
     Affect,
     Diagnostic,
     ElementKind,
@@ -120,7 +121,7 @@ class Connectome:
 class BuildConfig:
     """Knobs for the generated layers; declared relationships carry their own."""
 
-    sci_cap: int = 1024
+    sci_cap: int = DEFAULT_SCI_CAP
     sei_weight: float = 1.0
     generated_threshold: float = 0.005
     eei_initial_weight: float = 0.05
@@ -263,24 +264,22 @@ def build(spec: NetworkSpec, cfg: BuildConfig | None = None) -> Connectome:
     """Compile a validated spec into a Connectome.
 
     The spec is validated here, once: errors raise, and the warnings are
-    kept on the result.  A consolidation layer over ``sci_cap``, only a
-    warning to ``validate_spec``, cannot be built and raises.  Building is
-    pure and deterministic: the same spec and config always produce the
-    same neuron ids, names, and storage order.
+    kept on the result.  Building is pure and deterministic: the same spec
+    and config always produce the same neuron ids, names, and storage order.
     """
     cfg = cfg or BuildConfig()
     diags = validate_spec(spec, sci_cap=cfg.sci_cap)
     problems = [d for d in diags if d.severity is Severity.ERROR]
     if problems:
-        # Sensors are inputs: a relationship that drives one cannot be wired.
-        unwirable = any(d.code == "into-sensor" for d in problems)
-        raise (UnsatisfiableRelationship if unwirable else BuildError)(
-            "spec failed validation:\n" + "\n".join(str(d) for d in problems)
-        )
+        # Sensors are inputs: a relationship that drives one cannot be wired,
+        # which is reported before a consolidation layer over the cap.
+        codes = {d.code for d in problems}
+        raise (
+            UnsatisfiableRelationship if "into-sensor" in codes
+            else SciCapExceeded if "sci-explosion" in codes
+            else BuildError
+        )("spec failed validation:\n" + "\n".join(str(d) for d in problems))
     warnings = [d for d in diags if d.severity is Severity.WARNING]
-    for d in warnings:
-        if d.code == "sci-explosion":
-            raise SciCapExceeded(d.message)
 
     draft = _Draft()
     for el in spec.elements:

@@ -447,8 +447,8 @@ def validate_spec(spec: NetworkSpec, *, sci_cap: int = DEFAULT_SCI_CAP) -> list[
     """Check a parsed spec for problems that would make it unbuildable.
 
     Returns a list of diagnostics; an empty list means the spec compiles
-    cleanly.  Warnings (consolidation-layer explosion, elements that no
-    relationship touches) do not block building.
+    cleanly.  Warnings (elements that no relationship touches) do not block
+    building; a consolidation layer over ``sci_cap`` is an error.
     """
     diags: list[Diagnostic] = []
 
@@ -539,7 +539,7 @@ def validate_spec(spec: NetworkSpec, *, sci_cap: int = DEFAULT_SCI_CAP) -> list[
 
     n = len(sensors)
     if n and 2**n - 1 > sci_cap:
-        warn(
+        err(
             "sci-explosion",
             f"{n} sensory elements expand to 2^{n}-1 = {2**n - 1} sensory consolidation"
             f" interneurons, exceeding the cap of {sci_cap}",

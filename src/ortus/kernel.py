@@ -61,6 +61,8 @@ class SimConfig:
             raise ConfigError(
                 f"conservation_tolerance cannot be negative, got {self.conservation_tolerance!r}"
             )
+        if self.check_conservation and self.gj_mode is GjMode.PAPER_LITERAL:
+            raise ConfigError("conservation checks are meaningless in paper-literal mode")
 
 
 @dataclass(frozen=True)
@@ -147,12 +149,14 @@ def _chem_terms(a: np.ndarray, weights: np.ndarray, view: NetView) -> np.ndarray
     g = 1.0 / (1.0 + np.exp(-5.0 * drive[on] / ACTIVATION_RANGE))
     post = view.syn_post[on]
     contrib = weights[on] * g * (view.syn_rev[on] - a[post])
-    return np.bincount(post, contrib, minlength=view.n)
+    # given no weights to sum, bincount counts in int64; astype copies only then
+    return np.bincount(post, contrib, minlength=view.n).astype(float, copy=False)
 
 
 def _gap_terms(a: np.ndarray, view: NetView) -> np.ndarray:
     flux = view.gap_w * (a[view.gap_a] - a[view.gap_b]) * 0.5
-    return np.bincount(view.gap_ends, np.concatenate((flux, -flux)), minlength=view.n)
+    gj_in = np.bincount(view.gap_ends, np.concatenate((flux, -flux)), minlength=view.n)
+    return gj_in.astype(float, copy=False)
 
 
 def step(
@@ -170,8 +174,8 @@ def step(
     Flux contributions accumulate in connectome storage order, so two runs
     from the same state are bitwise identical.  In paper-literal gap-junction
     mode the decay term re-adds outgoing junction losses verbatim, which
-    cancels the inflow; it exists for side-by-side comparison runs and
-    refuses conservation checking.
+    cancels the inflow; it exists for side-by-side comparison runs, and
+    ``SimConfig`` refuses it with conservation checking.
     """
     cfg = cfg or SimConfig()
     a = state.activation
@@ -179,8 +183,6 @@ def step(
     gj_in = _gap_terms(a, view)
 
     if cfg.check_conservation:
-        if cfg.gj_mode is GjMode.PAPER_LITERAL:
-            raise ConfigError("conservation checks are meaningless in paper-literal mode")
         drift = abs(float(gj_in.sum()))
         if drift > cfg.conservation_tolerance:
             raise ConservationError(f"gap-junction flux drift {drift:g} per step")

@@ -15,16 +15,18 @@ overlap::
 compiles the protocol once into segments, one per stretch of steps between
 event boundaries, each holding its summed injections, clamps and
 respiration blocks (see ``schedule``).  The per-step loop builds the inject
-vector (metabolism, then breathing, then the injections in file order),
-advances the kernel, applies plasticity, and records the committed
-activations; runs take no random input, so replaying a protocol reproduces
-its trace byte for byte.
+vector (the injections, then metabolism, then breathing), advances the
+kernel, applies plasticity, and records the committed activations.  Each
+element's injections are summed in ascending order of amount, so the order
+of injection lines changes nothing; where clamps of one neuron overlap, the
+last line wins.  Runs take no random input, so replaying a protocol
+reproduces its trace byte for byte.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Collection, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -207,47 +209,42 @@ class Segment:
 
     start: int
     end: int
-    inject: np.ndarray  # injections summed in file order, except into the `late` elements
-    late: tuple[tuple[int, float], ...]  # (element, amount) into the gas elements, file order
+    inject: np.ndarray  # each element's injections summed in ascending order of amount
     clamp_mask: np.ndarray | None  # None when nothing is clamped
     clamp_value: np.ndarray | None
     block_exhale: bool
     block_inhale: bool
 
     def drive(self, a: np.ndarray, cfg: PhysioConfig, binding: PhysioBinding | None) -> np.ndarray:
-        """A step's inject vector, given the activations `a`: metabolism,
-        breathing, then the injections in file order."""
+        """A step's inject vector, given the activations `a`: the
+        injections, then metabolism, then breathing."""
         inject = self.inject.copy()
         if binding is not None:
             physiology.metabolic_step(inject, cfg, binding)
             lung = float(a[binding.lung])
             physiology.lung_exchange(inject, lung, cfg, binding, self.block_exhale, self.block_inhale)
-        for element, amount in self.late:
-            inject[element] += amount
         return inject
 
 
-def schedule(protocol: Protocol, n: int, late: Collection[int] = ()) -> Iterator[Segment]:
+def schedule(protocol: Protocol, n: int) -> Iterator[Segment]:
     """The protocol compiled into one segment per stretch between event
-    boundaries, in step order.  Injections into the `late` elements (those
-    physiology also drives) are kept apart so that they are added after it;
-    the last clamp in file order wins."""
+    boundaries, in step order.  Each element's injections are summed in
+    ascending order of amount: equal amounts add the same bits in any order,
+    and a signed zero changes no sum that starts at +0.0, so the sum depends
+    only on which injections are active.  The last clamp in file order wins."""
     bounds = sorted({0, protocol.total_steps, *(t for ev in protocol.events for t in (ev.start, ev.end))})
     for start, end in zip(bounds, bounds[1:]):
         active = [ev for ev in protocol.events if ev.start <= start < ev.end]
-        inject, deferred = np.zeros(n), []
-        mask, value = np.zeros(n, dtype=bool), np.zeros(n)
+        inject, mask, value = np.zeros(n), np.zeros(n, dtype=bool), np.zeros(n)
+        for ev in sorted((ev for ev in active if ev.kind is EventKind.INJECT), key=lambda ev: ev.value):
+            inject[ev.element_id] += ev.value
         for ev in active:
-            if ev.kind is EventKind.INJECT and ev.element_id in late:
-                deferred.append((ev.element_id, ev.value))
-            elif ev.kind is EventKind.INJECT:
-                inject[ev.element_id] += ev.value
-            elif ev.kind is EventKind.CLAMP:
+            if ev.kind is EventKind.CLAMP:
                 mask[ev.element_id] = True
                 value[ev.element_id] = ev.value
         clamp = (mask, value) if mask.any() else (None, None)
         blocks = (any(ev.block_exhale for ev in active), any(ev.block_inhale for ev in active))
-        yield Segment(start, end, inject, tuple(deferred), *clamp, *blocks)
+        yield Segment(start, end, inject, *clamp, *blocks)
 
 
 @dataclass
@@ -309,8 +306,8 @@ class TraceLog:
 def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> TraceLog:
     """Drive the closed loop for every protocol step and record the trace.
 
-    Each step: physiology drive from the current state, the segment's
-    injections and clamps, one kernel step, one plasticity pass (skipped
+    Each step: the segment's injections plus the physiology drive from the
+    current state, its clamps, one kernel step, one plasticity pass (skipped
     while the history warms up), then the committed activations are logged.
     """
     cfg = cfg or RunConfig()
@@ -336,8 +333,7 @@ def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> Tr
         markers.append((ev.start, f"start {ev.label}"))
         markers.append((ev.end, f"end {ev.label}"))
 
-    gas = () if binding is None else (binding.co2, binding.o2)
-    for seg in schedule(protocol, view.n, gas):
+    for seg in schedule(protocol, view.n):
         for m in range(seg.start, seg.end):
             inject = seg.drive(state.activation, physio_cfg, binding)
             state = step(state, view, inject, cfg.sim, seg.clamp_mask, seg.clamp_value)

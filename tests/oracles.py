@@ -268,22 +268,25 @@ def scan_events(
     binding: PhysioBinding | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool, bool]:
     """Step `m`'s external drive, found by scanning every event: the inject
-    vector (metabolism, then breathing from the current lung activation,
-    then the injections in file order), the clamp mask and values (the last
-    clamp in file order wins), and the exhale and inhale blocks."""
+    vector (each element's injections in ascending order of amount, then
+    metabolism, then breathing from the current lung activation), the clamp
+    mask and values (the last clamp in file order wins), and the exhale and
+    inhale blocks."""
     n = len(activation)
     inject, clamp_mask, clamp_value = np.zeros(n), np.zeros(n, dtype=bool), np.zeros(n)
     active = [ev for ev in protocol.events if ev.start <= m < ev.end]
     blocks = [ev for ev in active if ev.kind is EventKind.BLOCK]
     exhale = any(ev.block_exhale for ev in blocks)
     inhale = any(ev.block_inhale for ev in blocks)
+    injects = [ev for ev in active if ev.kind is EventKind.INJECT]
+    for element in range(n):
+        for amount in sorted(ev.value for ev in injects if ev.element_id == element):
+            inject[element] += amount
     if binding is not None:
         physiology.metabolic_step(inject, cfg, binding)
         physiology.lung_exchange(inject, float(activation[binding.lung]), cfg, binding, exhale, inhale)
     for ev in active:
-        if ev.kind is EventKind.INJECT:
-            inject[ev.element_id] += ev.value
-        elif ev.kind is EventKind.CLAMP:
+        if ev.kind is EventKind.CLAMP:
             clamp_mask[ev.element_id] = True
             clamp_value[ev.element_id] = ev.value
     return inject, clamp_mask, clamp_value, exhale, inhale

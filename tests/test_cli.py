@@ -57,9 +57,9 @@ def test_validate_reports_unreadable_numbers_with_a_position(tmp_path, capsys):
 
 
 def test_validate_applies_overrides(capsys):
-    assert main(["validate", "ortus.ort", "--set", "build.sci_cap=3"]) == EXIT_OK
+    assert main(["validate", "ortus.ort", "--set", "build.sci_cap=3"]) == EXIT_DOMAIN
     out = capsys.readouterr().out
-    assert "warning:" in out and "exceeding the cap of 3" in out
+    assert "error:" in out and "exceeding the cap of 3" in out and "ok:" not in out
     assert main(["validate", "ortus.ort", "--set", "bogus.key=1"]) == EXIT_DOMAIN
     assert "unknown config namespace 'bogus'" in capsys.readouterr().err
 
@@ -82,6 +82,17 @@ def test_missing_path_with_a_directory_part_never_falls_back_to_the_assets(
     assert main(["validate", name]) == EXIT_USAGE
     assert "no such file" in capsys.readouterr().err
     assert main(["run", name, "fear_conditioning.protocol", "--out", "out"]) == EXIT_USAGE
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["", ".", "sub", "sub/"])
+def test_a_directory_or_the_empty_path_is_no_such_file(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert main(["validate", name]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: no such file: {name}\n"
+    assert main(["run", "ortus.ort", name, "--out", "out"]) == EXIT_USAGE
+    assert "no such file" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

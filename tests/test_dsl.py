@@ -313,12 +313,13 @@ relationship { eA dominates eB }
     assert validate_spec(parse_source(src)) == []
 
 
-def test_sci_explosion_is_a_warning_not_an_error():
+def test_sci_explosion_is_an_error():
     elements = "\n".join(f"element s{i} {{ type: sensory }}" for i in range(5))
     src = elements + "\nelement eY { type: emotion affect: positive }"
     diags = validate_spec(parse_source(src), sci_cap=10)
     assert codes(diags) == ["sci-explosion"]
-    assert not has_errors(diags)
+    assert has_errors(diags)
+    assert validate_spec(parse_source(src), sci_cap=31) == []
 
 
 def test_unreferenced_warning_only_for_wirable_kinds():

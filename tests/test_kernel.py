@@ -297,10 +297,16 @@ def test_gated_chem_terms_equal_the_all_synapse_formula_bit_for_bit(kind):
         assert on_gate > 0
 
 
-def test_chem_terms_without_synapses_are_zero():
-    view = NetView.of(make_net(3))
-    got = _chem_terms(np.array([0.5, -0.0, 1.0]), np.zeros(0), view)
-    assert got.tobytes() == np.zeros(3).tobytes()
+@pytest.mark.parametrize(
+    "chem", [[], [ChemicalSynapse(0, 1, 1.0, 1.0, 0.0)]], ids=["no_synapse", "gated_off"]
+)
+def test_terms_are_float64_zeros_when_nothing_flows(chem):
+    # no junction, and either no synapse or one gated off below its threshold
+    view = NetView.of(make_net(3, chem, thresholds=[0.0, 0.9, 0.0]))
+    a = np.array([0.5, -0.0, 1.0])
+    for got in (_chem_terms(a, view.syn_w0, view), _gap_terms(a, view)):
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.zeros(3).tobytes()
 
 
 @settings(max_examples=50, deadline=None)
@@ -335,8 +341,7 @@ def test_gap_terms_equal_the_two_add_at_formula_bit_for_bit(n, k):
         a[rng.uniform(size=n) < 0.2] = rng.choice([0.0, -0.0])
         got, want = _gap_terms(a, view), gap_terms_add_at(a, view)
         np.testing.assert_array_equal(got, want)
-        # signed zeros included; with no junction, bincount returns integer zeros
-        assert got.astype(float).tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes()  # signed zeros included
 
 
 def test_gap_fluxes_conserve_charge():
@@ -382,10 +387,10 @@ def test_literal_mode_neutralizes_gap_junctions():
 
 
 def test_literal_mode_refuses_conservation_check():
-    view = NetView.of(make_net(2, gap=[GapJunction(0, 1, 1.0)]))
-    cfg = SimConfig(gj_mode=GjMode.PAPER_LITERAL, check_conservation=True)
-    with pytest.raises(ConfigError):
-        step(SimState.initial(view), view, np.zeros(2), cfg)
+    with pytest.raises(ConfigError, match="meaningless in paper-literal mode"):
+        SimConfig(gj_mode=GjMode.PAPER_LITERAL, check_conservation=True)
+    SimConfig(gj_mode=GjMode.PAPER_LITERAL)
+    SimConfig(check_conservation=True)
 
 
 def test_decay_fraction_validated():

@@ -544,8 +544,7 @@ def test_compiled_schedule_equals_the_per_step_event_scan_bit_for_bit(case, seed
     n, protocol, binding = case
     cfg = PhysioConfig()
     rng = np.random.default_rng(seed)
-    gas = () if binding is None else (binding.co2, binding.o2)
-    segments = list(schedule(protocol, n, gas))
+    segments = list(schedule(protocol, n))
     assert [seg.start for seg in segments] == [0] + [seg.end for seg in segments[:-1]]
     assert segments[-1].end == protocol.total_steps
     for seg in segments:
@@ -559,3 +558,71 @@ def test_compiled_schedule_equals_the_per_step_event_scan_bit_for_bit(case, seed
                 assert seg.clamp_mask.tobytes() == mask.tobytes()
                 assert seg.clamp_value.tobytes() == value.tobytes()
             assert (seg.block_exhale, seg.block_inhale) == (exhale, inhale)
+
+
+# ---------------------------------------------------------------------------
+# line order
+# ---------------------------------------------------------------------------
+
+# injected: the bundled organism's CO2 sensor (which physiology also
+# drives), its water sensor and a neuron downstream; clamped or injected:
+# those, the lung and two neurons of the fear pathway
+_INJECTED = ["sCO2", "sH2O", "c_sH2O"]
+_ELEMENTS = [*_INJECTED, "LUNG", "eFEAR", "xeFEAR_c_sH2O"]
+
+
+# small enough that no sum saturates a sensor at 1
+_WATER_AND_CO2 = [
+    "at 0..30 inject sH2O 0.01",
+    "at 2..30 inject sH2O 0.02",
+    "at 4..30 inject sH2O 0.03",
+    "at 0..30 inject sCO2 0.01",
+    "at 2..30 inject sCO2 0.02",
+]
+
+
+@st.composite
+def shuffled_event_lines(draw):
+    """A step count and protocol event lines for the bundled organism, in
+    their drawn order and shuffled.  The events crowd onto a few elements:
+    overlapping injections (the gases included), small enough that their
+    float sums rarely saturate a neuron and so depend on the order they are
+    added in, blocks, and clamps, of which no two on one neuron overlap."""
+    total = draw(st.integers(10, 40))
+    amount = st.one_of(
+        st.sampled_from([0.01, 0.02, 0.03, 0.07, -0.04]),
+        st.sampled_from([0.0, -0.0, 1e-17]),
+        st.floats(-0.1, 0.1, allow_nan=False),
+    )
+    lines, clamps = [], []
+    for _ in range(draw(st.integers(3, 16))):
+        start = draw(st.integers(0, total - 1))
+        end = draw(st.integers(start + 1, total))
+        kind = draw(st.sampled_from(["inject", "inject", "inject", "clamp", "block"]))
+        element = draw(st.sampled_from(_INJECTED if kind == "inject" else _ELEMENTS))
+        if kind == "block":
+            flags = draw(st.sampled_from(["", " exhale", " inhale"]))
+            lines.append(f"at {start}..{end} block respiration{flags}")
+        elif kind == "clamp" and any(e == element and start < b and a < end for e, a, b in clamps):
+            continue  # overlapping clamps of one neuron: the last line wins
+        else:
+            if kind == "clamp":
+                clamps.append((element, start, end))
+            lines.append(f"at {start}..{end} {kind} {element} {draw(amount)!r}")
+    return total, lines, draw(st.permutations(lines))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shuffled_event_lines())
+@example((30, _WATER_AND_CO2, _WATER_AND_CO2[::-1]))  # overlapping sums into sH2O and sCO2
+def test_event_line_order_changes_no_output_byte(organism_net, case):
+    total, *orders = case
+    cfg = RunConfig(weight_snapshot_every=1)
+    traces = [
+        run(organism_net, parse_protocol("\n".join([f"steps {total}", *lines]), organism_net), cfg)
+        for lines in orders
+    ]
+    assert traces[0].activations.tobytes() == traces[1].activations.tobytes()
+    assert [(n, w.tobytes()) for n, w in traces[0].weight_snapshots] == [
+        (n, w.tobytes()) for n, w in traces[1].weight_snapshots
+    ]
