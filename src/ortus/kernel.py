@@ -82,19 +82,18 @@ class NetView:
     gap_b: np.ndarray
     gap_w: np.ndarray
     # derived in __post_init__ so that dataclasses.replace cannot leave them
-    # stale: the mutable synapses and their endpoints, each synapse's drive
-    # sign (-1 inverted), and every junction's b end, then every a end
+    # stale: the mutable synapses, their endpoints as a (2, mutable) array
+    # (presynaptic row, then postsynaptic), each synapse's drive sign (-1
+    # inverted), and every junction's b end, then every a end
     syn_mutable: np.ndarray = field(init=False)
-    mut_pre: np.ndarray = field(init=False)
-    mut_post: np.ndarray = field(init=False)
+    mut_ends: np.ndarray = field(init=False)
     syn_sign: np.ndarray = field(init=False)
     gap_ends: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         mutable = np.flatnonzero(self.syn_mi > 0)
         object.__setattr__(self, "syn_mutable", mutable)
-        object.__setattr__(self, "mut_pre", self.syn_pre[mutable])
-        object.__setattr__(self, "mut_post", self.syn_post[mutable])
+        object.__setattr__(self, "mut_ends", np.stack((self.syn_pre[mutable], self.syn_post[mutable])))
         object.__setattr__(self, "syn_sign", np.where(self.syn_inverted, -1.0, 1.0))
         object.__setattr__(self, "gap_ends", np.concatenate((self.gap_b, self.gap_a)))
 

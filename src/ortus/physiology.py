@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connectome import Connectome
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 
 
 @dataclass
@@ -33,6 +33,7 @@ class PhysioConfig:
     enabled: bool = True
 
     def __post_init__(self) -> None:
+        require_finite(self)
         for name in ("co2_production", "o2_consumption", "lung_threshold", "exchange_gain"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} cannot be negative")

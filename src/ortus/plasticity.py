@@ -20,7 +20,8 @@ The pass works on the active pairs' history columns, gathered by one
 norms, lag numerators and slopes come from it alone.  Window sums add one
 row at a time, in the order a per-neuron ``.sum(axis=0)`` uses, so no result
 depends on which pairs are active.  The weights are copied only on a step
-that writes one.
+that changes the bytes of one, so a pass whose live pairs all sit at a
+bound hands the same array on.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .kernel import H_LEN, NetView, SimState
 
 ZERO_NORM = 1e-12
@@ -49,6 +50,7 @@ class PlasticityConfig:
     activity_threshold: float = 0.2
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not (self.weaken_xcorr_max < self.strengthen_xcorr_min < self.rapid_xcorr_min):
             raise ConfigError("classification bands must be ordered weaken < strengthen < rapid")
         if self.rapid_xcorr_min > self.max_lag:
@@ -94,20 +96,21 @@ def _slope_sums(win: np.ndarray, cfg: PlasticityConfig) -> np.ndarray:
     """Sums of |slope| over the rule's lag offsets, one per column of a
     gathered (H_LEN, K) history window."""
     u, lags = cfg.slope_window, cfg.max_lag
-    # Centred sample times: -1, 0, 1 for the default window, where every
-    # product is exact and so the sum's order cannot matter.
-    c = np.arange(u + 1) - u / 2
+    # Centred sample times, -1, 0, 1 for the default window: multiples of
+    # 0.5, so every product and their sum of squares are exact.
+    c = [r - u / 2 for r in range(u + 1)]
     fit = c[0] * win[1:lags + 1]
     for r in range(1, u + 1):
         fit = fit + c[r] * win[1 + r:lags + 1 + r]
-    return np.abs(fit / float(c @ c)).sum(axis=0)
+    return np.abs(fit / sum(x * x for x in c)).sum(axis=0)
 
 
 def plasticity_step(
     state: SimState, view: NetView, cfg: PlasticityConfig | None = None
 ) -> np.ndarray:
-    """One full plasticity pass.  Returns ``state.weights`` itself when no
-    weight is written, else a new array; ``state.weights`` is never written.
+    """One full plasticity pass.  Returns ``state.weights`` itself unless
+    the pass changes the bytes of some weight, else a new array;
+    ``state.weights`` is never written.
 
     Inert until the history ring has been filled by real steps, so the
     padded start-up history can never drive learning.
@@ -115,22 +118,30 @@ def plasticity_step(
     cfg = cfg or PlasticityConfig()
     if state.step < H_LEN:
         return state.weights
-    a = state.activation
-    pre, post = view.mut_pre, view.mut_post
-    active = ((a[pre] > cfg.activity_threshold) & (a[post] > cfg.activity_threshold)).nonzero()[0]
+    above = state.activation[view.mut_ends] > cfg.activity_threshold  # pre row, post row
+    active = (above[0] & above[1]).nonzero()[0]
     if not len(active):
         return state.weights
-    idx, pre, post = view.syn_mutable[active], pre[active], post[active]
-    k = len(idx)
-    win = state.history.take(np.concatenate((pre, post)), axis=1)  # pre columns, then post
+    k = len(active)
+    win = state.history.take(view.mut_ends.take(active, axis=1).ravel(), axis=1)  # pre columns, then post
     xs = _lag_sums(win[:, :k], win[:, k:], cfg)
     flat = _slope_sums(win, cfg) <= cfg.rapid_slope_max
     rapid = (xs >= cfg.rapid_xcorr_min) & flat[:k] & flat[k:]
-    weaken = ~rapid & (xs < cfg.weaken_xcorr_max)
-    slow = ~rapid & (xs > cfg.strengthen_xcorr_min)  # so not weaken: the bands are ordered
-    delta = view.syn_mi[idx] * (
-        rapid * cfg.rapid_rate + slow * cfg.slow_rate - weaken * cfg.slow_rate
+    # At most one class holds: rapid wins and the bands are ordered.  For one
+    # class, rapid*rr + slow*sr - weaken*sr is exactly rr, sr, -sr or +0.0,
+    # except that a zero rate of either sign gives +0.0, as `+ 0.0` and
+    # `0.0 -` do.
+    rr, sr = cfg.rapid_rate, cfg.slow_rate
+    rate = np.where(
+        rapid,
+        rr + 0.0,
+        np.where(xs > cfg.strengthen_xcorr_min, sr + 0.0, np.where(xs < cfg.weaken_xcorr_max, 0.0 - sr, 0.0)),
     )
+    idx = view.syn_mutable[active]
+    old = state.weights[idx]
+    new = np.clip(old + view.syn_mi[idx] * rate, 0.0, 1.0)
+    if new.tobytes() == old.tobytes():
+        return state.weights
     weights = state.weights.copy()
-    weights[idx] = np.clip(weights[idx] + delta, 0.0, 1.0)
+    weights[idx] = new
     return weights

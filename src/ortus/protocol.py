@@ -20,7 +20,9 @@ kernel, applies plasticity, and records the committed activations.  Each
 element's injections are summed in ascending order of amount, so the order
 of injection lines changes nothing; where clamps of one neuron overlap, the
 last line wins.  Runs take no random input, so replaying a protocol
-reproduces its trace byte for byte.
+reproduces its trace byte for byte.  Where a segment returns to a state it
+has already been in, the loop copies the cycle's rows forward instead of
+computing them again (see ``run``); the bytes are the same.
 """
 
 from __future__ import annotations
@@ -309,6 +311,16 @@ def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> Tr
     Each step: the segment's injections plus the physiology drive from the
     current state, its clamps, one kernel step, one plasticity pass (skipped
     while the history warms up), then the committed activations are logged.
+
+    Exact repeats are fast-forwarded.  Within a segment, once the history
+    ring holds only real steps, a step depends on nothing but the history
+    and the weights, so a state seen before under the same weights array
+    (which plasticity replaces only when a weight's bytes change) starts a
+    cycle.  A state is looked up by its activation sum and confirmed by
+    comparing the last ``H_LEN`` trace rows byte for byte, so -0.0 and NaN
+    cannot fake a repeat.  The cycle's rows are then tiled, and its
+    unchanged weights snapshotted at their cadence, for every whole period
+    left in the segment; the remaining steps are computed.
     """
     cfg = cfg or RunConfig()
     view = NetView.of(net)
@@ -327,6 +339,7 @@ def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> Tr
 
     state = SimState.initial(view, a0)
     trace = np.zeros((protocol.total_steps, view.n))
+    every = cfg.weight_snapshot_every
     snapshots: list[tuple[int, np.ndarray]] = [(0, state.weights.copy())]
     markers: list[tuple[int, str]] = []
     for ev in protocol.events:
@@ -334,14 +347,35 @@ def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> Tr
         markers.append((ev.end, f"end {ev.label}"))
 
     for seg in schedule(protocol, view.n):
-        for m in range(seg.start, seg.end):
+        seen: dict[float, int] = {}  # activation sum -> step count, under the current weights
+        while state.step < seg.end:
+            weights = state.weights
             inject = seg.drive(state.activation, physio_cfg, binding)
             state = step(state, view, inject, cfg.sim, seg.clamp_mask, seg.clamp_value)
             if cfg.plasticity_enabled and state.step >= H_LEN:
                 state.weights = plasticity_step(state, view, cfg.plasticity)
-            trace[m] = state.activation
-            if cfg.weight_snapshot_every and state.step % cfg.weight_snapshot_every == 0:
-                snapshots.append((state.step, state.weights.copy()))
+            t = state.step
+            trace[t - 1] = state.activation
+            if every and t % every == 0:
+                snapshots.append((t, state.weights.copy()))
+            if t < H_LEN:
+                continue
+            if state.weights is not weights:
+                seen.clear()
+            key = float(state.activation.sum())
+            t0 = seen.get(key)
+            if t0 is None or trace[t - H_LEN:t].tobytes() != trace[t0 - H_LEN:t0].tobytes():
+                seen[key] = t
+                continue
+            period = t - t0
+            skip = (seg.end - t) // period * period
+            # broadcast, so no (skip, n) temporary is made
+            trace[t:t + skip].reshape(skip // period, period, view.n)[:] = trace[t0:t]
+            if every:
+                cadence = range(t // every * every + every, t + skip + 1, every)
+                snapshots.extend((s, state.weights.copy()) for s in cadence)
+            state.step = t + skip
+            seen.clear()  # fewer steps than a period are left, so no whole cycle fits again
 
     if protocol.total_steps and snapshots[-1][0] != protocol.total_steps:
         snapshots.append((protocol.total_steps, state.weights.copy()))

@@ -10,23 +10,26 @@ values and then hold the vectorized engine in ``ortus.kernel`` and
 The last section keeps whole-network array formulas (every synapse
 evaluated, window norms and slopes taken once per neuron) that the engine's
 gathered passes must reproduce bit for bit.  The protocol section keeps the
-scan over every event on every step that the compiled schedule replaces.
+scan over every event on every step that the compiled schedule replaces, and
+the runner's loop that computes every step, which the fast-forwarding
+``protocol.run`` must reproduce byte for byte.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from ortus import physiology
 from ortus.connectome import ChemicalSynapse, Connectome, GapJunction, Layer, Neuron
 from ortus.errors import OrtusError
-from ortus.kernel import ACTIVATION_RANGE, NetView
+from ortus.kernel import ACTIVATION_RANGE, H_LEN, NetView, SimState, step
 from ortus.physiology import PhysioBinding, PhysioConfig
-from ortus.plasticity import ZERO_NORM, PlasticityConfig
-from ortus.protocol import EventKind, Protocol
+from ortus.plasticity import ZERO_NORM, PlasticityConfig, plasticity_step
+from ortus.protocol import EventKind, Protocol, RunConfig, TraceLog, schedule
 
 # ---------------------------------------------------------------------------
 # kernel
@@ -290,3 +293,51 @@ def scan_events(
             clamp_mask[ev.element_id] = True
             clamp_value[ev.element_id] = ev.value
     return inject, clamp_mask, clamp_value, exhale, inhale
+
+
+def run_every_step(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> TraceLog:
+    """``protocol.run`` without the fast-forward: every step is computed."""
+    cfg = cfg or RunConfig()
+    view = NetView.of(net)
+
+    physio_cfg = cfg.physio
+    if protocol.physio_names is not None:
+        co2, o2, lung = protocol.physio_names
+        physio_cfg = replace(physio_cfg, co2_name=co2, o2_name=o2, lung_name=lung)
+
+    a0 = np.zeros(view.n)
+    binding = None
+    if physio_cfg.enabled:
+        binding = physiology.bind(net, physio_cfg)
+        a0[binding.co2] = physio_cfg.initial_co2
+        a0[binding.o2] = physio_cfg.initial_o2
+
+    state = SimState.initial(view, a0)
+    trace = np.zeros((protocol.total_steps, view.n))
+    snapshots: list[tuple[int, np.ndarray]] = [(0, state.weights.copy())]
+    markers: list[tuple[int, str]] = []
+    for ev in protocol.events:
+        markers.append((ev.start, f"start {ev.label}"))
+        markers.append((ev.end, f"end {ev.label}"))
+
+    for seg in schedule(protocol, view.n):
+        for m in range(seg.start, seg.end):
+            inject = seg.drive(state.activation, physio_cfg, binding)
+            state = step(state, view, inject, cfg.sim, seg.clamp_mask, seg.clamp_value)
+            if cfg.plasticity_enabled and state.step >= H_LEN:
+                state.weights = plasticity_step(state, view, cfg.plasticity)
+            trace[m] = state.activation
+            if cfg.weight_snapshot_every and state.step % cfg.weight_snapshot_every == 0:
+                snapshots.append((state.step, state.weights.copy()))
+
+    if protocol.total_steps and snapshots[-1][0] != protocol.total_steps:
+        snapshots.append((protocol.total_steps, state.weights.copy()))
+
+    return TraceLog(
+        names=view.names,
+        activations=trace,
+        syn_pre=view.syn_pre,
+        syn_post=view.syn_post,
+        weight_snapshots=snapshots,
+        markers=markers,
+    )

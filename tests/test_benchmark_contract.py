@@ -2,7 +2,9 @@
 into: each layer entry point it wraps, and ``NetView.of`` on a built
 connectome, which its traced runs call to count what the learning rule saw;
 and that ``protocol.run`` reaches the wrapped kernel, plasticity and
-physiology names on every step.
+physiology names on every step it computes.  Steps it fast-forwards over an
+exact repeat call no layer; the bundled conditioned protocol never repeats,
+so there every step is computed.
 
 The child is loaded as a module without running its ``main``, and without
 a bytecode cache, so nothing under ``perfbench/`` is written.
@@ -34,7 +36,8 @@ def test_the_loop_calls_each_traced_layer_through_its_module_every_step(
 ):
     """The child times the kernel, plasticity and physiology by rebinding
     these module attributes, so ``protocol.run`` has to look them up at call
-    time, once per step (plasticity once the history ring is full)."""
+    time, once per step it computes (plasticity once the history ring is
+    full).  The conditioned run repeats no state, so it computes them all."""
     seen = {"step": [], "plasticity_step": [], "metabolic_step": 0, "lung_exchange": 0}
 
     def spy(owner, name, record):

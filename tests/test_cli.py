@@ -368,6 +368,18 @@ def test_experiment_rejects_an_unknown_headline_before_running(tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
+    "override", ["plasticity.rapid_rate=nan", "plasticity.rapid_rate=inf", "physio.co2_production=nan"]
+)
+def test_run_rejects_a_non_finite_override_before_running(tmp_path, capsys, override):
+    out = tmp_path / "o"
+    code = main(["run", "ortus.ort", "fear_conditioning.protocol", "--out", str(out), "--set", override])
+    assert code == EXIT_DOMAIN
+    name = override.split(".", 1)[1].split("=")[0]
+    assert f"{name} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "physiology_line,overrides",
     [
         ("physiology sCO2 sCO2 sCO2\n", []),

@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 
 from ortus.connectome import (
     BuildConfig,
@@ -24,7 +24,8 @@ from ortus.connectome import (
     to_dot,
     write_csvs,
 )
-from ortus.dsl import has_errors, parse_source, validate_spec
+from ortus.cli import asset_path
+from ortus.dsl import format_spec, has_errors, parse_source, validate_spec
 from ortus.errors import ConfigError
 from strategies import random_specs
 
@@ -326,6 +327,18 @@ def test_build_fails_exactly_when_validation_does(source):
     gaps = [(j.a, j.b) for j in net.gap]
     assert len(set(gaps)) == len(gaps)
     assert all(a < b for a, b in gaps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_specs())
+@example(asset_path("ortus.ort").read_text())
+def test_printed_spec_builds_the_same_connectome(source):
+    spec = parse_source(source)
+    assume(not has_errors(validate_spec(spec)))
+    net, again = build(spec), build(parse_source(format_spec(spec)))
+    assert again.neurons == net.neurons
+    assert again.chem == net.chem
+    assert again.gap == net.gap
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ The closed-form equilibrium is the key invariant: with no breathing, a gas
 sensor driven at rate r and decaying by fraction d settles at exactly r/d.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,15 @@ def test_names_are_remappable(organism_net):
     binding = bind(organism_net, cfg)
     assert binding.co2 == organism_net.id_of("sO2")
     assert binding.o2 == organism_net.id_of("sCO2")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "name", ["co2_production", "o2_consumption", "lung_threshold", "exchange_gain", "initial_co2", "initial_o2"]
+)
+def test_config_rejects_non_finite_numbers(name, value):
+    with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+        PhysioConfig(**{name: value})
 
 
 def test_config_validation():

@@ -192,6 +192,26 @@ def test_config_band_ordering_validated():
         PlasticityConfig(weaken_xcorr_max=3.6, strengthen_xcorr_min=3.5)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "rapid_xcorr_min",
+        "rapid_slope_max",
+        "weaken_xcorr_max",
+        "strengthen_xcorr_min",
+        "rapid_rate",
+        "slow_rate",
+        "activity_threshold",
+    ],
+)
+def test_config_rejects_non_finite_numbers(name, value):
+    # a NaN threshold would switch learning off and an infinite rate would
+    # write NaN weights (0 * inf), both without a word
+    with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+        PlasticityConfig(**{name: value})
+
+
 @pytest.mark.parametrize("slope_window", [0, 4, 9])
 def test_slope_windows_stay_inside_the_history_ring(slope_window):
     # max_lag 4 leaves rows for a 3-step window at most; 0 steps fit no slope
@@ -326,9 +346,27 @@ def test_sparse_pass_matches_oracle_beyond_bundled_organism(five_sensor_net):
             a[view.syn_post] > cfg.activity_threshold
         )
         np.testing.assert_array_equal(out[~live], weights[~live])
-        assert (out is state.weights) == (not live.any())  # copied only when written
+        assert (out is state.weights) == (out.tobytes() == weights.tobytes())  # copied only on a change
         seen.update(c for c, ok in zip(classes, live) if ok)
     assert seen == set(Classification)
+
+
+def test_live_pairs_at_their_bounds_hand_the_same_weights_on(five_sensor_net):
+    # every strengthening target already at the cap, every weakening one at
+    # 0: the pass evaluates live pairs but changes no byte, so copies nothing
+    view = NetView.of(five_sensor_net)
+    rng = np.random.default_rng(11)
+    cfg = PlasticityConfig()
+    for _ in range(10):
+        state = random_state(view, rng)
+        state.history = mixed_history(view.n, rng)
+        a, h = state.activation, state.history
+        classes = [classify(a[s.pre], a[s.post], h[:, s.pre], h[:, s.post], cfg) for s in five_sensor_net.chem]
+        weaken = np.array([c is Classification.SLOW_WEAKEN for c in classes])
+        state.weights = np.where(weaken, 0.0, 1.0)
+        live = (view.syn_mi > 0) & np.array([c is not Classification.NONE for c in classes])
+        assert live.any()
+        assert plasticity_step(state, view, cfg) is state.weights
 
 
 def edge_history(n, rng):

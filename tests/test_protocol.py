@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ortus
+from ortus.connectome import ChemicalSynapse
 from ortus.errors import ConfigError
 from ortus.physiology import PhysioBinding, PhysioConfig
 from ortus.protocol import (
@@ -33,7 +34,7 @@ from ortus.protocol import (
     schedule,
     summarize,
 )
-from oracles import scan_events
+from oracles import make_net, run_every_step, scan_events
 from strategies import random_specs
 
 GOOD = """
@@ -434,7 +435,8 @@ def test_metrics_csv_format():
 def organisms_and_protocols(draw):
     """A buildable random organism and protocol text for it: inject, clamp
     and block events over random windows, and physiology bound to three
-    distinct declared elements or switched off."""
+    distinct declared elements or switched off.  Some protocols run long,
+    so that a state repeats and the runner fast-forwards."""
     # About a third of the random specs build; drawing again, rather than
     # rejecting the example, keeps Hypothesis from filtering too much.
     for _ in range(10):
@@ -446,7 +448,7 @@ def organisms_and_protocols(draw):
     else:
         assume(False)
     names = [nr.name for nr in net.neurons]
-    total = draw(st.integers(1, 60))
+    total = draw(st.integers(1, 60) | st.integers(200, 400))
     unit = st.floats(-1.0, 1.0, allow_nan=False)
     lines = [f"steps {total}"]
     physio = draw(st.booleans())
@@ -486,12 +488,64 @@ def test_closed_loop_invariants_hold_for_any_organism_and_protocol(case):
         assert ((weights >= 0.0) & (weights <= 1.0)).all()
         assert weights[immutable].tobytes() == view.syn_w0[immutable].tobytes()
 
-    again = run(net, protocol, cfg)
-    assert again.activations.tobytes() == a.tobytes()
-    assert [(s, w.tobytes()) for s, w in again.weight_snapshots] == [
-        (s, w.tobytes()) for s, w in trace.weight_snapshots
+    for again in (run(net, protocol, cfg), run_every_step(net, protocol, cfg)):
+        assert_same_bytes(again, trace)
+
+
+def assert_same_bytes(got: TraceLog, want: TraceLog) -> None:
+    assert got.activations.tobytes() == want.activations.tobytes()
+    assert [(s, w.tobytes()) for s, w in got.weight_snapshots] == [
+        (s, w.tobytes()) for s, w in want.weight_snapshots
     ]
-    assert again.markers == trace.markers
+    assert got.markers == want.markers
+
+
+@pytest.mark.parametrize(
+    "case, every",
+    [("conditioned", 10), ("control", 10), ("late_block", 10), ("resting", 7), ("resting", 0)],
+)
+def test_run_fast_forwards_repeats_byte_for_byte(organism_net, conditioning_protocol_path, monkeypatch, case, every):
+    """The bundled organism at rest repeats with period 19 from step 200, as
+    in the control run, and without physiology or events it rests at zero
+    (period 1).  A block from step 400 starts on a step where the lung is
+    quiet, so its first state is one the rest segment saw; the block still
+    changes what follows.  The conditioned run never repeats, so every one
+    of its steps is computed."""
+    conditioned = load_protocol(conditioning_protocol_path, organism_net)
+    prot = {
+        "conditioned": conditioned,
+        "control": control_variant(conditioned),
+        "late_block": parse_protocol("steps 700\nat 400..700 block respiration", organism_net),
+        "resting": Protocol(300, ()),
+    }[case]
+    cfg = RunConfig(physio=PhysioConfig(enabled=case != "resting"), weight_snapshot_every=every)
+    calls = []
+    kernel_step = ortus.protocol.step
+
+    def counted(*args):
+        calls.append(args[0].step)
+        return kernel_step(*args)
+
+    monkeypatch.setattr(ortus.protocol, "step", counted)
+    trace = run(organism_net, prot, cfg)
+    assert_same_bytes(trace, run_every_step(organism_net, prot, cfg))
+    if case == "conditioned":
+        assert len(calls) == prot.total_steps
+    else:
+        assert len(calls) < prot.total_steps
+
+
+def test_a_history_repeated_under_new_weights_is_no_repeat():
+    """Two neurons clamped at 0.5 repeat their history on every step from
+    step 8, while the synapse between them strengthens to the cap of 1.0
+    (+0.01 a step from 0.05); only from then on do states repeat."""
+    net = make_net(2, chem=[ChemicalSynapse(0, 1, 0.05, 1.0, 1.0)])
+    prot = parse_protocol("steps 200\nat 0..200 clamp n0 0.5\nat 0..200 clamp n1 0.5", net)
+    cfg = RunConfig(physio=PhysioConfig(enabled=False), weight_snapshot_every=1)
+    trace = run(net, prot, cfg)
+    assert_same_bytes(trace, run_every_step(net, prot, cfg))
+    weights = [float(w[0]) for _, w in trace.weight_snapshots]
+    assert weights[50] < weights[51] < 1.0 == weights[-1]
 
 
 # ---------------------------------------------------------------------------
