@@ -206,8 +206,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if headline not in net.name_to_id:
         raise ConfigError(f"unknown --headline element {headline!r}")
     outdir = Path(args.out)
+    control_protocol = control_variant(protocol)  # an ambiguous probe fails before any run
     trace = run(net, protocol, cfgs.run)
-    control = run(net, control_variant(protocol), cfgs.run)
+    control = run(net, control_protocol, cfgs.run)
 
     cn.write_csvs(net, outdir)
     trace.write_csv(outdir)

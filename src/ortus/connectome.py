@@ -101,20 +101,12 @@ class Connectome:
     gap: list[GapJunction]
     sensor_ids: list[int]
     emotion_ids: list[int]
-    motor_ids: list[int]
-    muscle_ids: list[int]
     name_to_id: dict[str, int]
     warnings: list[Diagnostic] = field(default_factory=list)  # from the build's validation
 
     @property
     def n(self) -> int:
         return len(self.neurons)
-
-    def id_of(self, name: str) -> int:
-        try:
-            return self.name_to_id[name]
-        except KeyError:
-            raise KeyError(f"no neuron named {name!r}") from None
 
 
 @dataclass
@@ -287,8 +279,6 @@ def build(spec: NetworkSpec, cfg: BuildConfig | None = None) -> Connectome:
 
     sensor_ids = [draft.name_to_id[el.name] for el in spec.elements if el.kind is ElementKind.SENSORY]
     emotion_ids = [draft.name_to_id[el.name] for el in spec.elements if el.kind is ElementKind.EMOTION]
-    motor_ids = [draft.name_to_id[el.name] for el in spec.elements if el.kind is ElementKind.MOTOR]
-    muscle_ids = [draft.name_to_id[el.name] for el in spec.elements if el.kind is ElementKind.MUSCLE]
 
     sei_of = generate_seis(draft, sensor_ids, cfg)
     sci_ids = generate_scis(draft, sensor_ids, sei_of, cfg)
@@ -311,8 +301,6 @@ def build(spec: NetworkSpec, cfg: BuildConfig | None = None) -> Connectome:
         gap=draft.gap,
         sensor_ids=sensor_ids,
         emotion_ids=emotion_ids,
-        motor_ids=motor_ids,
-        muscle_ids=muscle_ids,
         name_to_id=draft.name_to_id,
         warnings=warnings,
     )

@@ -15,9 +15,15 @@ postsynaptic neuron's transmission threshold.  Above it, the inflow is
 ``weight * g * (reversal - a_post)`` where the conductance ``g`` is a
 sigmoid of the presynaptic activation scaled by the activation range.  A
 synapse marked inverted is keyed to presynaptic suppression: its drive and
-conductance both read the negated presynaptic activation.  Gated-off
-synapses are skipped, sigmoid included: each would add a signed zero to a
-sum that starts at +0.0, which changes no bit.  The rest accumulate per
+conductance both read the negated presynaptic activation.
+
+Every synapse is evaluated, one array pass per term.  The drives are the
+entries of ``(a, -a)`` that some synapse reads (``-a`` is ``a * -1.0`` bit
+for bit, signed zeros included), so the sigmoid is taken once per neuron
+and sign rather than once per synapse, and each synapse reads its drive and
+conductance at ``syn_src``.  A gated-off synapse adds its finite inflow
+times 0.0, a signed zero, to a per-neuron sum that starts at +0.0 and so
+can never hold -0.0: no bit changes.  The inflows accumulate per
 postsynaptic neuron in connectome storage order; gap-junction flux into
 each b end, then out of each a end, in junction order.
 """
@@ -83,19 +89,36 @@ class NetView:
     gap_w: np.ndarray
     # derived in __post_init__ so that dataclasses.replace cannot leave them
     # stale: the mutable synapses, their endpoints as a (2, mutable) array
-    # (presynaptic row, then postsynaptic), each synapse's drive sign (-1
-    # inverted), and every junction's b end, then every a end
+    # (presynaptic row, then postsynaptic); the drives some synapse reads, as
+    # presynaptic neurons, plain ones first, with the index of the first
+    # inverted one, and each synapse's index into them; and for every
+    # junction end, b ends first, the neuron it stands on, the far end and
+    # the weight
     syn_mutable: np.ndarray = field(init=False)
     mut_ends: np.ndarray = field(init=False)
-    syn_sign: np.ndarray = field(init=False)
+    src_pre: np.ndarray = field(init=False)
+    src_inverted_from: int = field(init=False)
+    syn_src: np.ndarray = field(init=False)
     gap_ends: np.ndarray = field(init=False)
+    gap_from: np.ndarray = field(init=False)
+    gap_w2: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         mutable = np.flatnonzero(self.syn_mi > 0)
-        object.__setattr__(self, "syn_mutable", mutable)
-        object.__setattr__(self, "mut_ends", np.stack((self.syn_pre[mutable], self.syn_post[mutable])))
-        object.__setattr__(self, "syn_sign", np.where(self.syn_inverted, -1.0, 1.0))
-        object.__setattr__(self, "gap_ends", np.concatenate((self.gap_b, self.gap_a)))
+        keys = self.syn_pre + self.n * self.syn_inverted  # (a, -a) as one axis
+        used = np.flatnonzero(np.bincount(keys, minlength=2 * self.n))  # sorted, distinct
+        derived = {
+            "syn_mutable": mutable,
+            "mut_ends": np.stack((self.syn_pre[mutable], self.syn_post[mutable])),
+            "src_pre": used % self.n,
+            "src_inverted_from": int(np.searchsorted(used, self.n)),
+            "syn_src": np.searchsorted(used, keys),
+            "gap_ends": np.concatenate((self.gap_b, self.gap_a)),
+            "gap_from": np.concatenate((self.gap_a, self.gap_b)),
+            "gap_w2": np.concatenate((self.gap_w, self.gap_w)),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def of(cls, net: Connectome) -> "NetView":
@@ -143,19 +166,35 @@ class SimState:
 
 
 def _chem_terms(a: np.ndarray, weights: np.ndarray, view: NetView) -> np.ndarray:
-    drive = a[view.syn_pre] * view.syn_sign  # exactly -a_pre where inverted, signed zeros too
-    on = (drive >= view.syn_gate).nonzero()[0]
-    g = 1.0 / (1.0 + np.exp(-5.0 * drive[on] / ACTIVATION_RANGE))
-    post = view.syn_post[on]
-    contrib = weights[on] * g * (view.syn_rev[on] - a[post])
+    drive = a.take(view.src_pre)
+    if view.src_inverted_from < len(drive):
+        drive[view.src_inverted_from:] *= -1.0
+    g = drive * -5.0
+    g /= ACTIVATION_RANGE
+    # a drive below -283.9 (unclamped runs only) overflows exp; g is then
+    # exactly 0.0, the sigmoid's limit, and needs no warning
+    with np.errstate(over="ignore"):
+        np.exp(g, out=g)
+    g += 1.0
+    np.divide(1.0, g, out=g)
+    contrib = g.take(view.syn_src)
+    contrib *= weights
+    force = a.take(view.syn_post)  # becomes the driving force, reversal - a_post
+    contrib *= np.subtract(view.syn_rev, force, out=force)
+    contrib *= drive.take(view.syn_src) >= view.syn_gate
     # given no weights to sum, bincount counts in int64; astype copies only then
-    return np.bincount(post, contrib, minlength=view.n).astype(float, copy=False)
+    return np.bincount(view.syn_post, contrib, minlength=view.n).astype(float, copy=False)
 
 
 def _gap_terms(a: np.ndarray, view: NetView) -> np.ndarray:
-    flux = view.gap_w * (a[view.gap_a] - a[view.gap_b]) * 0.5
-    gj_in = np.bincount(view.gap_ends, np.concatenate((flux, -flux)), minlength=view.n)
-    return gj_in.astype(float, copy=False)
+    # into each end, (a_far - a_here) * w * 0.5: into the b ends, exactly the
+    # flux a -> b; into the a ends, its negation but for the sign of a zero,
+    # which no sum from +0.0 can hold
+    flux = a.take(view.gap_from)
+    flux -= a.take(view.gap_ends)
+    flux *= view.gap_w2
+    flux *= 0.5
+    return np.bincount(view.gap_ends, flux, minlength=view.n).astype(float, copy=False)
 
 
 def step(
@@ -188,9 +227,11 @@ def step(
 
     decay = cfg.decay_fraction * a
     if cfg.gj_mode is GjMode.PAPER_LITERAL:  # re-adds the outgoing flux, -gj_in
-        decay = decay + gj_in
+        decay += gj_in
 
-    nxt = a - decay + gj_in + cs_in
+    nxt = a - decay  # then + gj_in + cs_in + inject, left to right
+    nxt += gj_in
+    nxt += cs_in
     if inject is not None:
         nxt += inject
     if cfg.activation_clamp:  # np.clip's bits (no bound is a signed zero), without its overhead
@@ -198,7 +239,5 @@ def step(
     if clamp_mask is not None:
         np.copyto(nxt, clamp_value, where=clamp_mask)
 
-    history = np.empty_like(state.history)
-    history[0] = nxt
-    history[1:] = state.history[:-1]
+    history = np.concatenate((nxt[None], state.history[:-1]))
     return SimState(nxt, history, state.weights, state.step + 1)

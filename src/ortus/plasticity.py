@@ -66,9 +66,9 @@ def _row_sums(rows: np.ndarray, w: int) -> np.ndarray:
     ((r0 + r1) + r2) + r3 for w = 4, the order ``.sum(axis=0)`` uses on a
     (w, K) window, so the result does not depend on K."""
     count = len(rows) - w + 1
-    total = rows[:count]
-    for r in range(1, w):
-        total = total + rows[r:r + count]
+    total = rows[:count] + rows[1:count + 1] if w > 1 else rows[:count].copy()
+    for r in range(2, w):
+        total += rows[r:r + count]
     return total
 
 
@@ -82,7 +82,7 @@ def _lag_sums(pre_win: np.ndarray, post_win: np.ndarray, cfg: PlasticityConfig) 
     nb = np.sqrt(_row_sums(pre_back * pre_back, w))  # (max_lag, K): offsets 1..max_lag
     num = post_now[0] * pre_back[:lags]
     for r in range(1, w):
-        num = num + post_now[r] * pre_back[r:r + lags]
+        num += post_now[r] * pre_back[r:r + lags]
     ok = (na >= ZERO_NORM) & (nb >= ZERO_NORM)
     terms = np.zeros(num.shape)
     np.divide(num, na * nb, out=terms, where=ok)
@@ -97,12 +97,16 @@ def _slope_sums(win: np.ndarray, cfg: PlasticityConfig) -> np.ndarray:
     gathered (H_LEN, K) history window."""
     u, lags = cfg.slope_window, cfg.max_lag
     # Centred sample times, -1, 0, 1 for the default window: multiples of
-    # 0.5, so every product and their sum of squares are exact.
+    # 0.5, so every product and their sum of squares are exact.  A zero
+    # coefficient's term is left out: it could change only the sign of a
+    # zero fit, which the abs removes.
     c = [r - u / 2 for r in range(u + 1)]
     fit = c[0] * win[1:lags + 1]
     for r in range(1, u + 1):
-        fit = fit + c[r] * win[1 + r:lags + 1 + r]
-    return np.abs(fit / sum(x * x for x in c)).sum(axis=0)
+        if c[r]:
+            fit += c[r] * win[1 + r:lags + 1 + r]
+    fit /= sum(x * x for x in c)
+    return np.abs(fit, out=fit).sum(axis=0)
 
 
 def plasticity_step(
@@ -118,7 +122,7 @@ def plasticity_step(
     cfg = cfg or PlasticityConfig()
     if state.step < H_LEN:
         return state.weights
-    above = state.activation[view.mut_ends] > cfg.activity_threshold  # pre row, post row
+    above = state.activation.take(view.mut_ends) > cfg.activity_threshold  # pre row, post row
     active = (above[0] & above[1]).nonzero()[0]
     if not len(active):
         return state.weights
@@ -137,11 +141,18 @@ def plasticity_step(
         rr + 0.0,
         np.where(xs > cfg.strengthen_xcorr_min, sr + 0.0, np.where(xs < cfg.weaken_xcorr_max, 0.0 - sr, 0.0)),
     )
-    idx = view.syn_mutable[active]
-    old = state.weights[idx]
-    new = np.clip(old + view.syn_mi[idx] * rate, 0.0, 1.0)
+    idx = view.syn_mutable.take(active)
+    old = state.weights.take(idx)
+    new = view.syn_mi.take(idx)
+    new *= rate
+    new += old
+    # np.clip's bits without its Python wrapper.  The two can differ only on
+    # an input of -0.0, and `old + mi*rate` is never -0.0: rate is never -0.0
+    # and mi > 0, so mi*rate is +0.0 or nonzero (unless |rate| * mi underflows
+    # below 2**-1075), and -0.0 + +0.0 is +0.0, even for a weight built as -0.0.
+    np.minimum(np.maximum(new, 0.0, out=new), 1.0, out=new)
     if new.tobytes() == old.tobytes():
         return state.weights
     weights = state.weights.copy()
-    weights[idx] = new
+    weights.put(idx, new)
     return weights

@@ -187,10 +187,18 @@ def load_protocol(path: str | Path, net: Connectome) -> Protocol:
 
 
 def probe_event(protocol: Protocol) -> ProtocolEvent | None:
-    """The probe: the injection latest in time (greatest start; on a tie,
-    the one written last), or None when the protocol injects nothing."""
+    """The probe: the injection latest in time (greatest start), or None
+    when the protocol injects nothing.  Two injections tied for the latest
+    start raise ``ProtocolError``: no line order picks between them."""
     injects = [ev for ev in protocol.events if ev.kind is EventKind.INJECT]
-    return max(reversed(injects), key=lambda ev: ev.start, default=None)
+    if not injects:
+        return None
+    start = max(ev.start for ev in injects)
+    tied = [ev for ev in injects if ev.start == start]
+    if len(tied) > 1:
+        names = " and ".join(f"'{ev.label}' ({ev.start}..{ev.end})" for ev in tied)
+        raise ProtocolError(f"ambiguous probe: {names} start at step {start}")
+    return tied[0]
 
 
 def control_variant(protocol: Protocol) -> Protocol:
@@ -283,19 +291,36 @@ class TraceLog:
             raise QueryError(f"no neuron named {name!r} in trace") from None
         return self.activations[:, idx]
 
+    def _weight_lines(self) -> Iterator[str]:
+        """weights.csv's rows.  Most cells repeat the previous snapshot's
+        bits, so only the cells whose int64 view changed are formatted
+        again; one snapshot's strings are kept."""
+        pairs = [f",{pre},{post}," for pre, post in zip(self.syn_pre.tolist(), self.syn_post.tolist())]
+        cells: list[str] = []
+        bits = None
+        for n, ws in self.weight_snapshots:
+            ws = np.ascontiguousarray(ws, dtype=float)
+            now = ws.view(np.int64)
+            if bits is None:
+                cells = list(map(repr, ws.tolist()))
+            else:
+                changed = np.flatnonzero(now != bits)
+                for i, w in zip(changed.tolist(), ws.take(changed).tolist()):
+                    cells[i] = repr(w)
+            bits = now
+            yield from (f"{n}{pair}{cell}" for pair, cell in zip(pairs, cells))
+
     def write_csv(self, outdir: str | Path, prefix: str = "") -> list[Path]:
         """Write trace.csv, weights.csv, and markers.csv a line at a time;
         deterministic bytes."""
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        pairs = [f",{pre},{post}," for pre, post in zip(self.syn_pre.tolist(), self.syn_post.tolist())]
         trace = (",".join(map(repr, row.tolist())) for row in self.activations)
-        weights = (f"{n}{pair}{w!r}" for n, ws in self.weight_snapshots for pair, w in zip(pairs, ws.tolist()))
         markers = (f"{step_no},{label}" for step_no, label in self.markers)
         paths = []
         for name, header, lines in (
             ("trace.csv", ",".join(self.names), trace),
-            ("weights.csv", "step,pre,post,weight", weights),
+            ("weights.csv", "step,pre,post,weight", self._weight_lines()),
             ("markers.csv", "step,marker", markers),
         ):
             paths.append(outdir / f"{prefix}{name}")

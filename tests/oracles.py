@@ -8,8 +8,9 @@ values and then hold the vectorized engine in ``ortus.kernel`` and
 ``make_net``.
 
 The last section keeps whole-network array formulas (every synapse
-evaluated, window norms and slopes taken once per neuron) that the engine's
-gathered passes must reproduce bit for bit.  The protocol section keeps the
+evaluated with its own sigmoid, window norms and slopes taken once per
+neuron) that the engine's per-neuron sigmoid and gathered learning windows
+must reproduce bit for bit.  The protocol section keeps the
 scan over every event on every step that the compiled schedule replaces, and
 the runner's loop that computes every step, which the fast-forwarding
 ``protocol.run`` must reproduce byte for byte.
@@ -46,8 +47,6 @@ def make_net(n, chem=(), gap=(), thresholds=None) -> Connectome:
         gap=list(gap),
         sensor_ids=[],
         emotion_ids=[],
-        motor_ids=[],
-        muscle_ids=[],
         name_to_id={f"n{i}": i for i in range(n)},
     )
 

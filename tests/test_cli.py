@@ -412,3 +412,14 @@ def test_experiment_probe_is_latest_injection_in_time(tmp_path, capsys):
     assert (out / "control_markers.csv").read_text() == (
         "step,marker\n80,start inject sH2O 0.5\n90,end inject sH2O 0.5\n"
     )
+
+
+def test_experiment_refuses_a_tie_for_the_probe(tmp_path, capsys):
+    proto = tmp_path / "p.protocol"
+    proto.write_text("steps 100\nat 10..20 inject sH2O 0.8\nat 10..20 inject sCO2 0.5\n")
+    out = tmp_path / "exp"
+    assert main(["experiment", "ortus.ort", str(proto), "--out", str(out)]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert "ambiguous probe" in err and "step 10" in err
+    assert "'inject sH2O 0.8'" in err and "'inject sCO2 0.5'" in err
+    assert not out.exists()

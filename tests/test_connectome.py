@@ -363,7 +363,7 @@ def test_bundled_organism_counts(organism_net):
 def test_neuron_ids_match_declaration_then_generation_order(organism_net):
     names = [n.name for n in organism_net.neurons]
     assert names[:8] == ["sCO2", "sO2", "sH2O", "mINHALE", "mEXHALE", "LUNG", "eFEAR", "ePLEASURE"]
-    assert organism_net.id_of("sCO2") == 0
+    assert organism_net.name_to_id["sCO2"] == 0
     assert organism_net.name_to_id["LUNG"] == 5
 
 

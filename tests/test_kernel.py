@@ -297,6 +297,40 @@ def test_gated_chem_terms_equal_the_all_synapse_formula_bit_for_bit(kind):
         assert on_gate > 0
 
 
+# one presynaptic neuron drives a plain and an inverted synapse of each
+# reversal sign into one target, so every synapse reads one of the same two
+# sigmoid entries and their inflows share one sum
+SHARED_SOURCE = [
+    ChemicalSynapse(0, 1, 0.6, 1.0, 0.0),
+    ChemicalSynapse(0, 1, 0.3, -1.0, 0.0, inverted=True),
+    ChemicalSynapse(0, 1, 0.9, -1.0, 0.0),
+    ChemicalSynapse(0, 1, 0.2, 1.0, 0.0, inverted=True),
+]
+
+
+@pytest.mark.parametrize("chem", [[], SHARED_SOURCE], ids=["no_synapse", "shared_source"])
+def test_chem_terms_equal_the_oracle_on_edge_wirings(chem):
+    view = NetView.of(make_net(3, chem, thresholds=[0.0, 0.25, 0.0]))
+    if chem:  # two drives, neuron 0 plain and then inverted, each read twice
+        assert (view.src_pre.tolist(), view.src_inverted_from, view.syn_src.tolist()) == ([0, 0], 1, [0, 1, 0, 1])
+    samples = [0.0, -0.0, 0.25, -0.25, 0.7, -0.7, 1.0, -1.0]
+    for a0 in samples:
+        for a1 in samples:
+            a = np.array([a0, a1, 0.5])
+            got, want = _chem_terms(a, view.syn_w0, view), chem_terms_all_synapses(a, view.syn_w0, view)
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()  # signed zeros included
+
+
+def test_chem_terms_stay_quiet_where_the_sigmoid_overflows():
+    # an unclamped activation of 400 gives the inverted synapse a drive of
+    # -400, whose sigmoid overflows exp; pytest fails on a RuntimeWarning
+    view = NetView.of(make_net(2, SHARED_SOURCE[:2]))
+    a = np.array([400.0, 0.0])
+    got = _chem_terms(a, view.syn_w0, view)
+    assert got.tobytes() == np.array([0.0, 0.6 * 1.0 * (1.0 - 0.0)]).tobytes()  # g = 1.0, inverted gated off
+
+
 @pytest.mark.parametrize(
     "chem", [[], [ChemicalSynapse(0, 1, 1.0, 1.0, 0.0)]], ids=["no_synapse", "gated_off"]
 )

@@ -81,8 +81,8 @@ def test_bind_requires_three_distinct_elements(organism_net, names):
 def test_names_are_remappable(organism_net):
     cfg = PhysioConfig(co2_name="sO2", o2_name="sCO2", lung_name="LUNG")
     binding = bind(organism_net, cfg)
-    assert binding.co2 == organism_net.id_of("sO2")
-    assert binding.o2 == organism_net.id_of("sCO2")
+    assert binding.co2 == organism_net.name_to_id["sO2"]
+    assert binding.o2 == organism_net.name_to_id["sCO2"]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ortus import BuildConfig, build, parse_source
+from ortus.connectome import ChemicalSynapse
 from ortus.errors import ConfigError
 from ortus.kernel import H_LEN, NetView, SimState
 from ortus.plasticity import ZERO_NORM, PlasticityConfig, _lag_sums, _slope_sums, plasticity_step
@@ -25,6 +26,7 @@ from oracles import (
     classify,
     lag_sums_by_neuron,
     lagged_xcorr,
+    make_net,
     slope,
     slope_abs_sum,
     slope_sums_by_neuron,
@@ -367,6 +369,38 @@ def test_live_pairs_at_their_bounds_hand_the_same_weights_on(five_sensor_net):
         live = (view.syn_mi > 0) & np.array([c is not Classification.NONE for c in classes])
         assert live.any()
         assert plasticity_step(state, view, cfg) is state.weights
+
+
+# (pre, post) histories, newest sample first, that classify one way each
+CLASS_HISTORIES = {
+    Classification.RAPID_STRENGTHEN: (np.full(8, 0.5), np.full(8, 0.5)),
+    Classification.SLOW_STRENGTHEN: (np.linspace(0.8, 0.1, 8), np.linspace(0.8, 0.1, 8)),
+    Classification.SLOW_WEAKEN: (
+        np.array([0.6, 0.0, 0.0, 0.0, 0.0, 0.6, 0.0, 0.0]),
+        np.array([0.6, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+    ),
+    Classification.NONE: (
+        np.array([0.5, 0.4, 0.5, 0.4, 0.5, 0.4, 0.5, 0.4]),
+        np.array([0.5, 0.1, 0.5, 0.1, 0.5, 0.1, 0.5, 0.1]),
+    ),
+}
+
+
+@pytest.mark.parametrize("old", [-0.0, 0.0, 1.0])
+def test_weight_clamp_has_np_clips_bits_under_every_rate(old):
+    # one pair per class, so the four rates (rapid, slow, -slow, 0) all land
+    # on a weight built as -0.0, 0.0 or 1.0
+    classes = list(CLASS_HISTORIES)
+    chem = [ChemicalSynapse(2 * i, 2 * i + 1, old, 1.0, 0.7) for i in range(len(classes))]
+    view = NetView.of(make_net(2 * len(classes), chem))
+    history = np.stack([h for c in classes for h in CLASS_HISTORIES[c]], axis=1)
+    state = SimState(history[0].copy(), history, view.syn_w0.copy(), H_LEN)
+    a = state.activation
+    assert [classify(a[s.pre], a[s.post], history[:, s.pre], history[:, s.post]) for s in chem] == classes
+    want = np.clip(view.syn_w0 + np.array([0.01, 0.001, -0.001, 0.0]) * view.syn_mi, 0.0, 1.0)
+    got = plasticity_step(state, view)
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got).any()  # even from -0.0
 
 
 def edge_history(n, rng):

@@ -67,7 +67,7 @@ def test_parse_happy_path(organism_net):
     inject = proto.events[0]
     assert (inject.start, inject.end) == (10, 20)
     assert inject.element == "sH2O"
-    assert inject.element_id == organism_net.id_of("sH2O")
+    assert inject.element_id == organism_net.name_to_id["sH2O"]
     assert inject.value == 0.8
 
 
@@ -171,8 +171,8 @@ def test_control_variant_keeps_only_the_probe(organism_net):
     [
         # the probe is the latest injection in time, not the last line
         (["at 80..90 inject sH2O 0.5", "at 10..20 inject sCO2 0.3"], ("sH2O", 80)),
-        # on a tie in start, the line written last wins
-        (["at 80..90 inject sH2O 0.5", "at 80..85 inject sCO2 0.3"], ("sCO2", 80)),
+        # a tie in start below the latest one does not matter
+        (["at 10..20 inject sH2O 0.5", "at 10..15 inject sCO2 0.3", "at 80..85 inject sCO2 0.3"], ("sCO2", 80)),
     ],
 )
 def test_probe_is_the_latest_injection(organism_net, lines, probe):
@@ -180,6 +180,19 @@ def test_probe_is_the_latest_injection(organism_net, lines, probe):
     ev = probe_event(proto)
     assert (ev.element, ev.start) == probe
     assert control_variant(proto).events == (ev,)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["written_order", "reversed"])
+def test_a_tie_for_the_probe_fails_naming_the_step_and_both_injections(organism_net, reverse):
+    lines = ["at 80..90 inject sH2O 0.5", "at 80..85 inject sCO2 0.3", "at 10..20 inject sO2 0.2"]
+    proto = parse_protocol("\n".join(["steps 100", *(lines[::-1] if reverse else lines)]) + "\n", organism_net)
+    for pick in (probe_event, control_variant):
+        with pytest.raises(ProtocolError) as info:
+            pick(proto)
+        message = str(info.value)
+        assert "step 80" in message
+        assert "'inject sH2O 0.5' (80..90)" in message and "'inject sCO2 0.3' (80..85)" in message
+        assert "sO2" not in message
 
 
 def test_protocol_without_injections_has_no_probe(organism_net):
@@ -281,6 +294,28 @@ def test_write_csv_layout(organism_net, tmp_path):
     mlines = (tmp_path / "markers.csv").read_text().splitlines()
     assert mlines[0] == "step,marker"
     assert mlines[1] == "2,start inject sH2O 0.5"
+
+
+def test_weights_csv_reuses_strings_with_the_per_cell_bytes(tmp_path):
+    # snapshots that repeat (the same array and an equal copy), change some
+    # cells, flip a zero's sign both ways, and hold one value at a new step
+    w0 = np.array([0.05, 0.0, 1.0, 0.3, -0.0])
+    w1 = w0.copy()
+    w1[[0, 3]] = [0.051, 0.30000000000000004]
+    w2 = w1.copy()
+    w2[1], w2[4] = -0.0, 0.0
+    w3 = w2.copy()
+    w3[1] = 0.0
+    snapshots = [(0, w0), (10, w0), (20, w0.copy()), (30, w1), (40, w2), (50, w3), (60, w3.copy())]
+    pre, post = np.array([0, 1, 2, 3, 4]), np.array([5, 5, 6, 6, 7])
+    log = TraceLog(("n0",), np.zeros((1, 1)), pre, post, snapshots, [])
+    log.write_csv(tmp_path)
+    want = "step,pre,post,weight\n" + "".join(
+        f"{n},{i},{j},{w!r}\n" for n, ws in snapshots for i, j, w in zip(pre.tolist(), post.tolist(), ws.tolist())
+    )
+    got = (tmp_path / "weights.csv").read_text()
+    assert got == want
+    assert "40,1,5,-0.0\n" in got and "50,1,5,0.0\n" in got and "40,4,7,0.0\n" in got
 
 
 def test_write_csv_prefix(organism_net, tmp_path):
