@@ -22,9 +22,6 @@ from . import dsl
 from . import protocol as proto
 from .connectome import BuildConfig, build
 from .errors import ConfigError, OrtusError
-from .kernel import SimConfig
-from .physiology import PhysioConfig
-from .plasticity import PlasticityConfig
 from .protocol import Query, RunConfig, control_variant, load_protocol, metrics_csv, run, summarize
 
 EXIT_OK = 0
@@ -182,8 +179,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 def _prepare_run(args: argparse.Namespace):
     cfgs = apply_overrides(Configs.defaults(), args.set or [])
-    if getattr(args, "no_plasticity", False):
-        cfgs.run.plasticity_enabled = False
     net = _build_from_args(args, cfgs)
     protocol = load_protocol(_resolve_input(args.protocol), net)
     return cfgs, net, protocol
@@ -278,13 +273,11 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one protocol and record traces")
     common(p, protocol=True)
     p.add_argument("--out", default="ortus_out")
-    p.add_argument("--no-plasticity", action="store_true")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("experiment", help="run a protocol plus its control and summarize")
     common(p, protocol=True)
     p.add_argument("--out", default="ortus_out")
-    p.add_argument("--no-plasticity", action="store_true")
     p.add_argument("--headline", default="eFEAR", help="neuron for the headline probe metric")
     p.set_defaults(func=_cmd_experiment)
 

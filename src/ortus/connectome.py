@@ -33,7 +33,7 @@ from .dsl import (
     Severity,
     validate_spec,
 )
-from .errors import ConfigError, OrtusError
+from .errors import ConfigError, OrtusError, require_finite
 
 
 class BuildError(OrtusError):
@@ -99,8 +99,6 @@ class Connectome:
     neurons: list[Neuron]
     chem: list[ChemicalSynapse]
     gap: list[GapJunction]
-    sensor_ids: list[int]
-    emotion_ids: list[int]
     name_to_id: dict[str, int]
     warnings: list[Diagnostic] = field(default_factory=list)  # from the build's validation
 
@@ -126,6 +124,7 @@ class BuildConfig:
     dominance_weight: float = 0.6
 
     def __post_init__(self) -> None:
+        require_finite(self)
         # The learning rule clips the weights it moves to [0, 1] and skips
         # synapses of mutability 0; both assume built values inside [0, 1].
         for name in (
@@ -138,7 +137,7 @@ class BuildConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
-        if not self.eei_gj_weight >= 0.0:
+        if self.eei_gj_weight < 0.0:
             raise ConfigError(f"eei_gj_weight cannot be negative, got {self.eei_gj_weight!r}")
 
 
@@ -299,8 +298,6 @@ def build(spec: NetworkSpec, cfg: BuildConfig | None = None) -> Connectome:
         neurons=draft.neurons,
         chem=draft.chem,
         gap=draft.gap,
-        sensor_ids=sensor_ids,
-        emotion_ids=emotion_ids,
         name_to_id=draft.name_to_id,
         warnings=warnings,
     )

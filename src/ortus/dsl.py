@@ -229,12 +229,6 @@ class NetworkSpec:
     elements: list[ElementDecl]
     relationships: list[RelationshipDecl]
 
-    def element(self, name: str) -> ElementDecl | None:
-        for el in self.elements:
-            if el.name == name:
-                return el
-        return None
-
 
 # ---------------------------------------------------------------------------
 # parser
@@ -408,13 +402,9 @@ class _Parser:
         )
 
 
-def parse(tokens: list[Token]) -> NetworkSpec:
-    """Parse a token stream into a NetworkSpec, defaulting omitted attributes."""
-    return _Parser(tokens).parse()
-
-
 def parse_source(source: str) -> NetworkSpec:
-    return parse(tokenize(source))
+    """Parse .ort text into a NetworkSpec, defaulting omitted attributes."""
+    return _Parser(tokenize(source)).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -587,37 +577,3 @@ def _dominance_cycle(spec: NetworkSpec, emotions: set[str]) -> list[str] | None:
                 return found
     return None
 
-
-# ---------------------------------------------------------------------------
-# pretty printer
-# ---------------------------------------------------------------------------
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def format_spec(spec: NetworkSpec) -> str:
-    """Render a spec back to canonical .ort text.
-
-    The output makes every defaulted attribute explicit and parses back to a
-    structurally equal spec.
-    """
-    lines: list[str] = []
-    for el in spec.elements:
-        lines.append(
-            f"element {el.name} {{ type: {el.kind.value} affect: {el.affect.value}"
-            f" threshold: {_fmt(el.threshold)} }}"
-        )
-    for rel in spec.relationships:
-        if rel.kind is RelationKind.CAUSES:
-            clause = f"{rel.a_sign.value}{rel.a} causes {rel.b_sign.value}{rel.b}"  # type: ignore[union-attr]
-        else:
-            clause = f"{rel.a} {rel.kind.value} {rel.b}"
-        attrs = f" weight: {_fmt(rel.weight)}"
-        if rel.mutability is not None:
-            attrs += f" mutability: {_fmt(rel.mutability)}"
-        if rel.polarity is not None:
-            attrs += f" polarity: {rel.polarity.value}"
-        lines.append(f"relationship {{ {clause}{attrs} }}")
-    return "\n".join(lines) + "\n"

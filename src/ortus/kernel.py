@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .connectome import Connectome
-from .errors import ConfigError, OrtusError
+from .errors import ConfigError, OrtusError, require_finite
 
 H_LEN = 8
 # Activation range: the excitatory reversal (1) less the inhibitory one (-1).
@@ -61,9 +61,10 @@ class SimConfig:
     conservation_tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not (0.0 <= self.decay_fraction < 1.0):
             raise ConfigError(f"decay_fraction must lie in [0, 1), got {self.decay_fraction!r}")
-        if not self.conservation_tolerance >= 0.0:
+        if self.conservation_tolerance < 0.0:
             raise ConfigError(
                 f"conservation_tolerance cannot be negative, got {self.conservation_tolerance!r}"
             )

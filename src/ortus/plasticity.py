@@ -51,6 +51,9 @@ class PlasticityConfig:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        for name in ("xcorr_window", "max_lag"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)!r}")
         if not (self.weaken_xcorr_max < self.strengthen_xcorr_min < self.rapid_xcorr_min):
             raise ConfigError("classification bands must be ordered weaken < strengthen < rapid")
         if self.rapid_xcorr_min > self.max_lag:

@@ -9,17 +9,21 @@ overlap::
     at <start>..<end> inject <element> <amplitude>
     at <start>..<end> clamp <element> <value>
     at <start>..<end> block respiration [exhale] [inhale]
-    physiology <co2-element> <o2-element> <lung-element>   # optional remap
 
-``block respiration`` with no trailing words blocks both halves.  A run
-compiles the protocol once into segments, one per stretch of steps between
-event boundaries, each holding its summed injections, clamps and
+``block respiration`` with no trailing words blocks both halves.  Clamps of
+one neuron may overlap only where they hold the same value (compared by
+``repr``, so +0.0 and -0.0 differ); a clamp that contradicts an earlier line
+fails at its own line.  The physiology roles (CO2, O2 and lung elements)
+come from ``PhysioConfig``, not from the protocol.
+
+A run compiles the protocol once into segments, one per stretch of steps
+between event boundaries, each holding its summed injections, clamps and
 respiration blocks (see ``schedule``).  The per-step loop builds the inject
 vector (the injections, then metabolism, then breathing), advances the
 kernel, applies plasticity, and records the committed activations.  Each
-element's injections are summed in ascending order of amount, so the order
-of injection lines changes nothing; where clamps of one neuron overlap, the
-last line wins.  Runs take no random input, so replaying a protocol
+element's injections are summed in ascending order of amount, and
+overlapping clamps agree, so the order of event lines changes no activation
+or weight.  Runs take no random input, so replaying a protocol
 reproduces its trace byte for byte.  Where a segment returns to a state it
 has already been in, the loop copies the cycle's rows forward instead of
 computing them again (see ``run``); the bytes are the same.
@@ -83,14 +87,13 @@ class ProtocolEvent:
 class Protocol:
     total_steps: int
     events: tuple[ProtocolEvent, ...]
-    physio_names: tuple[str, str, str] | None = None
 
 
 def parse_protocol(text: str, net: Connectome, source: str = "<protocol>") -> Protocol:
     """Parse protocol text, resolving element names against the connectome."""
     total: int | None = None
     events: list[ProtocolEvent] = []
-    physio_names: tuple[str, str, str] | None = None
+    clamps: list[tuple[int, ProtocolEvent]] = []  # with the line of each
 
     def fail(lineno: int, message: str) -> ProtocolError:
         return ProtocolError(f"{source}:{lineno}: {message}")
@@ -112,15 +115,6 @@ def parse_protocol(text: str, net: Connectome, source: str = "<protocol>") -> Pr
             if len(words) != 2 or not words[1].isdecimal():
                 raise fail(lineno, "expected: steps <N>")
             total = int(words[1])
-            continue
-        if words[0] == "physiology":
-            if len(words) != 4:
-                raise fail(lineno, "expected: physiology <co2> <o2> <lung>")
-            for name in words[1:]:
-                resolve(lineno, name)
-            if len(set(words[1:])) < 3:
-                raise fail(lineno, "physiology roles need three distinct elements")
-            physio_names = (words[1], words[2], words[3])
             continue
         if words[0] != "at":
             raise fail(lineno, f"unknown directive {words[0]!r}")
@@ -151,9 +145,17 @@ def parse_protocol(text: str, net: Connectome, source: str = "<protocol>") -> Pr
             value = _number(args[1], lineno, fail)
             if not (-1.0 <= value <= 1.0):
                 raise fail(lineno, f"clamp value {value!r} outside [-1, 1]")
-            events.append(
-                ProtocolEvent(start, end, EventKind.CLAMP, args[0], resolve(lineno, args[0]), value)
-            )
+            ev = ProtocolEvent(start, end, EventKind.CLAMP, args[0], resolve(lineno, args[0]), value)
+            for k, other in clamps:
+                overlap = other.element_id == ev.element_id and other.start < end and start < other.end
+                if overlap and repr(other.value) != repr(value):
+                    raise fail(
+                        lineno,
+                        f"'{ev.label}' ({start}..{end}) overlaps '{other.label}' ({other.start}..{other.end})"
+                        f" of line {k}; overlapping clamps of one neuron must hold the same value",
+                    )
+            clamps.append((lineno, ev))
+            events.append(ev)
         elif action == "block":
             if not args or args[0] != "respiration":
                 raise fail(lineno, "expected: block respiration [exhale] [inhale]")
@@ -171,7 +173,7 @@ def parse_protocol(text: str, net: Connectome, source: str = "<protocol>") -> Pr
 
     if total is None:
         raise ProtocolError(f"{source}: missing steps declaration")
-    return Protocol(total, tuple(events), physio_names)
+    return Protocol(total, tuple(events))
 
 
 def _number(text: str, lineno: int, fail) -> float:
@@ -241,7 +243,9 @@ def schedule(protocol: Protocol, n: int) -> Iterator[Segment]:
     boundaries, in step order.  Each element's injections are summed in
     ascending order of amount: equal amounts add the same bits in any order,
     and a signed zero changes no sum that starts at +0.0, so the sum depends
-    only on which injections are active.  The last clamp in file order wins."""
+    only on which injections are active.  Overlapping clamps of one neuron
+    hold the same value (``parse_protocol`` refuses any other), so it does
+    not matter which one is written."""
     bounds = sorted({0, protocol.total_steps, *(t for ev in protocol.events for t in (ev.start, ev.end))})
     for start, end in zip(bounds, bounds[1:]):
         active = [ev for ev in protocol.events if ev.start <= start < ev.end]
@@ -350,17 +354,12 @@ def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> Tr
     cfg = cfg or RunConfig()
     view = NetView.of(net)
 
-    physio_cfg = cfg.physio
-    if protocol.physio_names is not None:
-        co2, o2, lung = protocol.physio_names
-        physio_cfg = replace(physio_cfg, co2_name=co2, o2_name=o2, lung_name=lung)
-
     a0 = np.zeros(view.n)
     binding = None
-    if physio_cfg.enabled:
-        binding = physiology.bind(net, physio_cfg)
-        a0[binding.co2] = physio_cfg.initial_co2
-        a0[binding.o2] = physio_cfg.initial_o2
+    if cfg.physio.enabled:
+        binding = physiology.bind(net, cfg.physio)
+        a0[binding.co2] = cfg.physio.initial_co2
+        a0[binding.o2] = cfg.physio.initial_o2
 
     state = SimState.initial(view, a0)
     trace = np.zeros((protocol.total_steps, view.n))
@@ -375,7 +374,7 @@ def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> Tr
         seen: dict[float, int] = {}  # activation sum -> step count, under the current weights
         while state.step < seg.end:
             weights = state.weights
-            inject = seg.drive(state.activation, physio_cfg, binding)
+            inject = seg.drive(state.activation, cfg.physio, binding)
             state = step(state, view, inject, cfg.sim, seg.clamp_mask, seg.clamp_value)
             if cfg.plasticity_enabled and state.step >= H_LEN:
                 state.weights = plasticity_step(state, view, cfg.plasticity)
@@ -422,7 +421,7 @@ def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> Tr
 
 @dataclass(frozen=True)
 class Query:
-    metric: str  # peak | mean | auc | peak_count | interval_mean | interval_cv
+    metric: str  # peak | peak_count | interval_mean | interval_cv
     neuron: str
     start: int | None = None
     end: int | None = None
@@ -477,8 +476,8 @@ def peak_indices(x: np.ndarray, min_prominence: float = 0.05) -> np.ndarray:
 def summarize(trace: TraceLog, queries: list[Query]) -> list[MetricRow]:
     """Evaluate window metrics against a trace.
 
-    ``peak``/``mean``/``auc`` reduce the window directly; ``peak_count``,
-    ``interval_mean``, and ``interval_cv`` run peak detection over it.
+    ``peak`` is the window's maximum; ``peak_count``, ``interval_mean``, and
+    ``interval_cv`` run peak detection over it.
     """
     rows: list[MetricRow] = []
     total = trace.activations.shape[0]
@@ -491,10 +490,6 @@ def summarize(trace: TraceLog, queries: list[Query]) -> list[MetricRow]:
         seg = col[start:end]
         if q.metric == "peak":
             value = float(seg.max())
-        elif q.metric == "mean":
-            value = float(seg.mean())
-        elif q.metric == "auc":
-            value = float(seg.sum())
         elif q.metric in ("peak_count", "interval_mean", "interval_cv"):
             peaks = peak_indices(seg)
             if q.metric == "peak_count":

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -45,8 +44,6 @@ def make_net(n, chem=(), gap=(), thresholds=None) -> Connectome:
         neurons=neurons,
         chem=list(chem),
         gap=list(gap),
-        sensor_ids=[],
-        emotion_ids=[],
         name_to_id={f"n{i}": i for i in range(n)},
     )
 
@@ -299,17 +296,12 @@ def run_every_step(net: Connectome, protocol: Protocol, cfg: RunConfig | None = 
     cfg = cfg or RunConfig()
     view = NetView.of(net)
 
-    physio_cfg = cfg.physio
-    if protocol.physio_names is not None:
-        co2, o2, lung = protocol.physio_names
-        physio_cfg = replace(physio_cfg, co2_name=co2, o2_name=o2, lung_name=lung)
-
     a0 = np.zeros(view.n)
     binding = None
-    if physio_cfg.enabled:
-        binding = physiology.bind(net, physio_cfg)
-        a0[binding.co2] = physio_cfg.initial_co2
-        a0[binding.o2] = physio_cfg.initial_o2
+    if cfg.physio.enabled:
+        binding = physiology.bind(net, cfg.physio)
+        a0[binding.co2] = cfg.physio.initial_co2
+        a0[binding.o2] = cfg.physio.initial_o2
 
     state = SimState.initial(view, a0)
     trace = np.zeros((protocol.total_steps, view.n))
@@ -321,7 +313,7 @@ def run_every_step(net: Connectome, protocol: Protocol, cfg: RunConfig | None = 
 
     for seg in schedule(protocol, view.n):
         for m in range(seg.start, seg.end):
-            inject = seg.drive(state.activation, physio_cfg, binding)
+            inject = seg.drive(state.activation, cfg.physio, binding)
             state = step(state, view, inject, cfg.sim, seg.clamp_mask, seg.clamp_value)
             if cfg.plasticity_enabled and state.step >= H_LEN:
                 state.weights = plasticity_step(state, view, cfg.plasticity)

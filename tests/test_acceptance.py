@@ -242,7 +242,7 @@ def test_criterion_6_kernel_numerics(organism_net):
 def test_criterion_7_builder_combinatorics(organism_net):
     net = organism_net
     names = {i: n.name for i, n in enumerate(net.neurons)}
-    sensors = [names[i] for i in net.sensor_ids]
+    sensors = [n.name for n in net.neurons if n.layer is Layer.SENSORY]
     assert len(sensors) == 3
 
     # brute-force subset enumeration

@@ -1,6 +1,7 @@
 """The names the benchmark's measured child (``perfbench/child.py``) reaches
-into: each layer entry point it wraps, and ``NetView.of`` on a built
-connectome, which its traced runs call to count what the learning rule saw;
+into: every attribute it reads of ``ortus`` and of its modules, each layer
+entry point it wraps, and ``NetView.of`` on a built connectome, which its
+traced runs call to count what the learning rule saw;
 and that ``protocol.run`` reaches the wrapped kernel, plasticity and
 physiology names on every step it computes.  Steps it fast-forwards over an
 exact repeat call no layer; the bundled conditioned protocol never repeats,
@@ -10,10 +11,46 @@ The child is loaded as a module without running its ``main``, and without
 a bytecode cache, so nothing under ``perfbench/`` is written.
 """
 
+import ast
+import types
+from pathlib import Path
+
 import numpy as np
 
 import ortus
 from ortus import physiology, protocol
+
+CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+
+
+def test_every_ortus_name_the_child_reads_still_exists(load_perfbench):
+    """Each attribute chain the child's source starts at a name bound to
+    ``ortus`` or one of its modules (``ortus.run``, ``protocol.TraceLog``,
+    ``cli.main``, ...) resolves, so trimming a module or the package's
+    re-exports cannot break the benchmark unseen."""
+    child = load_perfbench("child")
+    roots = {
+        name: value
+        for name, value in vars(child).items()
+        if isinstance(value, types.ModuleType) and value.__name__.split(".")[0] == "ortus"
+    }
+    assert {"ortus", "protocol", "cli"} <= set(roots)
+    checked = set()
+    for node in ast.walk(ast.parse(CHILD.read_text())):
+        chain, base = [], node
+        while isinstance(base, ast.Attribute):
+            chain.insert(0, base.attr)
+            base = base.value
+        if not chain or not isinstance(base, ast.Name) or base.id not in roots:
+            continue
+        owner = roots[base.id]
+        for depth, attr in enumerate(chain, start=1):
+            dotted = ".".join([base.id, *chain[:depth]])
+            assert hasattr(owner, attr), f"perfbench/child.py reads {dotted}, which no longer exists"
+            owner = getattr(owner, attr)
+            checked.add(dotted)
+    for name in ("ortus.parse_source", "ortus.Query", "ortus.H_LEN", "protocol.metrics_csv", "cli.main"):
+        assert name in checked
 
 
 def test_every_wrapped_layer_entry_point_exists(load_perfbench):

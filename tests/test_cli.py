@@ -241,6 +241,9 @@ def test_set_overrides_are_applied_and_echoed(tmp_path):
         "build.sei_weight=1.5",  # the plasticity clip would move an immutable weight
         "build.eei_mutability=-0.5",  # likewise
         "plasticity.slope_window=4",  # the slope windows would reach past the history
+        "plasticity.xcorr_window=0",  # no correlation window to sum
+        "plasticity.xcorr_window=-3",  # likewise
+        "plasticity.max_lag=0",  # no lag to correlate over
     ],
 )
 def test_bad_set_values_fail_cleanly(tmp_path, capsys, override):
@@ -287,21 +290,33 @@ def test_set_coerces_by_the_default_type():
     assert cfgs.run.physio.lung_name == "LUNG2"
 
 
-def test_threads_flag_is_gone(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "ortus.ort", "--threads", "4"],
+        # the one spelling is --set run.plasticity_enabled=false
+        ["run", "ortus.ort", "fear_conditioning.protocol", "--no-plasticity"],
+        ["experiment", "ortus.ort", "fear_conditioning.protocol", "--no-plasticity"],
+    ],
+)
+def test_removed_flags_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["validate", "ortus.ort", "--threads", "4"])
+        main(argv)
     assert exc.value.code == EXIT_USAGE
-    assert "--threads" in capsys.readouterr().err
+    flag = next(arg for arg in argv if arg.startswith("--"))
+    assert flag in capsys.readouterr().err
 
 
-def test_no_plasticity_flag_freezes_weights(tmp_path):
+def test_plasticity_switched_off_freezes_weights(tmp_path):
     proto = tmp_path / "p.protocol"
     proto.write_text(
         "steps 120\nat 10..60 inject sH2O 0.8\nat 10..60 block respiration\n"
     )
     out_on, out_off = tmp_path / "on", tmp_path / "off"
     assert main(["run", "ortus.ort", str(proto), "--out", str(out_on)]) == EXIT_OK
-    assert main(["run", "ortus.ort", str(proto), "--out", str(out_off), "--no-plasticity"]) == EXIT_OK
+    off = ["--set", "run.plasticity_enabled=false"]
+    assert main(["run", "ortus.ort", str(proto), "--out", str(out_off), *off]) == EXIT_OK
+    assert "run.plasticity_enabled = False" in (out_off / "config.resolved").read_text()
 
     def final_weights(outdir):
         lines = (outdir / "weights.csv").read_text().splitlines()[1:]
@@ -368,7 +383,14 @@ def test_experiment_rejects_an_unknown_headline_before_running(tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
-    "override", ["plasticity.rapid_rate=nan", "plasticity.rapid_rate=inf", "physio.co2_production=nan"]
+    "override",
+    [
+        "plasticity.rapid_rate=nan",
+        "plasticity.rapid_rate=inf",
+        "physio.co2_production=nan",
+        "build.eei_gj_weight=inf",
+        "sim.conservation_tolerance=inf",
+    ],
 )
 def test_run_rejects_a_non_finite_override_before_running(tmp_path, capsys, override):
     out = tmp_path / "o"
@@ -379,24 +401,30 @@ def test_run_rejects_a_non_finite_override_before_running(tmp_path, capsys, over
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "physiology_line,overrides",
-    [
-        ("physiology sCO2 sCO2 sCO2\n", []),
-        ("physiology sCO2 sO2 sCO2\n", []),
-        ("", ["--set", "physio.o2_name=sCO2"]),
-        ("", ["--set", "physio.lung_name=sO2"]),
-    ],
-)
-def test_physiology_roles_must_be_distinct(tmp_path, capsys, physiology_line, overrides):
+@pytest.mark.parametrize("override", ["physio.o2_name=sCO2", "physio.lung_name=sO2"])
+def test_physiology_roles_must_be_distinct(tmp_path, capsys, override):
     proto = tmp_path / "p.protocol"
-    proto.write_text("steps 30\n" + physiology_line)
+    proto.write_text("steps 30\n")
     out = tmp_path / "o"
-    assert main(["run", "ortus.ort", str(proto), "--out", str(out), *overrides]) == EXIT_DOMAIN
-    err = capsys.readouterr().err
-    assert "three distinct elements" in err
-    if physiology_line:
-        assert f"{proto}:2:" in err
+    assert main(["run", "ortus.ort", str(proto), "--out", str(out), "--set", override]) == EXIT_DOMAIN
+    assert "three distinct elements" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_lung_is_rebound_by_set_alone_and_summarized_as_rebound(tmp_path, capsys):
+    out = tmp_path / "exp"
+    overrides = ["--set", "physio.lung_name=mINHALE"]
+    assert main(["experiment", "ortus.ort", "fear_conditioning.protocol", "--out", str(out), *overrides]) == EXIT_OK
+    rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()]
+    breathing = [row[:2] for row in rows if row[0] in ("peak_count", "interval_mean", "interval_cv")]
+    assert breathing == [["peak_count", "mINHALE"], ["interval_mean", "mINHALE"], ["interval_cv", "mINHALE"]]
+    assert "physio.lung_name = mINHALE\n" in (out / "config.resolved").read_text()
+
+    proto = tmp_path / "p.protocol"
+    proto.write_text("steps 30\nphysiology sCO2 sO2 mINHALE\n")
+    out = tmp_path / "o"
+    assert main(["experiment", "ortus.ort", str(proto), "--out", str(out)]) == EXIT_DOMAIN
+    assert f"{proto}:2: unknown directive 'physiology'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -25,8 +25,9 @@ from ortus.connectome import (
     write_csvs,
 )
 from ortus.cli import asset_path
-from ortus.dsl import format_spec, has_errors, parse_source, validate_spec
+from ortus.dsl import has_errors, parse_source, validate_spec
 from ortus.errors import ConfigError
+from printer import format_spec
 from strategies import random_specs
 
 TWO_EMOTION = """
@@ -356,8 +357,8 @@ def test_bundled_organism_counts(organism_net):
     # declared + SEI + SCI fan-in + EEI forward + EEI feedback + dominance
     assert len(net.chem) == 8 + 3 + 12 + 14 + 14 + 7
     assert len(net.gap) == 14
-    assert list(net.sensor_ids) == [0, 1, 2]
-    assert [net.neurons[i].name for i in net.emotion_ids] == ["eFEAR", "ePLEASURE"]
+    assert [nr.id for nr in net.neurons if nr.layer is Layer.SENSORY] == [0, 1, 2]
+    assert [nr.name for nr in net.neurons if nr.layer is Layer.EMOTION] == ["eFEAR", "ePLEASURE"]
 
 
 def test_neuron_ids_match_declaration_then_generation_order(organism_net):

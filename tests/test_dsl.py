@@ -1,4 +1,5 @@
-"""Rules-language front end: lexer, parser, validation, pretty-printer."""
+"""Rules-language front end: lexer, parser, validation, and the round trip
+through the printer in ``tests/printer.py``."""
 
 import pytest
 from hypothesis import given, settings
@@ -18,12 +19,12 @@ from ortus.dsl import (
     Severity,
     Sign,
     TokenKind,
-    format_spec,
     has_errors,
     parse_source,
     tokenize,
     validate_spec,
 )
+from printer import format_spec
 
 MINIMAL = """
 element sLIGHT { type: sensory }
@@ -117,16 +118,15 @@ def test_tokenize_values_and_columns_beyond_ascii():
 
 
 def test_parse_element_defaults():
-    spec = parse_source(MINIMAL)
-    light = spec.element("sLIGHT")
+    light, _ = parse_source(MINIMAL).elements
+    assert light.name == "sLIGHT"
     assert light.kind is ElementKind.SENSORY
     assert light.affect is Affect.NEUTRAL
     assert light.threshold == 0.05
 
 
 def test_parse_element_attributes():
-    spec = parse_source("element eX { type: emotion affect: negative threshold: 0.25 }")
-    el = spec.element("eX")
+    (el,) = parse_source("element eX { type: emotion affect: negative threshold: 0.25 }").elements
     assert el.affect is Affect.NEGATIVE
     assert el.threshold == 0.25
 

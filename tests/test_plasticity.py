@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ortus import BuildConfig, build, parse_source
-from ortus.connectome import ChemicalSynapse
+from ortus.connectome import ChemicalSynapse, Layer
 from ortus.errors import ConfigError
 from ortus.kernel import H_LEN, NetView, SimState
 from ortus.plasticity import ZERO_NORM, PlasticityConfig, _lag_sums, _slope_sums, plasticity_step
@@ -318,7 +318,7 @@ def mixed_history(n, rng):
 def test_sparse_pass_matches_oracle_beyond_bundled_organism(five_sensor_net):
     net = five_sensor_net
     view = NetView.of(net)
-    assert len(net.sensor_ids) == 5
+    assert sum(nr.layer is Layer.SENSORY for nr in net.neurons) == 5
     rng = np.random.default_rng(6)
     cfg = PlasticityConfig()
     seen = set()

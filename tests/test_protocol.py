@@ -12,8 +12,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ortus
-from ortus.connectome import ChemicalSynapse
+from ortus.connectome import BuildError, ChemicalSynapse
 from ortus.errors import ConfigError
+from ortus.kernel import NetView, SimConfig
 from ortus.physiology import PhysioBinding, PhysioConfig
 from ortus.protocol import (
     EventKind,
@@ -83,13 +84,6 @@ def test_block_single_flag(organism_net):
     assert ev.block_exhale and not ev.block_inhale
 
 
-def test_physiology_remap_directive(organism_net):
-    proto = parse_protocol(
-        "steps 10\nphysiology sO2 sCO2 LUNG\n", organism_net
-    )
-    assert proto.physio_names == ("sO2", "sCO2", "LUNG")
-
-
 @pytest.mark.parametrize(
     "text,fragment",
     [
@@ -105,8 +99,7 @@ def test_physiology_remap_directive(organism_net):
         ("steps 10\nat 0..5 block respiration sideways\n", "unknown respiration flag"),
         ("steps 10\nat 0..5 explode sH2O 1\n", "unknown action"),
         ("steps 10\nwait 0..5\n", "unknown directive"),
-        ("steps 10\nphysiology sCO2 sCO2 sCO2\n", "<protocol>:2: physiology roles need three distinct"),
-        ("steps 10\nphysiology sCO2 sO2 sO2\n", "<protocol>:2: physiology roles need three distinct"),
+        ("steps 10\nphysiology sCO2 sO2 LUNG\n", "<protocol>:2: unknown directive 'physiology'"),
         ("", "missing steps"),
     ],
 )
@@ -193,6 +186,39 @@ def test_a_tie_for_the_probe_fails_naming_the_step_and_both_injections(organism_
         assert "step 80" in message
         assert "'inject sH2O 0.5' (80..90)" in message and "'inject sCO2 0.3' (80..85)" in message
         assert "sO2" not in message
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["at 10..30 clamp eFEAR 0.5", "at 20..40 clamp eFEAR 0.1"],
+        ["at 0..5 clamp eFEAR 0.0", "at 4..6 clamp eFEAR -0.0"],  # the signs of zero differ
+        ["at 0..50 clamp eFEAR 0.5", "at 20..21 clamp eFEAR 0.5000000000000001"],
+    ],
+)
+def test_overlapping_clamps_of_one_neuron_must_agree(organism_net, lines):
+    for first, second in (lines, lines[::-1]):
+        text = "\n".join(["steps 50", "at 0..50 inject sH2O 0.1", first, second])
+        with pytest.raises(ProtocolError) as info:
+            parse_protocol(text, organism_net, source="p.protocol")
+        message = str(info.value)
+        assert message.startswith(f"p.protocol:4: '{second.split(' ', 2)[2]}'")
+        assert f"'{first.split(' ', 2)[2]}'" in message and "of line 3" in message
+
+
+def test_clamps_that_agree_touch_or_hold_other_neurons_may_overlap(organism_net):
+    lines = [
+        "at 10..30 clamp eFEAR 0.5",
+        "at 20..40 clamp eFEAR 0.5",  # the same value
+        "at 40..45 clamp eFEAR 0.1",  # starts where the second ends
+        "at 0..50 clamp ePLEASURE -0.0",  # another neuron
+        "at 0..50 inject eFEAR 0.2",  # an injection, not a clamp
+    ]
+    text = "\n".join(["steps 50", *lines])
+    proto = parse_protocol(text, organism_net)
+    assert [ev.label for ev in proto.events] == [line.split(" ", 2)[2] for line in lines]
+    fear = run(organism_net, proto, RunConfig()).column("eFEAR")
+    assert np.all(fear[10:40] == 0.5) and np.all(fear[40:45] == 0.1)
 
 
 def test_protocol_without_injections_has_no_probe(organism_net):
@@ -419,8 +445,6 @@ def test_summarize_window_metrics():
         trace,
         [
             Query("peak", "osc", 0, 40),
-            Query("mean", "flat"),
-            Query("auc", "flat", 0, 10),
             Query("peak_count", "osc"),
             Query("interval_mean", "osc"),
             Query("interval_cv", "osc"),
@@ -428,8 +452,6 @@ def test_summarize_window_metrics():
     )
     values = {r.metric: r.value for r in rows}
     assert values["peak"] == pytest.approx(0.4, abs=1e-3)
-    assert values["mean"] == 0.0
-    assert values["auc"] == 0.0
     assert values["peak_count"] == 5.0
     assert values["interval_mean"] == pytest.approx(40.0)
     assert values["interval_cv"] == pytest.approx(0.0)
@@ -469,16 +491,17 @@ def test_metrics_csv_format():
 @st.composite
 def organisms_and_protocols(draw):
     """A buildable random organism and protocol text for it: inject, clamp
-    and block events over random windows, and physiology bound to three
-    distinct declared elements or switched off.  Some protocols run long,
-    so that a state repeats and the runner fast-forwards."""
+    and block events over random windows, and physiology bound by the
+    ``PhysioConfig`` names to three distinct declared elements, or switched
+    off.  Clamps of one neuron may overlap only where they agree.  Some
+    protocols run long, so that a state repeats and the runner fast-forwards."""
     # About a third of the random specs build; drawing again, rather than
     # rejecting the example, keeps Hypothesis from filtering too much.
     for _ in range(10):
         try:
             net = ortus.build(ortus.parse_source(draw(random_specs())))
             break
-        except ortus.BuildError:
+        except BuildError:
             pass
     else:
         assume(False)
@@ -486,10 +509,11 @@ def organisms_and_protocols(draw):
     total = draw(st.integers(1, 60) | st.integers(200, 400))
     unit = st.floats(-1.0, 1.0, allow_nan=False)
     lines = [f"steps {total}"]
-    physio = draw(st.booleans())
-    if physio:
-        bound = draw(st.lists(st.sampled_from(names), min_size=3, max_size=3, unique=True))
-        lines.append("physiology " + " ".join(bound))
+    physio = PhysioConfig(enabled=False)
+    if draw(st.booleans()):
+        co2, o2, lung = draw(st.lists(st.sampled_from(names), min_size=3, max_size=3, unique=True))
+        physio = PhysioConfig(co2_name=co2, o2_name=o2, lung_name=lung)
+    clamps = {}  # one value per clamped neuron, so overlapping clamps agree
     for _ in range(draw(st.integers(0, 6))):
         start = draw(st.integers(0, total - 1))
         window = f"at {start}..{draw(st.integers(start + 1, total))}"
@@ -498,12 +522,10 @@ def organisms_and_protocols(draw):
             flags = draw(st.sampled_from(["", " exhale", " inhale", " exhale inhale"]))
             lines.append(f"{window} block respiration{flags}")
         else:
-            lines.append(f"{window} {kind} {draw(st.sampled_from(names))} {draw(unit)!r}")
-    cfg = RunConfig(
-        sim=ortus.SimConfig(check_conservation=True),
-        physio=ortus.PhysioConfig(enabled=physio),
-        weight_snapshot_every=1,
-    )
+            name = draw(st.sampled_from(names))
+            value = clamps.setdefault(name, draw(unit)) if kind == "clamp" else draw(unit)
+            lines.append(f"{window} {kind} {name} {value!r}")
+    cfg = RunConfig(sim=SimConfig(check_conservation=True), physio=physio, weight_snapshot_every=1)
     return net, parse_protocol("\n".join(lines), net), cfg
 
 
@@ -511,7 +533,7 @@ def organisms_and_protocols(draw):
 @given(organisms_and_protocols())
 def test_closed_loop_invariants_hold_for_any_organism_and_protocol(case):
     net, protocol, cfg = case
-    view = ortus.NetView.of(net)
+    view = NetView.of(net)
     immutable = view.syn_mi == 0
     trace = run(net, protocol, cfg)  # gap-junction flux is checked every step
 
@@ -591,13 +613,15 @@ def test_a_history_repeated_under_new_weights_is_no_repeat():
 @st.composite
 def crowded_protocols(draw):
     """Events piled onto a few neurons and steps: overlapping injections into
-    one neuron, injections into the gas elements, overlapping clamps (with
-    +0.0 and -0.0 values) and blocks, with physiology bound or off."""
+    one neuron, injections into the gas elements, overlapping clamps that
+    agree, as ``parse_protocol`` requires (one value per neuron, +0.0 and
+    -0.0 among them), and blocks, with physiology bound or off."""
     n = draw(st.integers(3, 6))
     total = draw(st.integers(1, 40))
     amount = st.one_of(
         st.floats(-1.0, 1.0, allow_nan=False), st.sampled_from([0.1, 0.2, 0.3, 0.0, -0.0, 1e-17])
     )
+    clamp_values = draw(st.lists(amount, min_size=n, max_size=n))
     events = []
     for _ in range(draw(st.integers(0, 12))):
         start = draw(st.integers(0, total - 1))
@@ -608,7 +632,8 @@ def crowded_protocols(draw):
             events.append(ProtocolEvent(start, end, kind, block_exhale=exhale, block_inhale=inhale))
         else:
             element = draw(st.integers(0, n - 1))
-            events.append(ProtocolEvent(start, end, kind, f"n{element}", element, draw(amount)))
+            value = clamp_values[element] if kind is EventKind.CLAMP else draw(amount)
+            events.append(ProtocolEvent(start, end, kind, f"n{element}", element, value))
     roles = draw(st.one_of(st.none(), st.permutations(range(n))))
     return n, Protocol(total, tuple(events)), None if roles is None else PhysioBinding(*roles[:3])
 
@@ -669,6 +694,8 @@ _WATER_AND_CO2 = [
     "at 2..30 inject sCO2 0.02",
 ]
 
+_CLAMPS = ["at 0..10 clamp eFEAR 0.03", "at 5..15 clamp eFEAR 0.03", "at 8..12 clamp eFEAR -0.0"]
+
 
 @st.composite
 def shuffled_event_lines(draw):
@@ -676,14 +703,16 @@ def shuffled_event_lines(draw):
     their drawn order and shuffled.  The events crowd onto a few elements:
     overlapping injections (the gases included), small enough that their
     float sums rarely saturate a neuron and so depend on the order they are
-    added in, blocks, and clamps, of which no two on one neuron overlap."""
+    added in, blocks, and clamps, whose values repeat often enough that
+    overlapping ones both agree and disagree."""
     total = draw(st.integers(10, 40))
     amount = st.one_of(
         st.sampled_from([0.01, 0.02, 0.03, 0.07, -0.04]),
         st.sampled_from([0.0, -0.0, 1e-17]),
         st.floats(-0.1, 0.1, allow_nan=False),
     )
-    lines, clamps = [], []
+    clamp_value = st.one_of(st.sampled_from([0.03, 0.0, -0.0]), amount)
+    lines = []
     for _ in range(draw(st.integers(3, 16))):
         start = draw(st.integers(0, total - 1))
         end = draw(st.integers(start + 1, total))
@@ -692,25 +721,34 @@ def shuffled_event_lines(draw):
         if kind == "block":
             flags = draw(st.sampled_from(["", " exhale", " inhale"]))
             lines.append(f"at {start}..{end} block respiration{flags}")
-        elif kind == "clamp" and any(e == element and start < b and a < end for e, a, b in clamps):
-            continue  # overlapping clamps of one neuron: the last line wins
         else:
-            if kind == "clamp":
-                clamps.append((element, start, end))
-            lines.append(f"at {start}..{end} {kind} {element} {draw(amount)!r}")
+            value = draw(clamp_value if kind == "clamp" else amount)
+            lines.append(f"at {start}..{end} {kind} {element} {value!r}")
     return total, lines, draw(st.permutations(lines))
 
 
 @settings(max_examples=100, deadline=None)
 @given(shuffled_event_lines())
 @example((30, _WATER_AND_CO2, _WATER_AND_CO2[::-1]))  # overlapping sums into sH2O and sCO2
+@example((20, _CLAMPS[:2], _CLAMPS[1::-1]))  # overlapping clamps that agree
+@example((20, _CLAMPS[1:], _CLAMPS[:0:-1]))  # and that disagree
 def test_event_line_order_changes_no_output_byte(organism_net, case):
+    """Either both orders run to the same bytes, or both are refused for
+    overlapping clamps that disagree."""
     total, *orders = case
     cfg = RunConfig(weight_snapshot_every=1)
-    traces = [
-        run(organism_net, parse_protocol("\n".join([f"steps {total}", *lines]), organism_net), cfg)
-        for lines in orders
-    ]
+    traces = []
+    for lines in orders:
+        try:
+            protocol = parse_protocol("\n".join([f"steps {total}", *lines]), organism_net)
+        except ProtocolError as exc:
+            assert "overlapping clamps of one neuron must hold the same value" in str(exc)
+            traces.append(None)
+        else:
+            traces.append(run(organism_net, protocol, cfg))
+    if None in traces:
+        assert traces == [None, None]
+        return
     assert traces[0].activations.tobytes() == traces[1].activations.tobytes()
     assert [(n, w.tobytes()) for n, w in traces[0].weight_snapshots] == [
         (n, w.tobytes()) for n, w in traces[1].weight_snapshots
