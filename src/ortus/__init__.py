@@ -10,7 +10,8 @@ one experiment's path; everything else is imported from its own module.
 from .connectome import BuildConfig, build
 from .dsl import parse_source
 from .errors import OrtusError
-from .kernel import H_LEN, NetView
+from .kernel import NetView
+from .plasticity import H_LEN
 from .protocol import Query, control_variant, load_protocol, run, summarize
 
 __version__ = "0.1.0"

@@ -6,9 +6,8 @@ junction, so what one side gains the other loses), gains graded
 chemical-synapse input, and receives external injections; the result is
 clamped to the reversal range and clamped neurons are then overridden.  All
 reads come from the previous step's committed values, so the evaluation
-order of neurons cannot change the outcome.  A step writes no array of the
-state it is given: it makes new activation and history arrays (the new row
-on top of the old rows but the last) and hands the weights on unchanged.
+order of neurons cannot change the outcome.  A step is a function of
+arrays: it returns a new activation array and writes none of its inputs.
 
 A chemical synapse transmits nothing until its presynaptic drive reaches the
 postsynaptic neuron's transmission threshold.  Above it, the inflow is
@@ -31,14 +30,13 @@ each b end, then out of each a end, in junction order.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .connectome import Connectome
 from .errors import ConfigError, OrtusError, require_finite
 
-H_LEN = 8
 # Activation range: the excitatory reversal (1) less the inhibitory one (-1).
 ACTIVATION_RANGE = 2.0
 
@@ -88,38 +86,20 @@ class NetView:
     gap_a: np.ndarray
     gap_b: np.ndarray
     gap_w: np.ndarray
-    # derived in __post_init__ so that dataclasses.replace cannot leave them
-    # stale: the mutable synapses, their endpoints as a (2, mutable) array
+    # the mutable synapses, their endpoints as a (2, mutable) array
     # (presynaptic row, then postsynaptic); the drives some synapse reads, as
     # presynaptic neurons, plain ones first, with the index of the first
     # inverted one, and each synapse's index into them; and for every
     # junction end, b ends first, the neuron it stands on, the far end and
     # the weight
-    syn_mutable: np.ndarray = field(init=False)
-    mut_ends: np.ndarray = field(init=False)
-    src_pre: np.ndarray = field(init=False)
-    src_inverted_from: int = field(init=False)
-    syn_src: np.ndarray = field(init=False)
-    gap_ends: np.ndarray = field(init=False)
-    gap_from: np.ndarray = field(init=False)
-    gap_w2: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        mutable = np.flatnonzero(self.syn_mi > 0)
-        keys = self.syn_pre + self.n * self.syn_inverted  # (a, -a) as one axis
-        used = np.flatnonzero(np.bincount(keys, minlength=2 * self.n))  # sorted, distinct
-        derived = {
-            "syn_mutable": mutable,
-            "mut_ends": np.stack((self.syn_pre[mutable], self.syn_post[mutable])),
-            "src_pre": used % self.n,
-            "src_inverted_from": int(np.searchsorted(used, self.n)),
-            "syn_src": np.searchsorted(used, keys),
-            "gap_ends": np.concatenate((self.gap_b, self.gap_a)),
-            "gap_from": np.concatenate((self.gap_a, self.gap_b)),
-            "gap_w2": np.concatenate((self.gap_w, self.gap_w)),
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+    syn_mutable: np.ndarray
+    mut_ends: np.ndarray
+    src_pre: np.ndarray
+    src_inverted_from: int
+    syn_src: np.ndarray
+    gap_ends: np.ndarray
+    gap_from: np.ndarray
+    gap_w2: np.ndarray
 
     @classmethod
     def of(cls, net: Connectome) -> "NetView":
@@ -129,7 +109,13 @@ class NetView:
         # so a large network's heap is not trimmed and re-faulted every step.
         table = [(s.pre, s.post, s.reversal, s.weight, s.mutability, s.inverted) for s in net.chem]
         pre, post, rev, w0, mi, inverted = np.array(table, dtype=float).reshape(-1, 6).T.copy()
-        pre, post = pre.astype(int), post.astype(int)
+        pre, post, inverted = pre.astype(int), post.astype(int), inverted.astype(bool)
+        gap_a = np.array([g.a for g in net.gap], dtype=int)
+        gap_b = np.array([g.b for g in net.gap], dtype=int)
+        gap_w = np.array([g.weight for g in net.gap], dtype=float)
+        mutable = np.flatnonzero(mi > 0)
+        keys = pre + net.n * inverted  # (a, -a) as one axis
+        used = np.flatnonzero(np.bincount(keys, minlength=2 * net.n))  # sorted, distinct
         return cls(
             n=net.n,
             names=tuple(nr.name for nr in net.neurons),
@@ -138,32 +124,20 @@ class NetView:
             syn_rev=rev,
             syn_w0=w0,
             syn_mi=mi,
-            syn_inverted=inverted.astype(bool),
+            syn_inverted=inverted,
             syn_gate=thr[post],
-            gap_a=np.array([g.a for g in net.gap], dtype=int),
-            gap_b=np.array([g.b for g in net.gap], dtype=int),
-            gap_w=np.array([g.weight for g in net.gap], dtype=float),
+            gap_a=gap_a,
+            gap_b=gap_b,
+            gap_w=gap_w,
+            syn_mutable=mutable,
+            mut_ends=np.stack((pre[mutable], post[mutable])),
+            src_pre=used % net.n,
+            src_inverted_from=int(np.searchsorted(used, net.n)),
+            syn_src=np.searchsorted(used, keys),
+            gap_ends=np.concatenate((gap_b, gap_a)),
+            gap_from=np.concatenate((gap_a, gap_b)),
+            gap_w2=np.concatenate((gap_w, gap_w)),
         )
-
-
-@dataclass
-class SimState:
-    """Activations, their recent history (row 0 = most recent), and the
-    live synaptic weights.  Each step makes new activation and history
-    arrays and carries the weight array over unchanged; plasticity replaces
-    it with a new one on a step that writes a weight."""
-
-    activation: np.ndarray
-    history: np.ndarray  # (H_LEN, n)
-    weights: np.ndarray  # one per chemical synapse, storage order
-    step: int = 0
-
-    @classmethod
-    def initial(cls, view: NetView, activation: np.ndarray | None = None) -> "SimState":
-        a = np.zeros(view.n) if activation is None else np.asarray(activation, dtype=float).copy()
-        if a.shape != (view.n,):
-            raise ConfigError(f"initial activation must have shape ({view.n},)")
-        return cls(a, np.tile(a, (H_LEN, 1)), view.syn_w0.copy(), 0)
 
 
 def _chem_terms(a: np.ndarray, weights: np.ndarray, view: NetView) -> np.ndarray:
@@ -199,26 +173,26 @@ def _gap_terms(a: np.ndarray, view: NetView) -> np.ndarray:
 
 
 def step(
-    state: SimState,
+    a: np.ndarray,
+    weights: np.ndarray,
     view: NetView,
     inject: np.ndarray | None = None,
     cfg: SimConfig | None = None,
     clamp_mask: np.ndarray | None = None,
     clamp_value: np.ndarray | None = None,
-) -> SimState:
-    """Advance the network one step: add ``inject``, then set the neurons in
-    ``clamp_mask`` to their ``clamp_value``.  The new state shares
-    ``state.weights``.
+) -> np.ndarray:
+    """The activations one step after ``a`` under ``weights``: add
+    ``inject``, then set the neurons in ``clamp_mask`` to their
+    ``clamp_value``.  Returns a new array and writes none of its inputs.
 
     Flux contributions accumulate in connectome storage order, so two runs
-    from the same state are bitwise identical.  In paper-literal gap-junction
+    from the same arrays are bitwise identical.  In paper-literal gap-junction
     mode the decay term re-adds outgoing junction losses verbatim, which
     cancels the inflow; it exists for side-by-side comparison runs, and
     ``SimConfig`` refuses it with conservation checking.
     """
     cfg = cfg or SimConfig()
-    a = state.activation
-    cs_in = _chem_terms(a, state.weights, view)
+    cs_in = _chem_terms(a, weights, view)
     gj_in = _gap_terms(a, view)
 
     if cfg.check_conservation:
@@ -239,6 +213,4 @@ def step(
         np.minimum(np.maximum(nxt, -1.0, out=nxt), 1.0, out=nxt)
     if clamp_mask is not None:
         np.copyto(nxt, clamp_value, where=clamp_mask)
-
-    history = np.concatenate((nxt[None], state.history[:-1]))
-    return SimState(nxt, history, state.weights, state.step + 1)
+    return nxt

@@ -31,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, require_finite
-from .kernel import H_LEN, NetView, SimState
+from .kernel import NetView
 
+H_LEN = 8  # committed rows the rule reads, newest first
 ZERO_NORM = 1e-12
 
 
@@ -59,7 +60,7 @@ class PlasticityConfig:
         if self.rapid_xcorr_min > self.max_lag:
             raise ConfigError("rapid_xcorr_min cannot exceed the maximum correlation sum")
         if self.max_lag + self.xcorr_window > H_LEN:
-            raise ConfigError("correlation windows cannot reach past the history ring")
+            raise ConfigError(f"correlation windows cannot reach past the last {H_LEN} rows")
         if not 1 <= self.slope_window < H_LEN - self.max_lag:
             raise ConfigError(f"slope_window must lie in [1, {H_LEN - self.max_lag - 1}]")
 
@@ -113,24 +114,20 @@ def _slope_sums(win: np.ndarray, cfg: PlasticityConfig) -> np.ndarray:
 
 
 def plasticity_step(
-    state: SimState, view: NetView, cfg: PlasticityConfig | None = None
+    history: np.ndarray, weights: np.ndarray, view: NetView, cfg: PlasticityConfig | None = None
 ) -> np.ndarray:
-    """One full plasticity pass.  Returns ``state.weights`` itself unless
-    the pass changes the bytes of some weight, else a new array;
-    ``state.weights`` is never written.
-
-    Inert until the history ring has been filled by real steps, so the
-    padded start-up history can never drive learning.
+    """One full plasticity pass over ``history``, the last ``H_LEN``
+    committed activation rows, newest first (row 0 is the current
+    activation).  Returns ``weights`` itself unless the pass changes the
+    bytes of some weight, else a new array; no input is written.
     """
     cfg = cfg or PlasticityConfig()
-    if state.step < H_LEN:
-        return state.weights
-    above = state.activation.take(view.mut_ends) > cfg.activity_threshold  # pre row, post row
+    above = history[0].take(view.mut_ends) > cfg.activity_threshold  # pre row, post row
     active = (above[0] & above[1]).nonzero()[0]
     if not len(active):
-        return state.weights
+        return weights
     k = len(active)
-    win = state.history.take(view.mut_ends.take(active, axis=1).ravel(), axis=1)  # pre columns, then post
+    win = history.take(view.mut_ends.take(active, axis=1).ravel(), axis=1)  # pre columns, then post
     xs = _lag_sums(win[:, :k], win[:, k:], cfg)
     flat = _slope_sums(win, cfg) <= cfg.rapid_slope_max
     rapid = (xs >= cfg.rapid_xcorr_min) & flat[:k] & flat[k:]
@@ -145,7 +142,7 @@ def plasticity_step(
         np.where(xs > cfg.strengthen_xcorr_min, sr + 0.0, np.where(xs < cfg.weaken_xcorr_max, 0.0 - sr, 0.0)),
     )
     idx = view.syn_mutable.take(active)
-    old = state.weights.take(idx)
+    old = weights.take(idx)
     new = view.syn_mi.take(idx)
     new *= rate
     new += old
@@ -155,7 +152,7 @@ def plasticity_step(
     # below 2**-1075), and -0.0 + +0.0 is +0.0, even for a weight built as -0.0.
     np.minimum(np.maximum(new, 0.0, out=new), 1.0, out=new)
     if new.tobytes() == old.tobytes():
-        return state.weights
-    weights = state.weights.copy()
-    weights.put(idx, new)
-    return weights
+        return weights
+    out = weights.copy()
+    out.put(idx, new)
+    return out

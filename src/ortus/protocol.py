@@ -1,9 +1,9 @@
 """Experiment scripts, the closed-loop runner, and trace recording.
 
 A protocol file is line oriented; ``#`` comments and blank lines are
-skipped.  The step count comes first, then any number of timed events whose
-windows are half-open (``start`` inclusive, ``end`` exclusive) and may
-overlap::
+skipped.  The step count, at least 1, comes first, then any number of timed
+events whose windows are half-open (``start`` inclusive, ``end`` exclusive)
+and may overlap::
 
     steps <N>
     at <start>..<end> inject <element> <amplitude>
@@ -41,9 +41,9 @@ import numpy as np
 from . import physiology
 from .connectome import Connectome
 from .errors import ConfigError, OrtusError
-from .kernel import H_LEN, NetView, SimConfig, SimState, step
+from .kernel import NetView, SimConfig, step
 from .physiology import PhysioBinding, PhysioConfig
-from .plasticity import PlasticityConfig, plasticity_step
+from .plasticity import H_LEN, PlasticityConfig, plasticity_step
 
 
 class ProtocolError(OrtusError):
@@ -115,6 +115,8 @@ def parse_protocol(text: str, net: Connectome, source: str = "<protocol>") -> Pr
             if len(words) != 2 or not words[1].isdecimal():
                 raise fail(lineno, "expected: steps <N>")
             total = int(words[1])
+            if total < 1:
+                raise fail(lineno, "steps must be at least 1")
             continue
         if words[0] != "at":
             raise fail(lineno, f"unknown directive {words[0]!r}")
@@ -337,56 +339,60 @@ class TraceLog:
 def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> TraceLog:
     """Drive the closed loop for every protocol step and record the trace.
 
-    Each step: the segment's injections plus the physiology drive from the
-    current state, its clamps, one kernel step, one plasticity pass (skipped
-    while the history warms up), then the committed activations are logged.
+    The run's state is three locals: the activations ``a``, the live
+    ``weights`` and the step count ``t``; the trace is its memory.  Each
+    step: the segment's injections plus the physiology drive from ``a``, its
+    clamps and one kernel step give the next activations, which are written
+    to ``trace[t]``.  Once ``H_LEN`` steps are written, the learning pass
+    then reads the last ``H_LEN`` trace rows, newest first, as a view.
 
-    Exact repeats are fast-forwarded.  Within a segment, once the history
-    ring holds only real steps, a step depends on nothing but the history
-    and the weights, so a state seen before under the same weights array
-    (which plasticity replaces only when a weight's bytes change) starts a
-    cycle.  A state is looked up by its activation sum and confirmed by
-    comparing the last ``H_LEN`` trace rows byte for byte, so -0.0 and NaN
-    cannot fake a repeat.  The cycle's rows are then tiled, and its
-    unchanged weights snapshotted at their cadence, for every whole period
-    left in the segment; the remaining steps are computed.
+    Exact repeats are fast-forwarded.  Within a segment, once ``H_LEN``
+    steps are written, a step depends on nothing but the last ``H_LEN``
+    trace rows and the weights, so a state seen before under the same
+    weights array (which plasticity replaces only when a weight's bytes
+    change) starts a cycle.  A state is looked up by its activation sum and
+    confirmed by comparing the last ``H_LEN`` trace rows byte for byte, so
+    -0.0 and NaN cannot fake a repeat.  The cycle's rows are then tiled, and
+    its unchanged weights snapshotted at their cadence, for every whole
+    period left in the segment; the remaining steps are computed.
     """
     cfg = cfg or RunConfig()
     view = NetView.of(net)
 
-    a0 = np.zeros(view.n)
+    a = np.zeros(view.n)
     binding = None
     if cfg.physio.enabled:
         binding = physiology.bind(net, cfg.physio)
-        a0[binding.co2] = cfg.physio.initial_co2
-        a0[binding.o2] = cfg.physio.initial_o2
+        a[binding.co2] = cfg.physio.initial_co2
+        a[binding.o2] = cfg.physio.initial_o2
 
-    state = SimState.initial(view, a0)
+    weights = view.syn_w0  # never written: a pass that moves a weight returns a new array
     trace = np.zeros((protocol.total_steps, view.n))
     every = cfg.weight_snapshot_every
-    snapshots: list[tuple[int, np.ndarray]] = [(0, state.weights.copy())]
+    snapshots: list[tuple[int, np.ndarray]] = [(0, weights.copy())]
     markers: list[tuple[int, str]] = []
     for ev in protocol.events:
         markers.append((ev.start, f"start {ev.label}"))
         markers.append((ev.end, f"end {ev.label}"))
 
+    t = 0
     for seg in schedule(protocol, view.n):
         seen: dict[float, int] = {}  # activation sum -> step count, under the current weights
-        while state.step < seg.end:
-            weights = state.weights
-            inject = seg.drive(state.activation, cfg.physio, binding)
-            state = step(state, view, inject, cfg.sim, seg.clamp_mask, seg.clamp_value)
-            if cfg.plasticity_enabled and state.step >= H_LEN:
-                state.weights = plasticity_step(state, view, cfg.plasticity)
-            t = state.step
-            trace[t - 1] = state.activation
+        while t < seg.end:
+            before = weights
+            inject = seg.drive(a, cfg.physio, binding)
+            a = step(a, weights, view, inject, cfg.sim, seg.clamp_mask, seg.clamp_value)
+            trace[t] = a
+            t += 1
+            if cfg.plasticity_enabled and t >= H_LEN:
+                weights = plasticity_step(trace[t - H_LEN:t][::-1], weights, view, cfg.plasticity)
             if every and t % every == 0:
-                snapshots.append((t, state.weights.copy()))
+                snapshots.append((t, weights.copy()))
             if t < H_LEN:
                 continue
-            if state.weights is not weights:
+            if weights is not before:
                 seen.clear()
-            key = float(state.activation.sum())
+            key = float(a.sum())
             t0 = seen.get(key)
             if t0 is None or trace[t - H_LEN:t].tobytes() != trace[t0 - H_LEN:t0].tobytes():
                 seen[key] = t
@@ -397,12 +403,12 @@ def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> Tr
             trace[t:t + skip].reshape(skip // period, period, view.n)[:] = trace[t0:t]
             if every:
                 cadence = range(t // every * every + every, t + skip + 1, every)
-                snapshots.extend((s, state.weights.copy()) for s in cadence)
-            state.step = t + skip
+                snapshots.extend((s, weights.copy()) for s in cadence)
+            t += skip
             seen.clear()  # fewer steps than a period are left, so no whole cycle fits again
 
-    if protocol.total_steps and snapshots[-1][0] != protocol.total_steps:
-        snapshots.append((protocol.total_steps, state.weights.copy()))
+    if snapshots[-1][0] != protocol.total_steps:
+        snapshots.append((protocol.total_steps, weights.copy()))
 
     return TraceLog(
         names=view.names,

@@ -26,9 +26,9 @@ import numpy as np
 from ortus import physiology
 from ortus.connectome import ChemicalSynapse, Connectome, GapJunction, Layer, Neuron
 from ortus.errors import OrtusError
-from ortus.kernel import ACTIVATION_RANGE, H_LEN, NetView, SimState, step
+from ortus.kernel import ACTIVATION_RANGE, NetView, step
 from ortus.physiology import PhysioBinding, PhysioConfig
-from ortus.plasticity import ZERO_NORM, PlasticityConfig, plasticity_step
+from ortus.plasticity import H_LEN, ZERO_NORM, PlasticityConfig, plasticity_step
 from ortus.protocol import EventKind, Protocol, RunConfig, TraceLog, schedule
 
 # ---------------------------------------------------------------------------
@@ -296,33 +296,35 @@ def run_every_step(net: Connectome, protocol: Protocol, cfg: RunConfig | None = 
     cfg = cfg or RunConfig()
     view = NetView.of(net)
 
-    a0 = np.zeros(view.n)
+    a = np.zeros(view.n)
     binding = None
     if cfg.physio.enabled:
         binding = physiology.bind(net, cfg.physio)
-        a0[binding.co2] = cfg.physio.initial_co2
-        a0[binding.o2] = cfg.physio.initial_o2
+        a[binding.co2] = cfg.physio.initial_co2
+        a[binding.o2] = cfg.physio.initial_o2
 
-    state = SimState.initial(view, a0)
+    weights = view.syn_w0
     trace = np.zeros((protocol.total_steps, view.n))
-    snapshots: list[tuple[int, np.ndarray]] = [(0, state.weights.copy())]
+    snapshots: list[tuple[int, np.ndarray]] = [(0, weights.copy())]
     markers: list[tuple[int, str]] = []
     for ev in protocol.events:
         markers.append((ev.start, f"start {ev.label}"))
         markers.append((ev.end, f"end {ev.label}"))
 
+    t = 0
     for seg in schedule(protocol, view.n):
-        for m in range(seg.start, seg.end):
-            inject = seg.drive(state.activation, cfg.physio, binding)
-            state = step(state, view, inject, cfg.sim, seg.clamp_mask, seg.clamp_value)
-            if cfg.plasticity_enabled and state.step >= H_LEN:
-                state.weights = plasticity_step(state, view, cfg.plasticity)
-            trace[m] = state.activation
-            if cfg.weight_snapshot_every and state.step % cfg.weight_snapshot_every == 0:
-                snapshots.append((state.step, state.weights.copy()))
+        while t < seg.end:
+            inject = seg.drive(a, cfg.physio, binding)
+            a = step(a, weights, view, inject, cfg.sim, seg.clamp_mask, seg.clamp_value)
+            trace[t] = a
+            t += 1
+            if cfg.plasticity_enabled and t >= H_LEN:
+                weights = plasticity_step(trace[t - H_LEN:t][::-1], weights, view, cfg.plasticity)
+            if cfg.weight_snapshot_every and t % cfg.weight_snapshot_every == 0:
+                snapshots.append((t, weights.copy()))
 
-    if protocol.total_steps and snapshots[-1][0] != protocol.total_steps:
-        snapshots.append((protocol.total_steps, state.weights.copy()))
+    if snapshots[-1][0] != protocol.total_steps:
+        snapshots.append((protocol.total_steps, weights.copy()))
 
     return TraceLog(
         names=view.names,

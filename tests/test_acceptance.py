@@ -25,8 +25,8 @@ import pytest
 from ortus.cli import asset_path
 from ortus.cli import main as cli_main
 from ortus.connectome import ChemicalSynapse, Layer
-from ortus.kernel import H_LEN, NetView, SimConfig, SimState, step
-from ortus.plasticity import PlasticityConfig, _lag_sums, _slope_sums, plasticity_step
+from ortus.kernel import NetView, SimConfig, step
+from ortus.plasticity import H_LEN, PlasticityConfig, _lag_sums, _slope_sums, plasticity_step
 from ortus.protocol import RunConfig, control_variant, load_protocol, parse_protocol, peak_indices, run
 from oracles import Classification, classify, make_net, slope_abs_sum, xcorr_lag_sum
 
@@ -176,21 +176,19 @@ def test_criterion_5_rule_thresholds(organism_net):
     view = NetView.of(organism_net)
     k = next(i for i, syn in enumerate(organism_net.chem) if syn.mutability > 0)
     syn = organism_net.chem[k]
+    chilled = np.full(8, cold)
     cases = [
-        (hot, flat, flat, Classification.RAPID_STRENGTHEN, cfg.rapid_rate),
-        (hot, moving, moving, Classification.SLOW_STRENGTHEN, cfg.slow_rate),
-        (hot, h_pre, h_post, Classification.SLOW_WEAKEN, -cfg.slow_rate),
-        (cold, flat, flat, Classification.NONE, 0.0),  # no update however correlated
+        (flat, flat, Classification.RAPID_STRENGTHEN, cfg.rapid_rate),
+        (moving, moving, Classification.SLOW_STRENGTHEN, cfg.slow_rate),
+        (h_pre, h_post, Classification.SLOW_WEAKEN, -cfg.slow_rate),
+        (chilled, chilled, Classification.NONE, 0.0),  # no update however correlated
     ]
-    for a, pre_hist, post_hist, expected, rate in cases:
-        assert classify(a, a, pre_hist, post_hist, cfg) is expected
-        state = SimState.initial(view)
-        state.step = H_LEN
-        state.weights[:] = 0.5
-        state.activation[[syn.pre, syn.post]] = a
-        state.history[:, syn.pre] = pre_hist
-        state.history[:, syn.post] = post_hist
-        moved = plasticity_step(state, view, cfg)[k] - 0.5
+    for pre_hist, post_hist, expected, rate in cases:
+        assert classify(pre_hist[0], post_hist[0], pre_hist, post_hist, cfg) is expected
+        history = np.zeros((H_LEN, view.n))  # row 0 is the current activation
+        history[:, syn.pre] = pre_hist
+        history[:, syn.post] = post_hist
+        moved = plasticity_step(history, np.full(len(view.syn_pre), 0.5), view, cfg)[k] - 0.5
         assert moved == pytest.approx(rate * syn.mutability, abs=1e-15)
 
     report(5, f"flat pair sums to {xs!r}; the engine fires rapid/slow/weaken/none on their bands")
@@ -205,8 +203,7 @@ def kernel_conductance(a_pre):
     """The kernel's conductance at `a_pre`: one step of a synapse with unit
     weight and reversal onto a resting, never-gated, non-decaying neuron."""
     view = NetView.of(make_net(2, [ChemicalSynapse(0, 1, 1.0, 1.0, 0.0)], thresholds=[0.0, -1.0]))
-    state = SimState.initial(view, np.array([a_pre, 0.0]))
-    return float(step(state, view, cfg=SimConfig(decay_fraction=0.0)).activation[1])
+    return float(step(np.array([a_pre, 0.0]), view.syn_w0, view, cfg=SimConfig(decay_fraction=0.0))[1])
 
 
 def test_criterion_6_kernel_numerics(organism_net):
@@ -219,13 +216,13 @@ def test_criterion_6_kernel_numerics(organism_net):
     gj_only = replace(organism_net, chem=[])
     view = NetView.of(gj_only)
     rng = np.random.default_rng(2024)
-    state = SimState.initial(view, rng.uniform(-0.9, 0.9, gj_only.n))
+    a = rng.uniform(-0.9, 0.9, gj_only.n)
     cfg = SimConfig(decay_fraction=0.0)
     worst = 0.0
     for _ in range(1000):
-        before = float(state.activation.sum())
-        state = step(state, view, np.zeros(gj_only.n), cfg)
-        worst = max(worst, abs(float(state.activation.sum()) - before))
+        before = float(a.sum())
+        a = step(a, view.syn_w0, view, np.zeros(gj_only.n), cfg)
+        worst = max(worst, abs(float(a.sum()) - before))
     assert worst < 1e-9
     report(
         6,

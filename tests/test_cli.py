@@ -451,3 +451,12 @@ def test_experiment_refuses_a_tie_for_the_probe(tmp_path, capsys):
     assert "ambiguous probe" in err and "step 10" in err
     assert "'inject sH2O 0.8'" in err and "'inject sCO2 0.5'" in err
     assert not out.exists()
+
+
+def test_experiment_refuses_a_zero_step_protocol_before_writing(tmp_path, capsys):
+    proto = tmp_path / "p.protocol"
+    proto.write_text("steps 0\n")
+    out = tmp_path / "exp"
+    assert main(["experiment", "ortus.ort", str(proto), "--out", str(out)]) == EXIT_DOMAIN
+    assert f"{proto}:1: steps must be at least 1" in capsys.readouterr().err
+    assert not out.exists()

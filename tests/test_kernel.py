@@ -15,17 +15,7 @@ from hypothesis import strategies as st
 
 from ortus.connectome import ChemicalSynapse, GapJunction
 from ortus.errors import ConfigError
-from ortus.kernel import (
-    H_LEN,
-    ConservationError,
-    GjMode,
-    NetView,
-    SimConfig,
-    SimState,
-    _chem_terms,
-    _gap_terms,
-    step,
-)
+from ortus.kernel import GjMode, NetView, SimConfig, _chem_terms, _gap_terms, step
 from oracles import chem_terms_all_synapses, conductance, gap_terms_add_at, cs_inflow, gj_flux, make_net
 
 # sigmoid of +/- the full activation range, frozen
@@ -97,17 +87,13 @@ def test_step_conductance_matches_oracle(a_pre, inverted):
     # postsynaptic neuron at rest: its next activation is the conductance
     syn = ChemicalSynapse(0, 1, 1.0, 1.0, 0.0, inverted=inverted)
     view = NetView.of(make_net(2, [syn], thresholds=[0.0, -1.0]))
-    state = SimState.initial(view, np.array([a_pre, 0.0]))
-    state = step(state, view, cfg=SimConfig(decay_fraction=0.0))
-    assert state.activation[1] == pytest.approx(conductance(a_pre, inverted=inverted), abs=1e-15)
+    a = step(np.array([a_pre, 0.0]), view.syn_w0, view, cfg=SimConfig(decay_fraction=0.0))
+    assert a[1] == pytest.approx(conductance(a_pre, inverted=inverted), abs=1e-15)
 
 
-def test_initial_weights_are_a_copy_of_the_built_weights(organism_net):
+def test_built_weights_are_stored_in_synapse_order(organism_net):
     view = NetView.of(organism_net)
-    state = SimState.initial(view)
-    np.testing.assert_array_equal(state.weights, view.syn_w0)
     np.testing.assert_array_equal(view.syn_w0, [s.weight for s in organism_net.chem])
-    assert not np.shares_memory(state.weights, view.syn_w0)
 
 
 # ---------------------------------------------------------------------------
@@ -149,27 +135,25 @@ def test_step_matches_reference_on_random_net():
     gap = [GapJunction(0, 1, 0.3), GapJunction(2, 3, 0.8)]
     net = make_net(4, chem, gap, thresholds=[0.0, 0.05, 0.1, 0.0])
     view = NetView.of(net)
-    state = SimState.initial(view, rng.uniform(-1, 1, 4))
+    a = rng.uniform(-1, 1, 4)
     cfg = SimConfig()
     for _ in range(25):
         inject = rng.uniform(-0.2, 0.2, 4)
-        expected = reference_step(net, state.activation, state.weights, inject, cfg.decay_fraction)
-        state = step(state, view, inject, cfg)
-        np.testing.assert_allclose(state.activation, expected, atol=1e-12)
+        expected = reference_step(net, a, view.syn_w0, inject, cfg.decay_fraction)
+        a = step(a, view.syn_w0, view, inject, cfg)
+        np.testing.assert_allclose(a, expected, atol=1e-12)
 
 
 def test_step_matches_reference_on_organism(organism_net):
     rng = np.random.default_rng(11)
     view = NetView.of(organism_net)
-    state = SimState.initial(view, rng.uniform(-0.5, 0.5, organism_net.n))
+    a = rng.uniform(-0.5, 0.5, organism_net.n)
     cfg = SimConfig()
     for _ in range(10):
         inject = rng.uniform(-0.05, 0.05, organism_net.n)
-        expected = reference_step(
-            organism_net, state.activation, state.weights, inject, cfg.decay_fraction
-        )
-        state = step(state, view, inject, cfg)
-        np.testing.assert_allclose(state.activation, expected, atol=1e-12)
+        expected = reference_step(organism_net, a, view.syn_w0, inject, cfg.decay_fraction)
+        a = step(a, view.syn_w0, view, inject, cfg)
+        np.testing.assert_allclose(a, expected, atol=1e-12)
 
 
 def test_reads_come_from_the_previous_step_only():
@@ -177,79 +161,45 @@ def test_reads_come_from_the_previous_step_only():
     for double buffering."""
     chem = [ChemicalSynapse(0, 1, 0.8, 1.0, 0.0), ChemicalSynapse(1, 2, 0.8, 1.0, 0.0)]
     view = NetView.of(make_net(3, chem, thresholds=[0.0, 0.3, 0.3]))
-    state = SimState.initial(view, np.array([1.0, 0.0, 0.0]))
-    state = step(state, view, np.zeros(3), SimConfig())
-    assert state.activation[1] > 0.3
-    assert state.activation[2] == 0.0  # n1 was below gate when this step read it
-    state = step(state, view, np.zeros(3), SimConfig())
-    assert state.activation[2] > 0.0
+    a = step(np.array([1.0, 0.0, 0.0]), view.syn_w0, view, np.zeros(3), SimConfig())
+    assert a[1] > 0.3
+    assert a[2] == 0.0  # n1 was below gate when this step read it
+    a = step(a, view.syn_w0, view, np.zeros(3), SimConfig())
+    assert a[2] > 0.0
 
 
 def test_clamp_overrides_dynamics():
     view = NetView.of(make_net(2, [ChemicalSynapse(0, 1, 0.9, 1.0, 0.0)]))
-    state = SimState.initial(view, np.array([0.9, 0.0]))
-    state = step(state, view, None, SimConfig(), np.array([False, True]), np.array([0.0, -0.25]))
-    assert state.activation[1] == -0.25
+    mask, value = np.array([False, True]), np.array([0.0, -0.25])
+    a = step(np.array([0.9, 0.0]), view.syn_w0, view, None, SimConfig(), mask, value)
+    assert a[1] == -0.25
 
 
 def test_activations_clip_to_unit_interval():
     view = NetView.of(make_net(1))
-    state = SimState.initial(view, np.array([0.5]))
-    state = step(state, view, np.array([5.0]), SimConfig())
-    assert state.activation[0] == 1.0
-    state = step(state, view, np.array([-5.0]), SimConfig())
-    assert state.activation[0] == -1.0
-
-
-def test_history_is_a_sliding_window_newest_first():
-    view = NetView.of(make_net(1))
-    state = SimState.initial(view, np.array([0.0]))
-    seen = []
-    for k in range(H_LEN + 2):
-        state = step(state, view, None, SimConfig(), np.array([True]), np.array([k / 100.0]))
-        seen.append(k / 100.0)
-    assert state.history.shape == (H_LEN, 1)
-    np.testing.assert_allclose(state.history[:, 0], seen[::-1][:H_LEN])
-
-
-def test_step_counter_and_weight_carry():
-    view = NetView.of(make_net(2, [ChemicalSynapse(0, 1, 0.33, 1.0, 0.9)]))
-    state = SimState.initial(view)
-    assert state.step == 0
-    state = step(state, view, np.zeros(2), SimConfig())
-    assert state.step == 1
-    assert state.weights.tolist() == [0.33]
-
-
-def test_step_never_writes_the_weights(organism_net):
-    view = NetView.of(organism_net)
-    rng = np.random.default_rng(3)
-    state = SimState.initial(view, rng.uniform(-1, 1, view.n))
-    weights = state.weights
-    weights.flags.writeable = False  # a write inside step would raise
-    for _ in range(H_LEN + 2):
-        inject = rng.uniform(-0.3, 0.3, view.n)
-        state = step(state, view, inject, SimConfig(check_conservation=True))
-        assert state.weights is weights
-    np.testing.assert_array_equal(weights, view.syn_w0)
+    a = step(np.array([0.5]), view.syn_w0, view, np.array([5.0]), SimConfig())
+    assert a[0] == 1.0
+    a = step(a, view.syn_w0, view, np.array([-5.0]), SimConfig())
+    assert a[0] == -1.0
 
 
 def test_step_never_writes_its_inputs(organism_net):
     view = NetView.of(organism_net)
     rng = np.random.default_rng(8)
-    state = SimState.initial(view, rng.uniform(-1, 1, view.n))
+    a = rng.uniform(-1, 1, view.n)
+    weights = rng.uniform(0, 1, len(view.syn_pre))
     inject, mask, value = rng.uniform(-0.3, 0.3, view.n), rng.uniform(size=view.n) < 0.3, np.zeros(view.n)
-    for _ in range(H_LEN + 2):
-        inputs = (state.activation, state.history, inject, mask, value)
+    for _ in range(10):
+        inputs = (a, weights, inject, mask, value)
         before = [x.copy() for x in inputs]
         for x in inputs:
             x.flags.writeable = False  # a write inside step would raise
-        nxt = step(state, view, inject, SimConfig(), mask, value)
+        nxt = step(a, weights, view, inject, SimConfig(check_conservation=True), mask, value)
         for x, was in zip(inputs, before):
             assert x.tobytes() == was.tobytes()
-        np.testing.assert_array_equal(nxt.history[1:], state.history[:-1])
-        assert nxt.history[0].tobytes() == nxt.activation.tobytes()
-        state = nxt
+        assert isinstance(nxt, np.ndarray) and nxt.shape == (view.n,)
+        assert not any(np.shares_memory(nxt, x) for x in inputs)
+        a = nxt
 
 
 # Levels for the "gate" draw: drives land exactly on the thresholds, and
@@ -352,10 +302,10 @@ def test_activation_stays_bounded_forever(inject):
         ChemicalSynapse(2, 3, 1.0, 1.0, 0.0, inverted=True),
     ]
     view = NetView.of(make_net(4, chem, [GapJunction(0, 3, 1.0)]))
-    state = SimState.initial(view)
+    a = np.zeros(4)
     for _ in range(50):
-        state = step(state, view, np.array(inject), SimConfig())
-        assert np.all(state.activation <= 1.0) and np.all(state.activation >= -1.0)
+        a = step(a, view.syn_w0, view, np.array(inject), SimConfig())
+        assert np.all(a <= 1.0) and np.all(a >= -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +332,7 @@ def test_gap_fluxes_conserve_charge():
     gap = [GapJunction(0, 1, 0.7), GapJunction(1, 2, 0.4)]
     view = NetView.of(make_net(3, gap=gap))
     a = np.array([0.9, -0.2, 0.3])
-    nxt = step(
-        SimState.initial(view, a),
-        view,
-        cfg=SimConfig(decay_fraction=0.0, check_conservation=True),
-    ).activation
+    nxt = step(a, view.syn_w0, view, cfg=SimConfig(decay_fraction=0.0, check_conservation=True))
     want = np.zeros(3)
     for j in gap:
         into_a, into_b = gj_flux(j, a[j.a], a[j.b])
@@ -399,25 +345,24 @@ def test_gap_fluxes_conserve_charge():
 def test_conservation_check_passes_on_symmetric_mode():
     view = NetView.of(make_net(2, gap=[GapJunction(0, 1, 1.0)]))
     cfg = SimConfig(check_conservation=True)
-    state = SimState.initial(view, np.array([1.0, -1.0]))
+    a = np.array([1.0, -1.0])
     for _ in range(10):
-        state = step(state, view, np.zeros(2), cfg)
+        a = step(a, view.syn_w0, view, np.zeros(2), cfg)
     # diffusion: both ends meet in the middle
-    assert abs(state.activation[0] - state.activation[1]) < abs(1.0 - -1.0)
+    assert abs(a[0] - a[1]) < abs(1.0 - -1.0)
 
 
 def test_literal_mode_neutralizes_gap_junctions():
     """In the literal formulation the decay term re-adds the outgoing flux,
     which exactly cancels the incoming flux: the pair never equilibrates."""
     view = NetView.of(make_net(2, gap=[GapJunction(0, 1, 1.0)]))
-    sym = SimState.initial(view, np.array([0.5, -0.5]))
-    lit = SimState.initial(view, np.array([0.5, -0.5]))
+    sym = lit = np.array([0.5, -0.5])
     for _ in range(5):
-        sym = step(sym, view, np.zeros(2), SimConfig())
-        lit = step(lit, view, np.zeros(2), SimConfig(gj_mode=GjMode.PAPER_LITERAL))
+        sym = step(sym, view.syn_w0, view, np.zeros(2), SimConfig())
+        lit = step(lit, view.syn_w0, view, np.zeros(2), SimConfig(gj_mode=GjMode.PAPER_LITERAL))
     # symmetric mode pulls the pair together; literal mode leaves pure decay
-    assert abs(sym.activation[0] - sym.activation[1]) < 0.8 ** 5
-    np.testing.assert_allclose(lit.activation, [0.5 * 0.8 ** 5, -0.5 * 0.8 ** 5], atol=1e-12)
+    assert abs(sym[0] - sym[1]) < 0.8 ** 5
+    np.testing.assert_allclose(lit, [0.5 * 0.8 ** 5, -0.5 * 0.8 ** 5], atol=1e-12)
 
 
 def test_literal_mode_refuses_conservation_check():

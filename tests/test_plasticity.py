@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from ortus import BuildConfig, build, parse_source
 from ortus.connectome import ChemicalSynapse, Layer
 from ortus.errors import ConfigError
-from ortus.kernel import H_LEN, NetView, SimState
-from ortus.plasticity import ZERO_NORM, PlasticityConfig, _lag_sums, _slope_sums, plasticity_step
+from ortus.kernel import NetView
+from ortus.plasticity import H_LEN, ZERO_NORM, PlasticityConfig, _lag_sums, _slope_sums, plasticity_step
 from oracles import (
     Classification,
     InsufficientHistory,
@@ -33,7 +33,7 @@ from oracles import (
     xcorr_lag_sum,
 )
 
-# newest sample first, as the kernel stores history
+# newest sample first, as the runner hands the last trace rows to plasticity_step
 H_POST = np.array([0.5, 0.4, 0.3, 0.2, 0.1, 0.05, 0.02, 0.01])
 H_PRE = np.array([0.45, 0.5, 0.42, 0.33, 0.2, 0.12, 0.06, 0.02])
 
@@ -257,37 +257,27 @@ def test_apply_updates_clamps_to_unit_interval():
 # ---------------------------------------------------------------------------
 
 
-def random_state(view, rng):
-    state = SimState.initial(view)
-    state.activation = rng.uniform(-1, 1, view.n)
-    state.history = rng.uniform(-1, 1, (8, view.n))
-    state.step = 8
-    return state
+def oracle_classes(net, history, cfg):
+    """Each synapse's class from the scalar rule; the current activation is
+    the history's newest row, as in every run."""
+    a = history[0]
+    return [classify(a[s.pre], a[s.post], history[:, s.pre], history[:, s.post], cfg) for s in net.chem]
 
 
 @pytest.mark.parametrize("all_mutable", [False, True])
 def test_plasticity_step_matches_oracle(organism_net, all_mutable):
     # with every synapse mutable, each classification shows in the weights
-    view = NetView.of(organism_net)
+    net = organism_net
     if all_mutable:
-        view = replace(view, syn_mi=np.ones(len(view.syn_mi)))
+        net = replace(net, chem=[replace(s, mutability=1.0) for s in net.chem])
+    view = NetView.of(net)
     rng = np.random.default_rng(4)
     cfg = PlasticityConfig()
     for _ in range(20):
-        state = random_state(view, rng)
-        state.weights = rng.uniform(0, 1, len(organism_net.chem))
-        classes = [
-            classify(
-                state.activation[syn.pre],
-                state.activation[syn.post],
-                state.history[:, syn.pre],
-                state.history[:, syn.post],
-                cfg,
-            )
-            for syn in organism_net.chem
-        ]
-        want = apply_updates(state.weights, classes, view.syn_mi, cfg)
-        np.testing.assert_allclose(plasticity_step(state, view, cfg), want, atol=1e-15)
+        history = rng.uniform(-1, 1, (H_LEN, view.n))
+        weights = rng.uniform(0, 1, len(net.chem))
+        want = apply_updates(weights, oracle_classes(net, history, cfg), view.syn_mi, cfg)
+        np.testing.assert_allclose(plasticity_step(history, weights, view, cfg), want, atol=1e-15)
 
 
 # two unconnected sensors declared after sH2O, so that the SCI layer expands
@@ -323,32 +313,23 @@ def test_sparse_pass_matches_oracle_beyond_bundled_organism(five_sensor_net):
     cfg = PlasticityConfig()
     seen = set()
     for _ in range(20):
-        state = random_state(view, rng)  # about 60% of the neurons sit at or below threshold
-        state.history = mixed_history(net.n, rng)
+        history = mixed_history(net.n, rng)  # about 20% of the neurons sit at or below threshold
         weights = rng.uniform(0, 1, len(net.chem))
         edge = rng.uniform(size=len(weights))
         weights[edge < 0.15] = 0.0
         weights[edge > 0.85] = 1.0
-        state.weights = weights.copy()
-        classes = [
-            classify(
-                state.activation[syn.pre],
-                state.activation[syn.post],
-                state.history[:, syn.pre],
-                state.history[:, syn.post],
-                cfg,
-            )
-            for syn in net.chem
-        ]
-        out = plasticity_step(state, view, cfg)
+        before = [history.copy(), weights.copy()]
+        classes = oracle_classes(net, history, cfg)
+        out = plasticity_step(history, weights, view, cfg)
         np.testing.assert_allclose(out, apply_updates(weights, classes, view.syn_mi, cfg), atol=1e-15)
-        np.testing.assert_array_equal(state.weights, weights)  # the input is not written
-        a = state.activation
+        for x, was in zip((history, weights), before):  # no input is written
+            assert x.tobytes() == was.tobytes()
+        a = history[0]
         live = (view.syn_mi > 0) & (a[view.syn_pre] > cfg.activity_threshold) & (
             a[view.syn_post] > cfg.activity_threshold
         )
         np.testing.assert_array_equal(out[~live], weights[~live])
-        assert (out is state.weights) == (out.tobytes() == weights.tobytes())  # copied only on a change
+        assert (out is weights) == (out.tobytes() == weights.tobytes())  # copied only on a change
         seen.update(c for c, ok in zip(classes, live) if ok)
     assert seen == set(Classification)
 
@@ -360,15 +341,13 @@ def test_live_pairs_at_their_bounds_hand_the_same_weights_on(five_sensor_net):
     rng = np.random.default_rng(11)
     cfg = PlasticityConfig()
     for _ in range(10):
-        state = random_state(view, rng)
-        state.history = mixed_history(view.n, rng)
-        a, h = state.activation, state.history
-        classes = [classify(a[s.pre], a[s.post], h[:, s.pre], h[:, s.post], cfg) for s in five_sensor_net.chem]
+        history = mixed_history(view.n, rng)
+        classes = oracle_classes(five_sensor_net, history, cfg)
         weaken = np.array([c is Classification.SLOW_WEAKEN for c in classes])
-        state.weights = np.where(weaken, 0.0, 1.0)
+        weights = np.where(weaken, 0.0, 1.0)
         live = (view.syn_mi > 0) & np.array([c is not Classification.NONE for c in classes])
         assert live.any()
-        assert plasticity_step(state, view, cfg) is state.weights
+        assert plasticity_step(history, weights, view, cfg) is weights
 
 
 # (pre, post) histories, newest sample first, that classify one way each
@@ -394,11 +373,10 @@ def test_weight_clamp_has_np_clips_bits_under_every_rate(old):
     chem = [ChemicalSynapse(2 * i, 2 * i + 1, old, 1.0, 0.7) for i in range(len(classes))]
     view = NetView.of(make_net(2 * len(classes), chem))
     history = np.stack([h for c in classes for h in CLASS_HISTORIES[c]], axis=1)
-    state = SimState(history[0].copy(), history, view.syn_w0.copy(), H_LEN)
-    a = state.activation
+    a = history[0]
     assert [classify(a[s.pre], a[s.post], history[:, s.pre], history[:, s.post]) for s in chem] == classes
     want = np.clip(view.syn_w0 + np.array([0.01, 0.001, -0.001, 0.0]) * view.syn_mi, 0.0, 1.0)
-    got = plasticity_step(state, view)
+    got = plasticity_step(history, view.syn_w0, view)
     assert got.tobytes() == want.tobytes()
     assert not np.signbit(got).any()  # even from -0.0
 
@@ -437,13 +415,9 @@ def test_gathered_windows_equal_the_per_neuron_formulas_bit_for_bit(n, k):
         assert got.tobytes() == want.tobytes()
 
 
-def test_plasticity_step_inert_during_warmup(organism_net):
+def test_plasticity_step_without_a_live_pair_hands_the_weights_on(organism_net):
     rng = np.random.default_rng(5)
     view = NetView.of(organism_net)
-    state = random_state(view, rng)
-    state.step = 7  # one short of a full history ring
-    out = plasticity_step(state, view)
-    assert out is state.weights  # nothing written, so nothing copied
-    state.step = H_LEN
-    state.activation = np.full(view.n, PlasticityConfig().activity_threshold)  # no pair above it
-    assert plasticity_step(state, view) is state.weights
+    history = rng.uniform(-1, 1, (H_LEN, view.n))
+    history[0] = PlasticityConfig().activity_threshold  # no pair above it now, whatever came before
+    assert plasticity_step(history, view.syn_w0, view) is view.syn_w0

@@ -91,6 +91,7 @@ def test_block_single_flag(organism_net):
         ("steps 10\nsteps 20\n", "declared twice"),
         ("steps ten\n", "expected: steps <N>"),
         ("steps ²\n", "expected: steps <N>"),
+        ("steps 0\n", "<protocol>:1: steps must be at least 1"),
         ("steps 10\nat 5..5 inject sH2O 0.5\n", "0 <= start < end"),
         ("steps 10\nat 5..20 inject sH2O 0.5\n", "0 <= start < end"),
         ("steps 10\nat 0..5 inject sH2O 1.5\n", "outside [-1, 1]"),
@@ -580,7 +581,7 @@ def test_run_fast_forwards_repeats_byte_for_byte(organism_net, conditioning_prot
     kernel_step = ortus.protocol.step
 
     def counted(*args):
-        calls.append(args[0].step)
+        calls.append(args)
         return kernel_step(*args)
 
     monkeypatch.setattr(ortus.protocol, "step", counted)
