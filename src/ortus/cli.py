@@ -5,6 +5,7 @@ Subcommands: ``validate`` an .ort file, ``build`` it into connectome CSVs,
 ``experiment`` (protocol plus a never-conditioned control and a summary).
 Exit codes: 0 success, 1 domain error (parse/validate/build/run), 2 usage or
 I/O error.  Every config value is overridable with ``--set ns.key=value``;
+the overrides are resolved and checked once, before any file is read, and
 the resolved configuration is echoed into the output directory.
 """
 
@@ -22,7 +23,7 @@ from . import dsl
 from . import protocol as proto
 from .connectome import BuildConfig, build
 from .errors import ConfigError, OrtusError
-from .protocol import Query, RunConfig, control_variant, load_protocol, metrics_csv, run, summarize
+from .protocol import Query, RunConfig, TraceLog, control_variant, load_protocol, metrics_csv, run, summarize
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -51,12 +52,8 @@ def _resolve_input(path_str: str) -> Path:
 
 @dataclasses.dataclass
 class Configs:
-    build: BuildConfig
-    run: RunConfig
-
-    @classmethod
-    def defaults(cls) -> "Configs":
-        return cls(BuildConfig(), RunConfig())
+    build: BuildConfig = dataclasses.field(default_factory=BuildConfig)
+    run: RunConfig = dataclasses.field(default_factory=RunConfig)
 
     def sections(self) -> dict[str, object]:
         """Each ``--set`` namespace and the config it sets.  The run config's
@@ -126,13 +123,8 @@ def resolved_config_text(cfgs: Configs) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _load_spec(path: Path) -> dsl.NetworkSpec:
-    return dsl.parse_source(path.read_text())
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
-    cfgs = apply_overrides(Configs.defaults(), args.set or [])
-    spec = _load_spec(_resolve_input(args.ort))
+def _cmd_validate(args: argparse.Namespace, cfgs: Configs) -> int:
+    spec = dsl.parse_source(_resolve_input(args.ort).read_text())
     diags = dsl.validate_spec(spec, sci_cap=cfgs.build.sci_cap)
     for d in diags:
         print(d)
@@ -142,21 +134,30 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_from_args(args: argparse.Namespace, cfgs: Configs):
+def _build_from_args(args: argparse.Namespace, cfgs: Configs) -> cn.Connectome:
     # build validates: it raises the errors, with their positions, and
     # hands back the warnings
-    net = build(_load_spec(_resolve_input(args.ort)), cfgs.build)
+    net = build(dsl.parse_source(_resolve_input(args.ort).read_text()), cfgs.build)
     for d in net.warnings:
         print(d, file=sys.stderr)
     return net
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
-    cfgs = apply_overrides(Configs.defaults(), args.set or [])
+def _write_outputs(
+    outdir: Path, cfgs: Configs, net: cn.Connectome, traces: dict[str, TraceLog] | None = None
+) -> None:
+    """The connectome CSVs, each trace's CSVs under its file-name prefix,
+    and ``config.resolved``."""
+    cn.write_csvs(net, outdir)
+    for prefix, trace in (traces or {}).items():
+        trace.write_csv(outdir, prefix=prefix)
+    (outdir / "config.resolved").write_text(resolved_config_text(cfgs))
+
+
+def _cmd_build(args: argparse.Namespace, cfgs: Configs) -> int:
     net = _build_from_args(args, cfgs)
     outdir = Path(args.out)
-    cn.write_csvs(net, outdir)
-    (outdir / "config.resolved").write_text(resolved_config_text(cfgs))
+    _write_outputs(outdir, cfgs, net)
     print(
         f"built {net.n} neurons, {len(net.chem)} chemical synapses,"
         f" {len(net.gap)} gap junctions -> {outdir}"
@@ -164,8 +165,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_export(args: argparse.Namespace) -> int:
-    cfgs = apply_overrides(Configs.defaults(), args.set or [])
+def _cmd_export(args: argparse.Namespace, cfgs: Configs) -> int:
     text = cn.to_dot(_build_from_args(args, cfgs))
     if args.out:
         outdir = Path(args.out)
@@ -177,26 +177,19 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _prepare_run(args: argparse.Namespace):
-    cfgs = apply_overrides(Configs.defaults(), args.set or [])
+def _cmd_run(args: argparse.Namespace, cfgs: Configs) -> int:
     net = _build_from_args(args, cfgs)
     protocol = load_protocol(_resolve_input(args.protocol), net)
-    return cfgs, net, protocol
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    cfgs, net, protocol = _prepare_run(args)
     trace = run(net, protocol, cfgs.run)
     outdir = Path(args.out)
-    cn.write_csvs(net, outdir)
-    trace.write_csv(outdir)
-    (outdir / "config.resolved").write_text(resolved_config_text(cfgs))
+    _write_outputs(outdir, cfgs, net, {"": trace})
     print(f"ran {protocol.total_steps} steps -> {outdir}")
     return EXIT_OK
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    cfgs, net, protocol = _prepare_run(args)
+def _cmd_experiment(args: argparse.Namespace, cfgs: Configs) -> int:
+    net = _build_from_args(args, cfgs)
+    protocol = load_protocol(_resolve_input(args.protocol), net)
     headline = args.headline
     if headline not in net.name_to_id:
         raise ConfigError(f"unknown --headline element {headline!r}")
@@ -204,28 +197,26 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     control_protocol = control_variant(protocol)  # an ambiguous probe fails before any run
     trace = run(net, protocol, cfgs.run)
     control = run(net, control_protocol, cfgs.run)
+    _write_outputs(outdir, cfgs, net, {"": trace, "control_": control})
 
-    cn.write_csvs(net, outdir)
-    trace.write_csv(outdir)
-    control.write_csv(outdir, prefix="control_")
-    (outdir / "config.resolved").write_text(resolved_config_text(cfgs))
-
-    rows: list[proto.MetricRow] = []
-    extra: list[tuple[str, str, float]] = []
     probe_ev = proto.probe_event(protocol)
     # Per-burst peaks: the response lags the stimulus (gas dynamics), so
-    # extend each window a little past the event end.
-    for ev in protocol.events:
-        if ev.kind is proto.EventKind.INJECT and ev is not probe_ev:
-            tail_end = min(ev.end + 15, protocol.total_steps)
-            rows.extend(summarize(trace, [Query("peak", headline, ev.start, tail_end)]))
+    # extend each window a little past the event end.  The probe's window,
+    # last, is not extended.
+    queries = [
+        Query("peak", headline, ev.start, min(ev.end + 15, protocol.total_steps))
+        for ev in protocol.events
+        if ev.kind is proto.EventKind.INJECT and ev is not probe_ev
+    ]
     if probe_ev is not None:
-        start, end = probe_ev.start, probe_ev.end
-        probe = summarize(trace, [Query("peak", headline, start, end)])[0]
-        control_probe = summarize(control, [Query("peak", headline, start, end)])[0]
-        rows.append(probe)
+        queries.append(Query("peak", headline, probe_ev.start, probe_ev.end))
+    rows = summarize(trace, queries)
+    extra: list[tuple[str, str, float]] = []
+    if probe_ev is not None:
+        probe, control_probe = rows[-1], summarize(control, queries[-1:])[0]
         rows.append(dataclasses.replace(control_probe, metric="control_peak"))
-        ratio = probe.value / control_probe.value if control_probe.value > 0 else float("inf")
+        # a ratio to a control peak at or below zero says nothing about growth
+        ratio = probe.value / control_probe.value if control_probe.value > 0 else float("nan")
         extra.append(("probe_peak_ratio", headline, ratio))
         print(f"probe {headline} peak ratio: {ratio!r}")
     lung = cfgs.run.physio.lung_name
@@ -285,10 +276,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # every override is resolved and checked before any file is read
+        return args.func(args, apply_overrides(Configs(), args.set or []))
     except OrtusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

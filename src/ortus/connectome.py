@@ -15,6 +15,10 @@ Dominance between two emotions is wired twice: a direct inhibitory synapse
 between the emotions themselves, and one inhibitory synapse per SCI from the
 dominant emotion's EEI to the dominated emotion's EEI, so suppression acts
 on associations as well as on the raw feeling.
+
+``build`` fills the one ``Connectome`` it returns, in storage order: the
+declared elements, the SEIs, SCIs and EEIs with their wiring, then the
+declared relationships.
 """
 
 from __future__ import annotations
@@ -96,15 +100,43 @@ class GapJunction:
 
 @dataclass(eq=False)
 class Connectome:
-    neurons: list[Neuron]
-    chem: list[ChemicalSynapse]
-    gap: list[GapJunction]
-    name_to_id: dict[str, int]
+    """The compiled network, in storage order; ``build`` fills one through
+    ``add_neuron``, ``add_chem`` and ``add_gap``."""
+
+    neurons: list[Neuron] = field(default_factory=list)
+    chem: list[ChemicalSynapse] = field(default_factory=list)
+    gap: list[GapJunction] = field(default_factory=list)
+    name_to_id: dict[str, int] = field(default_factory=dict)
     warnings: list[Diagnostic] = field(default_factory=list)  # from the build's validation
 
     @property
     def n(self) -> int:
         return len(self.neurons)
+
+    def add_neuron(
+        self, name: str, layer: Layer, threshold: float, affect: Affect = Affect.NEUTRAL
+    ) -> int:
+        if name in self.name_to_id:
+            raise BuildError(f"generated name {name!r} collides with an existing neuron")
+        nid = len(self.neurons)
+        self.neurons.append(Neuron(nid, name, layer, threshold, affect))
+        self.name_to_id[name] = nid
+        return nid
+
+    def add_chem(
+        self,
+        pre: int,
+        post: int,
+        weight: float,
+        reversal: float,
+        mutability: float,
+        inverted: bool = False,
+    ) -> None:
+        self.chem.append(ChemicalSynapse(pre, post, weight, reversal, mutability, inverted))
+
+    def add_gap(self, a: int, b: int, weight: float) -> None:
+        a, b = (a, b) if a < b else (b, a)
+        self.gap.append(GapJunction(a, b, weight))
 
 
 @dataclass
@@ -141,52 +173,19 @@ class BuildConfig:
             raise ConfigError(f"eei_gj_weight cannot be negative, got {self.eei_gj_weight!r}")
 
 
-@dataclass
-class _Draft:
-    neurons: list[Neuron] = field(default_factory=list)
-    chem: list[ChemicalSynapse] = field(default_factory=list)
-    gap: list[GapJunction] = field(default_factory=list)
-    name_to_id: dict[str, int] = field(default_factory=dict)
-
-    def add_neuron(
-        self, name: str, layer: Layer, threshold: float, affect: Affect = Affect.NEUTRAL
-    ) -> int:
-        if name in self.name_to_id:
-            raise BuildError(f"generated name {name!r} collides with an existing neuron")
-        nid = len(self.neurons)
-        self.neurons.append(Neuron(nid, name, layer, threshold, affect))
-        self.name_to_id[name] = nid
-        return nid
-
-    def add_chem(
-        self,
-        pre: int,
-        post: int,
-        weight: float,
-        reversal: float,
-        mutability: float,
-        inverted: bool = False,
-    ) -> None:
-        self.chem.append(ChemicalSynapse(pre, post, weight, reversal, mutability, inverted))
-
-    def add_gap(self, a: int, b: int, weight: float) -> None:
-        a, b = (a, b) if a < b else (b, a)
-        self.gap.append(GapJunction(a, b, weight))
-
-
-def generate_seis(draft: _Draft, sensor_ids: list[int], cfg: BuildConfig) -> dict[int, int]:
+def generate_seis(net: Connectome, sensor_ids: list[int], cfg: BuildConfig) -> dict[int, int]:
     """One relay interneuron per sensor, fed by a unit-weight frozen synapse."""
     sei_of: dict[int, int] = {}
     for sid in sensor_ids:
-        sensor = draft.neurons[sid]
-        sei = draft.add_neuron(f"is{sensor.name}", Layer.SEI, cfg.generated_threshold)
-        draft.add_chem(sid, sei, cfg.sei_weight, 1.0, 0.0)
+        sensor = net.neurons[sid]
+        sei = net.add_neuron(f"is{sensor.name}", Layer.SEI, cfg.generated_threshold)
+        net.add_chem(sid, sei, cfg.sei_weight, 1.0, 0.0)
         sei_of[sid] = sei
     return sei_of
 
 
 def generate_scis(
-    draft: _Draft, sensor_ids: list[int], sei_of: dict[int, int], cfg: BuildConfig
+    net: Connectome, sensor_ids: list[int], sei_of: dict[int, int], cfg: BuildConfig
 ) -> list[int]:
     """One consolidation interneuron per non-empty sensor subset.
 
@@ -199,17 +198,17 @@ def generate_scis(
     sci_ids: list[int] = []
     for mask in range(1, 2**n):
         members = [sensor_ids[i] for i in range(n) if mask >> i & 1]
-        names = sorted(draft.neurons[m].name for m in members)
-        sci = draft.add_neuron("c_" + "_".join(names), Layer.SCI, cfg.generated_threshold)
+        names = sorted(net.neurons[m].name for m in members)
+        sci = net.add_neuron("c_" + "_".join(names), Layer.SCI, cfg.generated_threshold)
         w = 1.0 / len(members)
         for m in members:
-            draft.add_chem(sei_of[m], sci, w, 1.0, 0.0)
+            net.add_chem(sei_of[m], sci, w, 1.0, 0.0)
         sci_ids.append(sci)
     return sci_ids
 
 
 def generate_emotion_layer(
-    draft: _Draft,
+    net: Connectome,
     sci_ids: list[int],
     emotion_ids: list[int],
     dominance_pairs: list[tuple[int, int]],
@@ -219,19 +218,19 @@ def generate_emotion_layer(
     eei_of: dict[tuple[int, int], int] = {}
     gj_w = cfg.eei_gj_weight / max(1, len(sci_ids))
     for eid in emotion_ids:
-        emotion = draft.neurons[eid]
+        emotion = net.neurons[eid]
         for sci in sci_ids:
-            sci_name = draft.neurons[sci].name
-            eei = draft.add_neuron(
+            sci_name = net.neurons[sci].name
+            eei = net.add_neuron(
                 f"x{emotion.name}_{sci_name}", Layer.EEI, cfg.generated_threshold, emotion.affect
             )
-            draft.add_chem(sci, eei, cfg.eei_initial_weight, 1.0, cfg.eei_mutability)
-            draft.add_gap(eei, eid, gj_w)
-            draft.add_chem(eei, sci, cfg.eei_feedback_weight, 1.0, 0.0)
+            net.add_chem(sci, eei, cfg.eei_initial_weight, 1.0, cfg.eei_mutability)
+            net.add_gap(eei, eid, gj_w)
+            net.add_chem(eei, sci, cfg.eei_feedback_weight, 1.0, 0.0)
             eei_of[(eid, sci)] = eei
     for dominant, dominated in dominance_pairs:
         for sci in sci_ids:
-            draft.add_chem(
+            net.add_chem(
                 eei_of[(dominant, sci)],
                 eei_of[(dominated, sci)],
                 cfg.dominance_weight,
@@ -241,14 +240,14 @@ def generate_emotion_layer(
     return eei_of
 
 
-def apply_relationships(draft: _Draft, spec: NetworkSpec) -> None:
+def apply_relationships(net: Connectome, spec: NetworkSpec) -> None:
     """Translate declared relationships into synapses and gap junctions."""
-    ids = draft.name_to_id
+    ids = net.name_to_id
     for rel in spec.relationships:
         for pre, post, reversal, mutability, inverted in rel.synapses():
-            draft.add_chem(ids[pre], ids[post], rel.weight, reversal, mutability, inverted)
+            net.add_chem(ids[pre], ids[post], rel.weight, reversal, mutability, inverted)
         if rel.kind is RelationKind.CORRELATED:
-            draft.add_gap(ids[rel.a], ids[rel.b], rel.weight)
+            net.add_gap(ids[rel.a], ids[rel.b], rel.weight)
 
 
 def build(spec: NetworkSpec, cfg: BuildConfig | None = None) -> Connectome:
@@ -272,35 +271,29 @@ def build(spec: NetworkSpec, cfg: BuildConfig | None = None) -> Connectome:
         )("spec failed validation:\n" + "\n".join(str(d) for d in problems))
     warnings = [d for d in diags if d.severity is Severity.WARNING]
 
-    draft = _Draft()
+    net = Connectome(warnings=warnings)
     for el in spec.elements:
-        draft.add_neuron(el.name, _DECLARED_LAYER[el.kind], el.threshold, el.affect)
+        net.add_neuron(el.name, _DECLARED_LAYER[el.kind], el.threshold, el.affect)
 
-    sensor_ids = [draft.name_to_id[el.name] for el in spec.elements if el.kind is ElementKind.SENSORY]
-    emotion_ids = [draft.name_to_id[el.name] for el in spec.elements if el.kind is ElementKind.EMOTION]
+    sensor_ids = [net.name_to_id[el.name] for el in spec.elements if el.kind is ElementKind.SENSORY]
+    emotion_ids = [net.name_to_id[el.name] for el in spec.elements if el.kind is ElementKind.EMOTION]
 
-    sei_of = generate_seis(draft, sensor_ids, cfg)
-    sci_ids = generate_scis(draft, sensor_ids, sei_of, cfg)
+    sei_of = generate_seis(net, sensor_ids, cfg)
+    sci_ids = generate_scis(net, sensor_ids, sei_of, cfg)
 
-    emotion_names = {draft.neurons[e].name for e in emotion_ids}
+    emotion_names = {net.neurons[e].name for e in emotion_ids}
     dominance_pairs = [
-        (draft.name_to_id[pre], draft.name_to_id[post])
+        (net.name_to_id[pre], net.name_to_id[post])
         for rel in spec.relationships
         if rel.kind in (RelationKind.DOMINATES, RelationKind.OPPOSES)
         and {rel.a, rel.b} <= emotion_names
         for pre, post, *_ in rel.synapses()
     ]
-    generate_emotion_layer(draft, sci_ids, emotion_ids, dominance_pairs, cfg)
+    generate_emotion_layer(net, sci_ids, emotion_ids, dominance_pairs, cfg)
 
-    apply_relationships(draft, spec)
+    apply_relationships(net, spec)
 
-    return Connectome(
-        neurons=draft.neurons,
-        chem=draft.chem,
-        gap=draft.gap,
-        name_to_id=draft.name_to_id,
-        warnings=warnings,
-    )
+    return net
 
 
 # ---------------------------------------------------------------------------

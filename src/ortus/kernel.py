@@ -81,11 +81,7 @@ class NetView:
     syn_rev: np.ndarray
     syn_w0: np.ndarray  # built weight, per synapse
     syn_mi: np.ndarray
-    syn_inverted: np.ndarray
     syn_gate: np.ndarray  # postsynaptic transmission threshold, per synapse
-    gap_a: np.ndarray
-    gap_b: np.ndarray
-    gap_w: np.ndarray
     # the mutable synapses, their endpoints as a (2, mutable) array
     # (presynaptic row, then postsynaptic); the drives some synapse reads, as
     # presynaptic neurons, plain ones first, with the index of the first
@@ -110,8 +106,9 @@ class NetView:
         table = [(s.pre, s.post, s.reversal, s.weight, s.mutability, s.inverted) for s in net.chem]
         pre, post, rev, w0, mi, inverted = np.array(table, dtype=float).reshape(-1, 6).T.copy()
         pre, post, inverted = pre.astype(int), post.astype(int), inverted.astype(bool)
-        gap_a = np.array([g.a for g in net.gap], dtype=int)
-        gap_b = np.array([g.b for g in net.gap], dtype=int)
+        w0.flags.writeable = False  # the run's first weights, shared by its snapshots
+        ends_a = np.array([g.a for g in net.gap], dtype=int)
+        ends_b = np.array([g.b for g in net.gap], dtype=int)
         gap_w = np.array([g.weight for g in net.gap], dtype=float)
         mutable = np.flatnonzero(mi > 0)
         keys = pre + net.n * inverted  # (a, -a) as one axis
@@ -124,18 +121,14 @@ class NetView:
             syn_rev=rev,
             syn_w0=w0,
             syn_mi=mi,
-            syn_inverted=inverted,
             syn_gate=thr[post],
-            gap_a=gap_a,
-            gap_b=gap_b,
-            gap_w=gap_w,
             syn_mutable=mutable,
             mut_ends=np.stack((pre[mutable], post[mutable])),
             src_pre=used % net.n,
             src_inverted_from=int(np.searchsorted(used, net.n)),
             syn_src=np.searchsorted(used, keys),
-            gap_ends=np.concatenate((gap_b, gap_a)),
-            gap_from=np.concatenate((gap_a, gap_b)),
+            gap_ends=np.concatenate((ends_b, ends_a)),
+            gap_from=np.concatenate((ends_a, ends_b)),
             gap_w2=np.concatenate((gap_w, gap_w)),
         )
 

@@ -119,7 +119,7 @@ def plasticity_step(
     """One full plasticity pass over ``history``, the last ``H_LEN``
     committed activation rows, newest first (row 0 is the current
     activation).  Returns ``weights`` itself unless the pass changes the
-    bytes of some weight, else a new array; no input is written.
+    bytes of some weight, else a new, read-only array; no input is written.
     """
     cfg = cfg or PlasticityConfig()
     above = history[0].take(view.mut_ends) > cfg.activity_threshold  # pre row, post row
@@ -155,4 +155,5 @@ def plasticity_step(
         return weights
     out = weights.copy()
     out.put(idx, new)
+    out.flags.writeable = False  # a run's snapshots share it
     return out

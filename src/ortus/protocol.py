@@ -24,7 +24,8 @@ kernel, applies plasticity, and records the committed activations.  Each
 element's injections are summed in ascending order of amount, and
 overlapping clamps agree, so the order of event lines changes no activation
 or weight.  Runs take no random input, so replaying a protocol
-reproduces its trace byte for byte.  Where a segment returns to a state it
+reproduces its trace byte for byte.  Weight arrays are read-only, so the
+weight snapshots share them rather than copy them.  Where a segment returns to a state it
 has already been in, the loop copies the cycle's rows forward instead of
 computing them again (see ``run``); the bytes are the same.
 """
@@ -219,9 +220,9 @@ def control_variant(protocol: Protocol) -> Protocol:
 
 @dataclass(frozen=True)
 class Segment:
-    """Steps ``start`` to ``end - 1``, over which the same events are active."""
+    """The steps from the previous segment's end (0 for the first) up to
+    ``end``, over which the same events are active."""
 
-    start: int
     end: int
     inject: np.ndarray  # each element's injections summed in ascending order of amount
     clamp_mask: np.ndarray | None  # None when nothing is clamped
@@ -260,7 +261,7 @@ def schedule(protocol: Protocol, n: int) -> Iterator[Segment]:
                 value[ev.element_id] = ev.value
         clamp = (mask, value) if mask.any() else (None, None)
         blocks = (any(ev.block_exhale for ev in active), any(ev.block_inhale for ev in active))
-        yield Segment(start, end, inject, *clamp, *blocks)
+        yield Segment(end, inject, *clamp, *blocks)
 
 
 @dataclass
@@ -366,10 +367,12 @@ def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> Tr
         a[binding.co2] = cfg.physio.initial_co2
         a[binding.o2] = cfg.physio.initial_o2
 
-    weights = view.syn_w0  # never written: a pass that moves a weight returns a new array
+    # read-only, as is every array a learning pass returns, so snapshots
+    # share the arrays themselves
+    weights = view.syn_w0
     trace = np.zeros((protocol.total_steps, view.n))
     every = cfg.weight_snapshot_every
-    snapshots: list[tuple[int, np.ndarray]] = [(0, weights.copy())]
+    snapshots: list[tuple[int, np.ndarray]] = [(0, weights)]
     markers: list[tuple[int, str]] = []
     for ev in protocol.events:
         markers.append((ev.start, f"start {ev.label}"))
@@ -387,7 +390,7 @@ def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> Tr
             if cfg.plasticity_enabled and t >= H_LEN:
                 weights = plasticity_step(trace[t - H_LEN:t][::-1], weights, view, cfg.plasticity)
             if every and t % every == 0:
-                snapshots.append((t, weights.copy()))
+                snapshots.append((t, weights))
             if t < H_LEN:
                 continue
             if weights is not before:
@@ -403,12 +406,12 @@ def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> Tr
             trace[t:t + skip].reshape(skip // period, period, view.n)[:] = trace[t0:t]
             if every:
                 cadence = range(t // every * every + every, t + skip + 1, every)
-                snapshots.extend((s, weights.copy()) for s in cadence)
+                snapshots.extend((s, weights) for s in cadence)
             t += skip
             seen.clear()  # fewer steps than a period are left, so no whole cycle fits again
 
     if snapshots[-1][0] != protocol.total_steps:
-        snapshots.append((protocol.total_steps, weights.copy()))
+        snapshots.append((protocol.total_steps, weights))
 
     return TraceLog(
         names=view.names,

@@ -10,7 +10,9 @@ values and then hold the vectorized engine in ``ortus.kernel`` and
 The last section keeps whole-network array formulas (every synapse
 evaluated with its own sigmoid, window norms and slopes taken once per
 neuron) that the engine's per-neuron sigmoid and gathered learning windows
-must reproduce bit for bit.  The protocol section keeps the
+must reproduce bit for bit.  The chemical and gap-junction formulas read the
+connectome itself, not the ``NetView`` derived from it, so they do not share
+the derivation they check.  The protocol section keeps the
 scan over every event on every step that the compiled schedule replaces, and
 the runner's loop that computes every step, which the fast-forwarding
 ``protocol.run`` must reproduce byte for byte.
@@ -190,30 +192,35 @@ def apply_updates(
 # ---------------------------------------------------------------------------
 
 
-def chem_terms_all_synapses(a: np.ndarray, weights: np.ndarray, view: NetView) -> np.ndarray:
-    """Chemical inflow per neuron with every synapse evaluated: a gated-off
-    synapse adds its inflow times 0.0, and ``np.add.at`` accumulates in
-    storage order."""
-    cs_in = np.zeros(view.n)
-    if len(view.syn_pre) == 0:
+def chem_terms_all_synapses(a: np.ndarray, weights: np.ndarray, net: Connectome) -> np.ndarray:
+    """Chemical inflow per neuron with every synapse of ``net.chem``
+    evaluated under ``weights``: a gated-off synapse adds its inflow times
+    0.0, and ``np.add.at`` accumulates in storage order."""
+    cs_in = np.zeros(net.n)
+    if not net.chem:
         return cs_in
-    a_pre = a[view.syn_pre]
-    drive = np.where(view.syn_inverted, -a_pre, a_pre)
+    pre = np.array([s.pre for s in net.chem])
+    post = np.array([s.post for s in net.chem])
+    rev = np.array([s.reversal for s in net.chem])
+    inverted = np.array([s.inverted for s in net.chem])
+    gate = np.array([net.neurons[s.post].threshold for s in net.chem])
+    drive = np.where(inverted, -a[pre], a[pre])
     g = 1.0 / (1.0 + np.exp(-5.0 * drive / ACTIVATION_RANGE))
-    gate = drive >= view.syn_gate
-    contrib = weights * g * (view.syn_rev - a[view.syn_post]) * gate
-    np.add.at(cs_in, view.syn_post, contrib)
+    contrib = weights * g * (rev - a[post]) * (drive >= gate)
+    np.add.at(cs_in, post, contrib)
     return cs_in
 
 
-def gap_terms_add_at(a: np.ndarray, view: NetView) -> np.ndarray:
+def gap_terms_add_at(a: np.ndarray, net: Connectome) -> np.ndarray:
     """Gap-junction inflow per neuron: every junction's flux added into its
     b end, then its negation into its a end, by two ``np.add.at`` calls."""
-    gj_in = np.zeros(view.n)
-    if len(view.gap_a):
-        flux = view.gap_w * (a[view.gap_a] - a[view.gap_b]) * 0.5
-        np.add.at(gj_in, view.gap_b, flux)
-        np.add.at(gj_in, view.gap_a, -flux)
+    gj_in = np.zeros(net.n)
+    if net.gap:
+        ends_a = np.array([g.a for g in net.gap])
+        ends_b = np.array([g.b for g in net.gap])
+        flux = np.array([g.weight for g in net.gap]) * (a[ends_a] - a[ends_b]) * 0.5
+        np.add.at(gj_in, ends_b, flux)
+        np.add.at(gj_in, ends_a, -flux)
     return gj_in
 
 

@@ -272,7 +272,7 @@ def test_python_dash_m_runs_the_cli(module):
 
 def test_set_coerces_by_the_default_type():
     cfgs = apply_overrides(
-        Configs.defaults(),
+        Configs(),
         [
             "sim.gj_mode=paper-literal",
             "sim.activation_clamp=off",
@@ -368,7 +368,12 @@ def test_experiment_headline_override(tmp_path, capsys):
         ]
     )
     assert code == EXIT_OK
-    assert "probe ePLEASURE peak ratio:" in capsys.readouterr().out
+    # the probe's ePLEASURE peak (-0.1427) is below zero, as is the
+    # control's (-0.0816): a ratio to a peak at or below zero is nan
+    assert "probe ePLEASURE peak ratio: nan\n" in capsys.readouterr().out
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert "control_peak,ePLEASURE,590,630,-0.08163573336574897" in summary
+    assert summary[-1] == "probe_peak_ratio,ePLEASURE,,,nan"
 
 
 def test_experiment_rejects_an_unknown_headline_before_running(tmp_path, capsys):

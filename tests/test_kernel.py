@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ortus.connectome import ChemicalSynapse, GapJunction
 from ortus.errors import ConfigError
-from ortus.kernel import GjMode, NetView, SimConfig, _chem_terms, _gap_terms, step
+from ortus.kernel import ConservationError, GjMode, NetView, SimConfig, _chem_terms, _gap_terms, step
 from oracles import chem_terms_all_synapses, conductance, gap_terms_add_at, cs_inflow, gj_flux, make_net
 
 # sigmoid of +/- the full activation range, frozen
@@ -227,7 +227,7 @@ def chem_case(rng, kind, n=12, m=60):
     ]
     weights = rng.choice([0.0, 0.3, 0.7, 1.0], m) * rng.uniform(0.5, 1.0, m)
     weights[rng.uniform(size=m) < 0.1] = 1.0
-    return a, weights, NetView.of(make_net(n, chem, thresholds=list(thresholds)))
+    return a, weights, make_net(n, chem, thresholds=list(thresholds))
 
 
 @pytest.mark.parametrize("kind", ["random", "gate", "off"])
@@ -235,14 +235,15 @@ def test_gated_chem_terms_equal_the_all_synapse_formula_bit_for_bit(kind):
     rng = np.random.default_rng(["random", "gate", "off"].index(kind))
     on_gate = 0
     for _ in range(40):
-        a, weights, view = chem_case(rng, kind)
-        got, want = _chem_terms(a, weights, view), chem_terms_all_synapses(a, weights, view)
+        a, weights, net = chem_case(rng, kind)
+        got, want = _chem_terms(a, weights, NetView.of(net)), chem_terms_all_synapses(a, weights, net)
         np.testing.assert_array_equal(got, want)
         assert got.tobytes() == want.tobytes()  # signed zeros included
-        drive = np.where(view.syn_inverted, -a[view.syn_pre], a[view.syn_pre])
-        on_gate += int((drive == view.syn_gate).sum())
+        on_gate += sum(
+            (-a[s.pre] if s.inverted else a[s.pre]) == net.neurons[s.post].threshold for s in net.chem
+        )
         if kind == "off":
-            assert got.tobytes() == np.zeros(view.n).tobytes()
+            assert got.tobytes() == np.zeros(net.n).tobytes()
     if kind == "gate":
         assert on_gate > 0
 
@@ -260,14 +261,15 @@ SHARED_SOURCE = [
 
 @pytest.mark.parametrize("chem", [[], SHARED_SOURCE], ids=["no_synapse", "shared_source"])
 def test_chem_terms_equal_the_oracle_on_edge_wirings(chem):
-    view = NetView.of(make_net(3, chem, thresholds=[0.0, 0.25, 0.0]))
+    net = make_net(3, chem, thresholds=[0.0, 0.25, 0.0])
+    view = NetView.of(net)
     if chem:  # two drives, neuron 0 plain and then inverted, each read twice
         assert (view.src_pre.tolist(), view.src_inverted_from, view.syn_src.tolist()) == ([0, 0], 1, [0, 1, 0, 1])
     samples = [0.0, -0.0, 0.25, -0.25, 0.7, -0.7, 1.0, -1.0]
     for a0 in samples:
         for a1 in samples:
             a = np.array([a0, a1, 0.5])
-            got, want = _chem_terms(a, view.syn_w0, view), chem_terms_all_synapses(a, view.syn_w0, view)
+            got, want = _chem_terms(a, view.syn_w0, view), chem_terms_all_synapses(a, view.syn_w0, net)
             assert got.dtype == np.float64
             assert got.tobytes() == want.tobytes()  # signed zeros included
 
@@ -320,10 +322,10 @@ def test_gap_terms_equal_the_two_add_at_formula_bit_for_bit(n, k):
     for _ in range(20):
         ends, weights = rng.integers(0, n, (k, 2)).tolist(), rng.uniform(0, 1, k).tolist()
         gap = [GapJunction(i, j, w) for (i, j), w in zip(ends, weights)]
-        view = NetView.of(make_net(n, gap=gap))
+        net = make_net(n, gap=gap)
         a = rng.uniform(-1, 1, n)
         a[rng.uniform(size=n) < 0.2] = rng.choice([0.0, -0.0])
-        got, want = _gap_terms(a, view), gap_terms_add_at(a, view)
+        got, want = _gap_terms(a, NetView.of(net)), gap_terms_add_at(a, net)
         np.testing.assert_array_equal(got, want)
         assert got.tobytes() == want.tobytes()  # signed zeros included
 
@@ -340,6 +342,15 @@ def test_gap_fluxes_conserve_charge():
         want[j.b] += into_b
     np.testing.assert_allclose(nxt - a, want, atol=1e-15)
     assert abs(nxt.sum() - a.sum()) < 1e-15
+
+
+def test_conservation_check_raises_when_the_drift_exceeds_the_tolerance():
+    # after rounding, the four junction-end terms sum to 2**-56, not 0
+    view = NetView.of(make_net(3, gap=[GapJunction(0, 1, 0.7), GapJunction(1, 2, 0.4)]))
+    a = np.array([0.2739233746429086, -0.4604265724722594, -0.9180529521276106])
+    with pytest.raises(ConservationError, match=r"^gap-junction flux drift 1\.38778e-17 per step$"):
+        step(a, view.syn_w0, view, cfg=SimConfig(check_conservation=True, conservation_tolerance=0.0))
+    step(a, view.syn_w0, view, cfg=SimConfig(check_conservation=True))  # within the default 1e-9
 
 
 def test_conservation_check_passes_on_symmetric_mode():

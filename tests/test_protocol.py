@@ -251,6 +251,18 @@ def test_run_weight_snapshot_cadence(organism_net):
     assert [s for s, _ in trace2.weight_snapshots] == [0, 10, 20]
 
 
+def test_snapshots_share_unchanged_weights_and_none_can_be_written(organism_net, conditioning_protocol_path):
+    # the built weights and every array a learning pass returns are read-only,
+    # so a snapshot that shares one with later snapshots cannot change them
+    assert not NetView.of(organism_net).syn_w0.flags.writeable
+    snapshots = run(organism_net, load_protocol(conditioning_protocol_path, organism_net)).weight_snapshots
+    arrays = list({id(w): w for _, w in snapshots}.values())
+    assert 2 < len(arrays) < len(snapshots)
+    for w in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 0.5
+
+
 def test_run_config_rejects_negative_snapshot_cadence():
     with pytest.raises(ConfigError):
         RunConfig(weight_snapshot_every=-1)
@@ -660,10 +672,10 @@ def test_compiled_schedule_equals_the_per_step_event_scan_bit_for_bit(case, seed
     cfg = PhysioConfig()
     rng = np.random.default_rng(seed)
     segments = list(schedule(protocol, n))
-    assert [seg.start for seg in segments] == [0] + [seg.end for seg in segments[:-1]]
-    assert segments[-1].end == protocol.total_steps
-    for seg in segments:
-        for m in range(seg.start, seg.end):
+    ends = [seg.end for seg in segments]
+    assert ends == sorted(set(ends)) and ends[0] > 0 and ends[-1] == protocol.total_steps
+    for start, seg in zip([0, *ends], segments):
+        for m in range(start, seg.end):
             activation = rng.uniform(-1, 1, n)
             activation[binding.lung if binding else 0] = rng.choice([0.2, 0.9])  # at rest or breathing
             inject, mask, value, exhale, inhale = scan_events(protocol, m, activation, cfg, binding)

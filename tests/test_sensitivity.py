@@ -9,7 +9,9 @@ Raising ``decay_fraction`` to 0.22, alone or with either other move, does
 not: fear never builds (every burst peaks at about 0.1) and the probe ratio
 falls to 0.9998.  Those points are expected failures, kept strict so that a
 change which makes them pass has to say so; the defaults are not retuned to
-hide them.  See the README's "Parameter neighbourhood" table.
+hide them.  The ratio falls off a cliff between ``decay_fraction`` 0.217288
+(2.78) and 0.217289 (1.03), which is pinned on both sides.  See the README's
+"Parameter neighbourhood" tables.
 """
 
 import itertools
@@ -51,8 +53,8 @@ def test_the_neighbourhood_has_nineteen_points():
     assert len(CASES) == 19
 
 
-@pytest.mark.parametrize("values", CASES)
-def test_conditioning_survives_the_neighbourhood(values, organism_spec, conditioning_protocol_path):
+def experiment(values, organism_spec, conditioning_protocol_path):
+    """The bundled experiment's probe ratio and per-burst eFEAR peaks."""
     net = build(organism_spec, BuildConfig(eei_initial_weight=values["eei_initial_weight"]))
     protocol = load_protocol(conditioning_protocol_path, net)
     cfg = RunConfig(
@@ -64,6 +66,20 @@ def test_conditioning_survives_the_neighbourhood(values, organism_spec, conditio
 
     *bursts, probe = [ev for ev in protocol.events if ev.kind is EventKind.INJECT]
     peaks = [float(fear[ev.start:min(ev.end + BURST_TAIL, protocol.total_steps)].max()) for ev in bursts]
-    ratio = float(fear[probe.start:probe.end].max() / control[probe.start:probe.end].max())
+    return float(fear[probe.start:probe.end].max() / control[probe.start:probe.end].max()), peaks
+
+
+@pytest.mark.parametrize("values", CASES)
+def test_conditioning_survives_the_neighbourhood(values, organism_spec, conditioning_protocol_path):
+    ratio, peaks = experiment(values, organism_spec, conditioning_protocol_path)
     assert ratio >= 2.0
     assert all(later > earlier for earlier, later in zip(peaks, peaks[1:])), peaks
+
+
+@pytest.mark.parametrize("decay_fraction, conditions", [(0.217288, True), (0.217289, False)])
+def test_the_decay_fraction_cliff_lies_between_0_217288_and_0_217289(
+    decay_fraction, conditions, organism_spec, conditioning_protocol_path
+):
+    values = {**DEFAULTS, "decay_fraction": decay_fraction}
+    ratio, _ = experiment(values, organism_spec, conditioning_protocol_path)
+    assert (ratio >= 2.0) is conditions, ratio
