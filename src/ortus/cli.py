@@ -3,6 +3,9 @@
 Subcommands: ``validate`` an .ort file, ``build`` it into connectome CSVs,
 ``export`` it as Graphviz DOT, ``run`` a protocol against it, or run a full
 ``experiment`` (protocol plus a never-conditioned control and a summary).
+Each one builds the connectome first, ``validate`` too (it writes nothing),
+so all five accept and refuse the same specs; errors and warnings go to
+stderr.
 Exit codes: 0 success, 1 domain error (parse/validate/build/run), 2 usage or
 I/O error.  Every config value is overridable with ``--set ns.key=value``;
 the overrides are resolved and checked once, before any file is read, and
@@ -123,24 +126,22 @@ def resolved_config_text(cfgs: Configs) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(args: argparse.Namespace, cfgs: Configs) -> int:
+def _build_from_args(
+    args: argparse.Namespace, cfgs: Configs
+) -> tuple[dsl.NetworkSpec, cn.Connectome]:
+    # build is the one checker: it raises the errors, with their positions,
+    # and hands back the warnings
     spec = dsl.parse_source(_resolve_input(args.ort).read_text())
-    diags = dsl.validate_spec(spec, sci_cap=cfgs.build.sci_cap)
-    for d in diags:
-        print(d)
-    if dsl.has_errors(diags):
-        return EXIT_DOMAIN
+    net = build(spec, cfgs.build)
+    for line in net.warnings:
+        print(line, file=sys.stderr)
+    return spec, net
+
+
+def _cmd_validate(args: argparse.Namespace, cfgs: Configs) -> int:
+    spec, _ = _build_from_args(args, cfgs)
     print(f"ok: {len(spec.elements)} elements, {len(spec.relationships)} relationships")
     return EXIT_OK
-
-
-def _build_from_args(args: argparse.Namespace, cfgs: Configs) -> cn.Connectome:
-    # build validates: it raises the errors, with their positions, and
-    # hands back the warnings
-    net = build(dsl.parse_source(_resolve_input(args.ort).read_text()), cfgs.build)
-    for d in net.warnings:
-        print(d, file=sys.stderr)
-    return net
 
 
 def _write_outputs(
@@ -155,7 +156,7 @@ def _write_outputs(
 
 
 def _cmd_build(args: argparse.Namespace, cfgs: Configs) -> int:
-    net = _build_from_args(args, cfgs)
+    _, net = _build_from_args(args, cfgs)
     outdir = Path(args.out)
     _write_outputs(outdir, cfgs, net)
     print(
@@ -166,7 +167,8 @@ def _cmd_build(args: argparse.Namespace, cfgs: Configs) -> int:
 
 
 def _cmd_export(args: argparse.Namespace, cfgs: Configs) -> int:
-    text = cn.to_dot(_build_from_args(args, cfgs))
+    _, net = _build_from_args(args, cfgs)
+    text = cn.to_dot(net)
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -178,7 +180,7 @@ def _cmd_export(args: argparse.Namespace, cfgs: Configs) -> int:
 
 
 def _cmd_run(args: argparse.Namespace, cfgs: Configs) -> int:
-    net = _build_from_args(args, cfgs)
+    _, net = _build_from_args(args, cfgs)
     protocol = load_protocol(_resolve_input(args.protocol), net)
     trace = run(net, protocol, cfgs.run)
     outdir = Path(args.out)
@@ -188,7 +190,7 @@ def _cmd_run(args: argparse.Namespace, cfgs: Configs) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace, cfgs: Configs) -> int:
-    net = _build_from_args(args, cfgs)
+    _, net = _build_from_args(args, cfgs)
     protocol = load_protocol(_resolve_input(args.protocol), net)
     headline = args.headline
     if headline not in net.name_to_id:
@@ -247,7 +249,7 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("protocol", help="protocol file")
         p.add_argument("--set", action="append", metavar="NS.KEY=VALUE", help="config override")
 
-    p = sub.add_parser("validate", help="parse and validate an .ort file")
+    p = sub.add_parser("validate", help="check that an .ort file builds, writing nothing")
     common(p)
     p.set_defaults(func=_cmd_validate)
 

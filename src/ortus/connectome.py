@@ -18,7 +18,9 @@ on associations as well as on the raw feeling.
 
 ``build`` fills the one ``Connectome`` it returns, in storage order: the
 declared elements, the SEIs, SCIs and EEIs with their wiring, then the
-declared relationships.
+declared relationships.  It is the one checker of a spec: it raises
+``BuildError`` on the validator's errors and on a generated name that
+collides with another neuron's, and keeps the warnings on the result.
 """
 
 from __future__ import annotations
@@ -27,29 +29,13 @@ import enum
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dsl import (
-    DEFAULT_SCI_CAP,
-    Affect,
-    Diagnostic,
-    ElementKind,
-    NetworkSpec,
-    RelationKind,
-    Severity,
-    validate_spec,
-)
+from .dsl import DEFAULT_SCI_CAP, Affect, ElementKind, NetworkSpec, RelationKind, validate_spec
 from .errors import ConfigError, OrtusError, require_finite
 
 
 class BuildError(OrtusError):
-    """The spec cannot be compiled into a network."""
-
-
-class SciCapExceeded(BuildError):
-    """Too many sensors: the consolidation layer would exceed the cap."""
-
-
-class UnsatisfiableRelationship(BuildError):
-    """A declared relationship that no wiring can realize."""
+    """The spec cannot be compiled into a network: validation found errors,
+    or a generated name collides with another neuron's."""
 
 
 class Layer(enum.Enum):
@@ -107,7 +93,7 @@ class Connectome:
     chem: list[ChemicalSynapse] = field(default_factory=list)
     gap: list[GapJunction] = field(default_factory=list)
     name_to_id: dict[str, int] = field(default_factory=dict)
-    warnings: list[Diagnostic] = field(default_factory=list)  # from the build's validation
+    warnings: list[str] = field(default_factory=list)  # printed lines of the build's validation
 
     @property
     def n(self) -> int:
@@ -251,25 +237,18 @@ def apply_relationships(net: Connectome, spec: NetworkSpec) -> None:
 
 
 def build(spec: NetworkSpec, cfg: BuildConfig | None = None) -> Connectome:
-    """Compile a validated spec into a Connectome.
+    """Compile a spec into a Connectome.
 
-    The spec is validated here, once: errors raise, and the warnings are
-    kept on the result.  Building is pure and deterministic: the same spec
-    and config always produce the same neuron ids, names, and storage order.
+    The spec is validated here, once: its errors raise ``BuildError``, as
+    does a generated name that collides with another neuron's, and the
+    warnings are kept on the result.  Building is pure and deterministic:
+    the same spec and config always produce the same neuron ids, names, and
+    storage order.
     """
     cfg = cfg or BuildConfig()
-    diags = validate_spec(spec, sci_cap=cfg.sci_cap)
-    problems = [d for d in diags if d.severity is Severity.ERROR]
-    if problems:
-        # Sensors are inputs: a relationship that drives one cannot be wired,
-        # which is reported before a consolidation layer over the cap.
-        codes = {d.code for d in problems}
-        raise (
-            UnsatisfiableRelationship if "into-sensor" in codes
-            else SciCapExceeded if "sci-explosion" in codes
-            else BuildError
-        )("spec failed validation:\n" + "\n".join(str(d) for d in problems))
-    warnings = [d for d in diags if d.severity is Severity.WARNING]
+    errors, warnings = validate_spec(spec, sci_cap=cfg.sci_cap)
+    if errors:
+        raise BuildError("spec failed validation:\n" + "\n".join(errors))
 
     net = Connectome(warnings=warnings)
     for el in spec.elements:

@@ -22,6 +22,11 @@ a rise in A drives B up, ``+A causes -B`` means a rise in A drives B down,
 and a leading ``-A`` keys the drive to A falling below equilibrium instead
 of rising above it.  Omitted signs default to ``+``.  A ``polarity``
 attribute, when present, overrides the sign-derived reversal of the synapse.
+
+Text the lexer or the parser cannot accept raises ``ParseError`` with its
+``line:col``.  ``validate_spec`` returns the errors and warnings of a parsed
+spec as the lines printed for them; ``connectome.build`` runs it and raises
+on any error.
 """
 
 from __future__ import annotations
@@ -44,30 +49,16 @@ DEFAULT_MUTABILITY = 0.5
 DEFAULT_SCI_CAP = 1024
 
 
-class LexError(OrtusError):
-    """A character or malformed literal the tokenizer cannot accept."""
-
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{line}:{col}: {message}")
-        self.line = line
-        self.col = col
-
-
 class ParseError(OrtusError):
-    """A token sequence that does not match the grammar."""
+    """Source text that the lexer or the parser cannot accept: an unknown
+    character, a malformed number, a token sequence off the grammar, or an
+    element declared after a relationship.  The message starts ``line:col:``
+    and ends with the tokens that would have been accepted, if any."""
 
     def __init__(self, message: str, line: int, col: int, expected: tuple[str, ...] = ()):
-        detail = f"{line}:{col}: {message}"
         if expected:
-            detail += " (expected " + " or ".join(sorted(expected)) + ")"
-        super().__init__(detail)
-        self.line = line
-        self.col = col
-        self.expected = frozenset(expected)
-
-
-class OrderError(ParseError):
-    """An element block that appears after the first relationship block."""
+            message += " (expected " + " or ".join(sorted(expected)) + ")"
+        super().__init__(f"{line}:{col}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +124,7 @@ def tokenize(source: str) -> list[Token]:
             try:
                 value = float(text)
             except ValueError:
-                raise LexError(f"malformed number {text!r}", line, col) from None
+                raise ParseError(f"malformed number {text!r}", line, col) from None
             tokens.append(Token(TokenKind.NUMBER, text, line, col, value=value))
         elif kind == "punct":
             tokens.append(Token(_PUNCT[text], text, line, col))
@@ -142,7 +133,7 @@ def tokenize(source: str) -> list[Token]:
             word = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
             tokens.append(Token(word, text, line, col))
         elif kind != "space":
-            raise LexError(f"unexpected character {text[0]!r}", line, col)
+            raise ParseError(f"unexpected character {text[0]!r}", line, col)
     return tokens
 
 
@@ -273,7 +264,7 @@ class _Parser:
         while (tok := self.peek()) is not None:
             if tok.kind is TokenKind.KEYWORD and tok.text == "element":
                 if relationships:
-                    raise OrderError(
+                    raise ParseError(
                         "element declared after a relationship; all elements must come first",
                         tok.line,
                         tok.col,
@@ -412,69 +403,39 @@ def parse_source(source: str) -> NetworkSpec:
 # ---------------------------------------------------------------------------
 
 
-class Severity(enum.Enum):
-    ERROR = "error"
-    WARNING = "warning"
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: Severity
-    code: str
-    message: str
-    line: int = 0
-    col: int = 0
-
-    def __str__(self) -> str:
-        return f"{self.severity.value}:{self.line}:{self.col}: {self.message}"
-
-
-def has_errors(diagnostics: list[Diagnostic]) -> bool:
-    return any(d.severity is Severity.ERROR for d in diagnostics)
-
-
-def validate_spec(spec: NetworkSpec, *, sci_cap: int = DEFAULT_SCI_CAP) -> list[Diagnostic]:
+def validate_spec(
+    spec: NetworkSpec, *, sci_cap: int = DEFAULT_SCI_CAP
+) -> tuple[list[str], list[str]]:
     """Check a parsed spec for problems that would make it unbuildable.
 
-    Returns a list of diagnostics; an empty list means the spec compiles
-    cleanly.  Warnings (elements that no relationship touches) do not block
-    building; a consolidation layer over ``sci_cap`` is an error.
+    Returns the errors and the warnings, each as the line printed for it,
+    ``error:L:C: message`` or ``warning:L:C: message`` (``0:0`` when no
+    single declaration is at fault).  Warnings (elements that no
+    relationship touches) do not block building; a consolidation layer
+    over ``sci_cap`` is an error.
     """
-    diags: list[Diagnostic] = []
+    errors: list[str] = []
 
-    def err(code: str, message: str, line: int = 0, col: int = 0) -> None:
-        diags.append(Diagnostic(Severity.ERROR, code, message, line, col))
-
-    def warn(code: str, message: str, line: int = 0, col: int = 0) -> None:
-        diags.append(Diagnostic(Severity.WARNING, code, message, line, col))
+    def err(message: str, line: int = 0, col: int = 0) -> None:
+        errors.append(f"error:{line}:{col}: {message}")
 
     seen: dict[str, ElementDecl] = {}
     for el in spec.elements:
         if el.name in seen:
-            err("duplicate-name", f"element {el.name!r} declared twice", el.line, el.col)
+            err(f"element {el.name!r} declared twice", el.line, el.col)
         else:
             seen[el.name] = el
         if not (0.0 <= el.threshold < 1.0):
-            err(
-                "bad-threshold",
-                f"threshold of {el.name!r} must lie in [0, 1), got {el.threshold!r}",
-                el.line,
-                el.col,
-            )
+            err(f"threshold of {el.name!r} must lie in [0, 1), got {el.threshold!r}", el.line, el.col)
         if el.kind is ElementKind.EMOTION and el.affect is Affect.NEUTRAL:
-            err(
-                "neutral-emotion",
-                f"emotion {el.name!r} must declare a positive or negative affect",
-                el.line,
-                el.col,
-            )
+            err(f"emotion {el.name!r} must declare a positive or negative affect", el.line, el.col)
 
     sensors = [el for el in spec.elements if el.kind is ElementKind.SENSORY]
     emotions = [el for el in spec.elements if el.kind is ElementKind.EMOTION]
     if not sensors:
-        err("no-sensor", "an organism needs at least one sensory element")
+        err("an organism needs at least one sensory element")
     if not emotions:
-        err("no-emotion", "an organism needs at least one emotion element")
+        err("an organism needs at least one emotion element")
 
     referenced: set[str] = set()
     wired: dict[tuple[str, str, str], RelationshipDecl] = {}
@@ -483,25 +444,19 @@ def validate_spec(spec: NetworkSpec, *, sci_cap: int = DEFAULT_SCI_CAP) -> list[
         referenced.add(rel.b)
         for name in (rel.a, rel.b):
             if name not in seen:
-                err("undeclared", f"relationship references undeclared element {name!r}", rel.line, rel.col)
+                err(f"relationship references undeclared element {name!r}", rel.line, rel.col)
         if rel.a == rel.b:
-            err("self-loop", f"element {rel.a!r} cannot relate to itself", rel.line, rel.col)
+            err(f"element {rel.a!r} cannot relate to itself", rel.line, rel.col)
         if not (0.0 <= rel.weight <= 1.0):
-            err("bad-weight", f"weight must lie in [0, 1], got {rel.weight!r}", rel.line, rel.col)
+            err(f"weight must lie in [0, 1], got {rel.weight!r}", rel.line, rel.col)
         if rel.mutability is not None and not (0.0 <= rel.mutability <= 1.0):
-            err(
-                "bad-mutability",
-                f"mutability must lie in [0, 1], got {rel.mutability!r}",
-                rel.line,
-                rel.col,
-            )
+            err(f"mutability must lie in [0, 1], got {rel.mutability!r}", rel.line, rel.col)
         # Sensors are inputs: nothing may synapse onto them.
         synapses = rel.synapses()
         for _, post, *_ in synapses:
             el = seen.get(post)
             if el is not None and el.kind is ElementKind.SENSORY:
                 err(
-                    "into-sensor",
                     f"{rel.kind.value} relationship would drive sensory element {post!r};"
                     " sensors are inputs only",
                     rel.line,
@@ -516,7 +471,6 @@ def validate_spec(spec: NetworkSpec, *, sci_cap: int = DEFAULT_SCI_CAP) -> list[
             first = wired.setdefault(wire, rel)
             if first is not rel:
                 err(
-                    "duplicate-wiring",
                     f"{' '.join(wire)} is already wired by the relationship at"
                     f" {first.line}:{first.col}",
                     rel.line,
@@ -525,27 +479,23 @@ def validate_spec(spec: NetworkSpec, *, sci_cap: int = DEFAULT_SCI_CAP) -> list[
 
     cycle = _dominance_cycle(spec, {el.name for el in emotions})
     if cycle:
-        err("dominance-cycle", "dominance cycle among emotions: " + " -> ".join(cycle))
+        err("dominance cycle among emotions: " + " -> ".join(cycle))
 
     n = len(sensors)
     if n and 2**n - 1 > sci_cap:
         err(
-            "sci-explosion",
             f"{n} sensory elements expand to 2^{n}-1 = {2**n - 1} sensory consolidation"
-            f" interneurons, exceeding the cap of {sci_cap}",
+            f" interneurons, exceeding the cap of {sci_cap}"
         )
 
-    for el in spec.elements:
-        if el.kind in (ElementKind.INTERNEURON, ElementKind.MOTOR, ElementKind.MUSCLE):
-            if el.name not in referenced:
-                warn(
-                    "unreferenced",
-                    f"{el.kind.value} element {el.name!r} is not referenced by any relationship",
-                    el.line,
-                    el.col,
-                )
-
-    return diags
+    warnings = [
+        f"warning:{el.line}:{el.col}: {el.kind.value} element {el.name!r}"
+        " is not referenced by any relationship"
+        for el in spec.elements
+        if el.kind in (ElementKind.INTERNEURON, ElementKind.MOTOR, ElementKind.MUSCLE)
+        and el.name not in referenced
+    ]
+    return errors, warnings
 
 
 def _dominance_cycle(spec: NetworkSpec, emotions: set[str]) -> list[str] | None:

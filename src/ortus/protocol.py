@@ -126,10 +126,10 @@ def parse_protocol(text: str, net: Connectome, source: str = "<protocol>") -> Pr
         if len(words) < 3 or ".." not in words[1]:
             raise fail(lineno, "expected: at <start>..<end> <action> ...")
         start_s, _, end_s = words[1].partition("..")
-        try:
-            start, end = int(start_s), int(end_s)
-        except ValueError:
-            raise fail(lineno, f"bad step range {words[1]!r}") from None
+        # digits only, as for steps: int() also reads '-0', '+5' and '1_0'
+        if not (start_s.isdecimal() and end_s.isdecimal()):
+            raise fail(lineno, f"bad step range {words[1]!r}")
+        start, end = int(start_s), int(end_s)
         if not (0 <= start < end <= total):
             raise fail(lineno, f"range {start}..{end} must satisfy 0 <= start < end <= {total}")
         action, args = words[2], words[3:]
@@ -181,6 +181,8 @@ def parse_protocol(text: str, net: Connectome, source: str = "<protocol>") -> Pr
 
 def _number(text: str, lineno: int, fail) -> float:
     try:
+        if "_" in text:  # float() reads '1_0' as 10.0
+            raise ValueError
         return float(text)
     except ValueError:
         raise fail(lineno, f"bad number {text!r}") from None

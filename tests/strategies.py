@@ -1,6 +1,27 @@
-"""Hypothesis strategies shared by the property tests."""
+"""Hypothesis strategies shared by the property tests, and specs that more
+than one test module reads."""
 
 from hypothesis import strategies as st
+
+# Specs that validate clean but cannot be built, each with the generated
+# name that a declared element already holds.
+COLLISIONS = [
+    (
+        """
+element sCO2      { type: sensory  affect: negative  threshold: 0.01 }
+element sO2       { type: sensory  affect: positive  threshold: 0.01 }
+element sH2O      { type: sensory  threshold: 0.01 }
+element eFEAR     { type: emotion  affect: negative  threshold: 0.046 }
+element ePLEASURE { type: emotion  affect: positive  threshold: 0.046 }
+element issH2O { type: interneuron }""",
+        "issH2O",
+    ),
+    (
+        "element sA { type: sensory }\nelement sB { type: sensory }\n"
+        "element sA_sB { type: sensory }\nelement eX { type: emotion affect: positive }",
+        "c_sA_sB",
+    ),
+]
 
 
 @st.composite

@@ -11,6 +11,7 @@ import pytest
 from ortus import connectome, dsl
 from ortus.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, Configs, apply_overrides, asset_path, main
 from ortus.kernel import GjMode
+from strategies import COLLISIONS
 
 BAD_ORT = "element sX { type: sensory }\nelement sX { type: sensory }\n"
 TINY_PROTOCOL = "steps 40\nat 5..15 inject sH2O 0.5\nat 20..30 inject sH2O 0.5\n"
@@ -44,8 +45,25 @@ def test_validate_reports_errors(tmp_path, capsys):
     bad = tmp_path / "bad.ort"
     bad.write_text(BAD_ORT)
     assert main(["validate", str(bad)]) == EXIT_DOMAIN
-    out = capsys.readouterr().out
-    assert "error:" in out and "declared twice" in out
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: spec failed validation:\n"
+        "error:2:1: element 'sX' declared twice\n"
+        "error:0:0: an organism needs at least one emotion element\n"
+    )
+
+
+@pytest.mark.parametrize("source,generated", COLLISIONS, ids=[name for _, name in COLLISIONS])
+def test_validate_refuses_a_generated_name_collision_as_build_does(source, generated, tmp_path, capsys):
+    ort = tmp_path / "collide.ort"
+    ort.write_text(source)
+    message = f"error: generated name '{generated}' collides with an existing neuron\n"
+    assert main(["validate", str(ort)]) == EXIT_DOMAIN
+    assert capsys.readouterr() == ("", message)
+    assert main(["build", str(ort), "--out", str(tmp_path / "o")]) == EXIT_DOMAIN
+    assert capsys.readouterr() == ("", message)
+    assert not (tmp_path / "o").exists()
 
 
 def test_validate_reports_unreadable_numbers_with_a_position(tmp_path, capsys):
@@ -58,8 +76,9 @@ def test_validate_reports_unreadable_numbers_with_a_position(tmp_path, capsys):
 
 def test_validate_applies_overrides(capsys):
     assert main(["validate", "ortus.ort", "--set", "build.sci_cap=3"]) == EXIT_DOMAIN
-    out = capsys.readouterr().out
-    assert "error:" in out and "exceeding the cap of 3" in out and "ok:" not in out
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "exceeding the cap of 3" in captured.err
+    assert captured.out == ""
     assert main(["validate", "ortus.ort", "--set", "bogus.key=1"]) == EXIT_DOMAIN
     assert "unknown config namespace 'bogus'" in capsys.readouterr().err
 
@@ -128,7 +147,7 @@ def test_duplicate_wiring_fails_with_a_position(tmp_path, capsys):
     )
     diagnostic = "error:6:1: sH2O -> mX is already wired by the relationship at 5:1"
     assert main(["validate", str(dup)]) == EXIT_DOMAIN
-    assert diagnostic in capsys.readouterr().out
+    assert capsys.readouterr().err.count(diagnostic) == 1
     assert main(["build", str(dup), "--out", str(tmp_path / "o")]) == EXIT_DOMAIN
     err = capsys.readouterr().err
     assert err.count(diagnostic) == 1
@@ -155,7 +174,7 @@ def test_export_dot_flag_is_gone(tiny_ort, capsys):
     assert "--dot" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["build", "experiment"])
+@pytest.mark.parametrize("command", ["validate", "build", "experiment"])
 def test_spec_is_validated_once_and_warnings_reach_stderr(command, tmp_path, monkeypatch, capsys):
     calls = []
     original = dsl.validate_spec
@@ -171,14 +190,16 @@ def test_spec_is_validated_once_and_warnings_reach_stderr(command, tmp_path, mon
     proto = tmp_path / "p.protocol"
     proto.write_text(TINY_PROTOCOL)
     inputs = [str(ort), str(proto)] if command == "experiment" else [str(ort)]
+    out = [] if command == "validate" else ["--out", str(tmp_path / "ok")]
 
-    assert main([command, *inputs, "--out", str(tmp_path / "ok")]) == EXIT_OK
+    assert main([command, *inputs, *out]) == EXIT_OK
     assert len(calls) == 1
     err = capsys.readouterr().err
     assert err.count("motor element 'mIDLE' is not referenced by any relationship") == 1
 
     calls.clear()
-    code = main([command, *inputs, "--out", str(tmp_path / "capped"), "--set", "build.sci_cap=3"])
+    out = [] if command == "validate" else ["--out", str(tmp_path / "capped")]
+    code = main([command, *inputs, *out, "--set", "build.sci_cap=3"])
     assert code == EXIT_DOMAIN
     assert len(calls) == 1
     err = capsys.readouterr().err

@@ -15,8 +15,6 @@ from ortus.connectome import (
     BuildConfig,
     BuildError,
     Layer,
-    SciCapExceeded,
-    UnsatisfiableRelationship,
     build,
     chem_csv,
     gap_csv,
@@ -25,10 +23,10 @@ from ortus.connectome import (
     write_csvs,
 )
 from ortus.cli import asset_path
-from ortus.dsl import has_errors, parse_source, validate_spec
+from ortus.dsl import ElementKind, parse_source, validate_spec
 from ortus.errors import ConfigError
 from printer import format_spec
-from strategies import random_specs
+from strategies import COLLISIONS, random_specs
 
 TWO_EMOTION = """
 element sCO2      { type: sensory  affect: negative  threshold: 0.01 }
@@ -99,8 +97,9 @@ def test_sci_enumeration_matches_brute_force():
 def test_sci_cap_enforced():
     elements = "\n".join(f"element s{i} {{ type: sensory }}" for i in range(6))
     src = elements + "\nelement eX { type: emotion affect: positive }"
-    with pytest.raises(SciCapExceeded):
+    with pytest.raises(BuildError) as exc:
         net_of(src, BuildConfig(sci_cap=10))
+    assert str(exc.value).endswith("2^6-1 = 63 sensory consolidation interneurons, exceeding the cap of 10")
     # 2^6 - 1 = 63 fits in the default cap
     net = net_of(src)
     assert sum(1 for n in net.neurons if n.layer is Layer.SCI) == 63
@@ -272,17 +271,28 @@ def test_build_rejects_invalid_spec_with_diagnostics():
     ["eFEAR causes sCO2", "eFEAR dominates sO2", "sH2O opposes eFEAR", "eFEAR opposes sH2O"],
 )
 def test_build_rejects_wiring_into_sensors(relationship):
-    with pytest.raises(UnsatisfiableRelationship) as exc:
+    with pytest.raises(BuildError) as exc:
         net_of(TWO_EMOTION + f"relationship {{ {relationship} }}")
     # the validator's diagnostic, with the relationship's line:col
     assert "error:7:1: " in str(exc.value) and "sensors are inputs only" in str(exc.value)
 
 
 def test_wiring_into_a_sensor_is_reported_before_the_sci_cap():
-    with pytest.raises(UnsatisfiableRelationship):
+    with pytest.raises(BuildError) as exc:
         net_of(TWO_EMOTION + "relationship { eFEAR causes sCO2 }", BuildConfig(sci_cap=3))
-    with pytest.raises(SciCapExceeded):
+    assert str(exc.value) == (
+        "spec failed validation:\n"
+        "error:7:1: causes relationship would drive sensory element 'sCO2'; sensors are inputs only\n"
+        "error:0:0: 3 sensory elements expand to 2^3-1 = 7 sensory consolidation interneurons,"
+        " exceeding the cap of 3"
+    )
+    with pytest.raises(BuildError) as exc:
         net_of(TWO_EMOTION, BuildConfig(sci_cap=3))
+    assert str(exc.value) == (
+        "spec failed validation:\n"
+        "error:0:0: 3 sensory elements expand to 2^3-1 = 7 sensory consolidation interneurons,"
+        " exceeding the cap of 3"
+    )
 
 
 def test_duplicate_synapse_rejected():
@@ -296,27 +306,38 @@ relationship { +sCO2 causes -mP }
     assert "error:10:1: sCO2 -> mP is already wired by the relationship at 9:1" in str(exc.value)
 
 
-@pytest.mark.parametrize(
-    "source,generated",
-    [
-        (TWO_EMOTION + "element issH2O { type: interneuron }", "issH2O"),
-        (
-            "element sA { type: sensory }\nelement sB { type: sensory }\n"
-            "element sA_sB { type: sensory }\nelement eX { type: emotion affect: positive }",
-            "c_sA_sB",
-        ),
-    ],
-)
+@pytest.mark.parametrize("source,generated", COLLISIONS)
 def test_generated_name_collision_rejected(source, generated):
     with pytest.raises(BuildError, match=f"generated name '{generated}' collides"):
         net_of(source)
 
 
+def generated_name_collides(spec) -> bool:
+    """Whether two neurons of the build would share a name: the recipe's
+    ``is<sensor>``, ``c_<subset>`` and ``x<emotion>_<sci>`` names beside the
+    declared ones, enumerated here independently of ``build``."""
+    sensors = [el.name for el in spec.elements if el.kind is ElementKind.SENSORY]
+    emotions = [el.name for el in spec.elements if el.kind is ElementKind.EMOTION]
+    scis = [
+        "c_" + "_".join(sorted(subset))
+        for k in range(1, len(sensors) + 1)
+        for subset in itertools.combinations(sensors, k)
+    ]
+    names = [el.name for el in spec.elements]
+    names += [f"is{s}" for s in sensors] + scis + [f"x{e}_{c}" for e in emotions for c in scis]
+    return len(set(names)) < len(names)
+
+
 @settings(max_examples=200, deadline=None)
 @given(random_specs())
+@example(COLLISIONS[0][0])
+@example(COLLISIONS[1][0])
 def test_build_fails_exactly_when_validation_does(source):
+    """``build`` raises exactly when ``validate_spec`` reports an error or a
+    generated name collides."""
     spec = parse_source(source)
-    invalid = has_errors(validate_spec(spec))
+    errors, _ = validate_spec(spec)
+    invalid = bool(errors) or generated_name_collides(spec)
     try:
         net = build(spec)
     except BuildError:
@@ -335,7 +356,7 @@ def test_build_fails_exactly_when_validation_does(source):
 @example(asset_path("ortus.ort").read_text())
 def test_printed_spec_builds_the_same_connectome(source):
     spec = parse_source(source)
-    assume(not has_errors(validate_spec(spec)))
+    assume(not validate_spec(spec)[0])
     net, again = build(spec), build(parse_source(format_spec(spec)))
     assert again.neurons == net.neurons
     assert again.chem == net.chem

@@ -97,6 +97,14 @@ def test_block_single_flag(organism_net):
         ("steps 10\nat 0..5 inject sH2O 1.5\n", "outside [-1, 1]"),
         ("steps 10\nat 0..5 inject sGHOST 0.5\n", "unknown element"),
         ("steps 10\nat 0..5 clamp eFEAR high\n", "bad number"),
+        ("steps 30\nat 0..5 clamp sO2 1_0e-1\n", "<protocol>:2: bad number '1_0e-1'"),
+        ("steps 30\nat 0..5 inject sH2O 0_5\n", "<protocol>:2: bad number '0_5'"),
+        # a step range takes decimal digits only, as steps does
+        ("steps 30\nat 1_0..+20 inject sH2O 0.5\n", "<protocol>:2: bad step range '1_0..+20'"),
+        ("steps 30\nat -0..5 inject sH2O 0.5\n", "<protocol>:2: bad step range '-0..5'"),
+        ("steps 30\nat 0..+5 inject sH2O 0.5\n", "<protocol>:2: bad step range '0..+5'"),
+        ("steps 30\nat 0..²5 inject sH2O 0.5\n", "<protocol>:2: bad step range '0..²5'"),
+        ("steps 30\nat 0.. inject sH2O 0.5\n", "<protocol>:2: bad step range '0..'"),
         ("steps 10\nat 0..5 block respiration sideways\n", "unknown respiration flag"),
         ("steps 10\nat 0..5 explode sH2O 1\n", "unknown action"),
         ("steps 10\nwait 0..5\n", "unknown directive"),

@@ -2,10 +2,15 @@
 outside its own definition, and every dataclass field and method is read
 outside its own definition: by another part of the package (the re-exports
 in ``__init__.py`` do not count) or by the benchmark under ``perfbench/``.
-Code that only the tests use belongs in ``tests/``."""
+Code that only the tests use belongs in ``tests/``.  And the errors form one
+flat level under ``OrtusError``."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
+
+from ortus.errors import OrtusError
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ortus"
@@ -86,3 +91,19 @@ def test_every_dataclass_field_and_method_is_read_outside_the_tests():
         if not readers.get(name, set()) - {(file, cls, name)}
     ]
     assert unread == []
+
+
+def test_every_exception_class_derives_from_ortus_error_directly():
+    """Errors are told apart by their message, not by a subclass that only
+    some of the raises pick: each one derives from ``OrtusError`` alone."""
+    bases: dict[str, tuple[type, ...]] = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":  # re-exports only
+            continue
+        module = importlib.import_module(f"ortus.{path.stem}")
+        for name, cls in vars(module).items():
+            if inspect.isclass(cls) and issubclass(cls, BaseException) and cls.__module__ == module.__name__:
+                bases[f"{path.name}: {name}"] = cls.__bases__
+    assert bases.pop("errors.py: OrtusError") == (Exception,)
+    assert len(bases) >= 5
+    assert [name for name, b in bases.items() if b != (OrtusError,)] == []
