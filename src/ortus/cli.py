@@ -202,14 +202,13 @@ def _cmd_experiment(args: argparse.Namespace, cfgs: Configs) -> int:
     _write_outputs(outdir, cfgs, net, {"": trace, "control_": control})
 
     probe_ev = proto.probe_event(protocol)
-    # Per-burst peaks: the response lags the stimulus (gas dynamics), so
-    # extend each window a little past the event end.  The probe's window,
-    # last, is not extended.
-    queries = [
-        Query("peak", headline, ev.start, min(ev.end + 15, protocol.total_steps))
-        for ev in protocol.events
-        if ev.kind is proto.EventKind.INJECT and ev is not probe_ev
-    ]
+    # One peak per burst, a distinct window of the other injections, in step
+    # order: the response lags the stimulus (gas dynamics), so extend each
+    # window a little past the event end.  The probe's window, last, is not
+    # extended.
+    injects = [ev for ev in protocol.events if ev.kind is proto.EventKind.INJECT and ev is not probe_ev]
+    bursts = sorted({(ev.start, ev.end) for ev in injects})
+    queries = [Query("peak", headline, start, min(end + 15, protocol.total_steps)) for start, end in bursts]
     if probe_ev is not None:
         queries.append(Query("peak", headline, probe_ev.start, probe_ev.end))
     rows = summarize(trace, queries)

@@ -25,11 +25,10 @@ collides with another neuron's, and keeps the warnings on the result.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dsl import DEFAULT_SCI_CAP, Affect, ElementKind, NetworkSpec, RelationKind, validate_spec
+from .dsl import DEFAULT_SCI_CAP, Affect, Layer, NetworkSpec, RelationKind, validate_spec
 from .errors import ConfigError, OrtusError, require_finite
 
 
@@ -38,29 +37,10 @@ class BuildError(OrtusError):
     or a generated name collides with another neuron's."""
 
 
-class Layer(enum.Enum):
-    SENSORY = "sensory"
-    SEI = "SEI"
-    SCI = "SCI"
-    EEI = "EEI"
-    EMOTION = "emotion"
-    MOTOR = "motor"
-    MUSCLE = "muscle"
-    PLAIN = "plain-interneuron"
-
-
-_DECLARED_LAYER = {
-    ElementKind.SENSORY: Layer.SENSORY,
-    ElementKind.INTERNEURON: Layer.PLAIN,
-    ElementKind.MOTOR: Layer.MOTOR,
-    ElementKind.MUSCLE: Layer.MUSCLE,
-    ElementKind.EMOTION: Layer.EMOTION,
-}
-
-
 @dataclass(frozen=True)
 class Neuron:
-    id: int
+    """One neuron; its id is its index in ``Connectome.neurons``."""
+
     name: str
     layer: Layer
     threshold: float
@@ -102,11 +82,9 @@ class Connectome:
     def add_neuron(
         self, name: str, layer: Layer, threshold: float, affect: Affect = Affect.NEUTRAL
     ) -> int:
-        if name in self.name_to_id:
-            raise BuildError(f"generated name {name!r} collides with an existing neuron")
         nid = len(self.neurons)
-        self.neurons.append(Neuron(nid, name, layer, threshold, affect))
-        self.name_to_id[name] = nid
+        self.neurons.append(Neuron(name, layer, threshold, affect))
+        self.name_to_id.setdefault(name, nid)  # build refuses a name taken twice
         return nid
 
     def add_chem(
@@ -252,10 +230,10 @@ def build(spec: NetworkSpec, cfg: BuildConfig | None = None) -> Connectome:
 
     net = Connectome(warnings=warnings)
     for el in spec.elements:
-        net.add_neuron(el.name, _DECLARED_LAYER[el.kind], el.threshold, el.affect)
+        net.add_neuron(el.name, el.kind, el.threshold, el.affect)
 
-    sensor_ids = [net.name_to_id[el.name] for el in spec.elements if el.kind is ElementKind.SENSORY]
-    emotion_ids = [net.name_to_id[el.name] for el in spec.elements if el.kind is ElementKind.EMOTION]
+    sensor_ids = [net.name_to_id[el.name] for el in spec.elements if el.kind is Layer.SENSORY]
+    emotion_ids = [net.name_to_id[el.name] for el in spec.elements if el.kind is Layer.EMOTION]
 
     sei_of = generate_seis(net, sensor_ids, cfg)
     sci_ids = generate_scis(net, sensor_ids, sei_of, cfg)
@@ -269,6 +247,19 @@ def build(spec: NetworkSpec, cfg: BuildConfig | None = None) -> Connectome:
         for pre, post, *_ in rel.synapses()
     ]
     generate_emotion_layer(net, sci_ids, emotion_ids, dominance_pairs, cfg)
+
+    # Declared names are distinct, so a name taken twice is a generated one;
+    # it is refused at the position of the element declared under that name,
+    # or at 0:0 when both neurons are generated.
+    for nid, nr in enumerate(net.neurons):
+        first = net.name_to_id[nr.name]
+        if first != nid:
+            el = spec.elements[first] if first < len(spec.elements) else None
+            where = f"{el.line}:{el.col}" if el else "0:0"
+            raise BuildError(
+                f"spec failed validation:\nerror:{where}:"
+                f" generated name {nr.name!r} collides with an existing neuron"
+            )
 
     apply_relationships(net, spec)
 
@@ -286,8 +277,8 @@ def _num(x: float) -> str:
 
 def neurons_csv(net: Connectome) -> str:
     lines = ["id,name,layer,threshold,affect"]
-    for nr in net.neurons:
-        lines.append(f"{nr.id},{nr.name},{nr.layer.value},{_num(nr.threshold)},{nr.affect.value}")
+    for nid, nr in enumerate(net.neurons):
+        lines.append(f"{nid},{nr.name},{nr.layer.value},{_num(nr.threshold)},{nr.affect.value}")
     return "\n".join(lines) + "\n"
 
 
@@ -339,8 +330,8 @@ def to_dot(net: Connectome) -> str:
     """Render the graph in DOT form: solid excitatory, dashed inhibitory,
     undirected bold edges for gap junctions."""
     lines = ["digraph connectome {", "  rankdir=LR;"]
-    for nr in net.neurons:
-        lines.append(f'  n{nr.id} [label="{nr.name}" shape={_DOT_SHAPE[nr.layer]}];')
+    for nid, nr in enumerate(net.neurons):
+        lines.append(f'  n{nid} [label="{nr.name}" shape={_DOT_SHAPE[nr.layer]}];')
     for s in net.chem:
         style = "solid" if s.reversal > 0 else "dashed"
         lines.append(f'  n{s.pre} -> n{s.post} [style={style} label="{_num(s.weight)}"];')

@@ -32,16 +32,13 @@ on any error.
 from __future__ import annotations
 
 import enum
+import graphlib
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import TypeVar
 
 from .errors import OrtusError
-
-KEYWORDS = frozenset(
-    {"element", "relationship", "causes", "correlated", "opposes", "dominates"}
-)
 
 DEFAULT_THRESHOLD = 0.05
 DEFAULT_WEIGHT = 0.5
@@ -142,12 +139,29 @@ def tokenize(source: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 
-class ElementKind(enum.Enum):
+class Layer(enum.Enum):
+    """A neuron's kind, from an element's ``type:`` word to its cell in
+    ``neurons.csv`` (the value).  An ``.ort`` file declares the kinds in
+    ``TYPE_WORDS``; ``connectome.build`` generates the SEI, SCI and EEI
+    layers."""
+
     SENSORY = "sensory"
-    INTERNEURON = "interneuron"
+    SEI = "SEI"
+    SCI = "SCI"
+    EEI = "EEI"
+    EMOTION = "emotion"
     MOTOR = "motor"
     MUSCLE = "muscle"
-    EMOTION = "emotion"
+    PLAIN = "plain-interneuron"
+
+
+TYPE_WORDS = {
+    "sensory": Layer.SENSORY,
+    "interneuron": Layer.PLAIN,
+    "motor": Layer.MOTOR,
+    "muscle": Layer.MUSCLE,
+    "emotion": Layer.EMOTION,
+}
 
 
 class Affect(enum.Enum):
@@ -163,6 +177,9 @@ class RelationKind(enum.Enum):
     DOMINATES = "dominates"
 
 
+KEYWORDS = frozenset({"element", "relationship"} | {kind.value for kind in RelationKind})
+
+
 class Sign(enum.Enum):
     PLUS = "+"
     MINUS = "-"
@@ -176,7 +193,7 @@ class Polarity(enum.Enum):
 @dataclass
 class ElementDecl:
     name: str
-    kind: ElementKind
+    kind: Layer
     affect: Affect = Affect.NEUTRAL
     threshold: float = DEFAULT_THRESHOLD
     line: int = field(default=0, compare=False)
@@ -226,6 +243,10 @@ class NetworkSpec:
 # ---------------------------------------------------------------------------
 
 _E = TypeVar("_E", bound=enum.Enum)
+
+
+def _values(enum_type: type[_E]) -> dict[str, _E]:
+    return {member.value: member for member in enum_type}
 
 
 class _Parser:
@@ -308,13 +329,13 @@ class _Parser:
             self.expect(TokenKind.COLON, f"{tok.text} attribute", (":",))
             yield tok
 
-    def _choice(self, token_kind: TokenKind, enum_type: type[_E], what: str) -> _E:
-        """Read one word of ``enum_type``, written as a ``token_kind`` token."""
-        words = tuple(sorted(member.value for member in enum_type))
+    def _choice(self, token_kind: TokenKind, choices: dict[str, _E], what: str) -> _E:
+        """Read one word of ``choices``, written as a ``token_kind`` token."""
+        words = tuple(sorted(choices))
         tok = self.next(what, words)
-        if tok.kind is not token_kind or tok.text not in words:
+        if tok.kind is not token_kind or tok.text not in choices:
             raise ParseError(f"unknown {what} {tok.text!r}", tok.line, tok.col, words)
-        return enum_type(tok.text)
+        return choices[tok.text]
 
     def _number(self, key: str) -> float:
         tok = self.expect(TokenKind.NUMBER, f"{key} value", ("number",))
@@ -323,14 +344,14 @@ class _Parser:
     def _element(self, kw: Token) -> ElementDecl:
         name = self._ident("element name")
         self.expect(TokenKind.LBRACE, "element block", ("{",))
-        kind: ElementKind | None = None
+        kind: Layer | None = None
         affect = Affect.NEUTRAL
         threshold = DEFAULT_THRESHOLD
         for key in self._attributes("element", ("type", "affect", "threshold")):
             if key.text == "type":
-                kind = self._choice(TokenKind.IDENT, ElementKind, "element type")
+                kind = self._choice(TokenKind.IDENT, TYPE_WORDS, "element type")
             elif key.text == "affect":
-                affect = self._choice(TokenKind.IDENT, Affect, "affect")
+                affect = self._choice(TokenKind.IDENT, _values(Affect), "affect")
             else:
                 threshold = self._number(key.text)
         if kind is None:
@@ -350,7 +371,7 @@ class _Parser:
         self.expect(TokenKind.LBRACE, "relationship block", ("{",))
         a_sign = self._sign()
         a = self._ident("relationship source")
-        kind = self._choice(TokenKind.KEYWORD, RelationKind, "relationship kind")
+        kind = self._choice(TokenKind.KEYWORD, _values(RelationKind), "relationship kind")
         kind_tok = self.tokens[self.pos - 1]
         b_sign = self._sign()
         b = self._ident("relationship target")
@@ -378,7 +399,7 @@ class _Parser:
             elif key.text == "mutability":
                 mutability = self._number(key.text)
             else:
-                polarity = self._choice(TokenKind.IDENT, Polarity, "polarity")
+                polarity = self._choice(TokenKind.IDENT, _values(Polarity), "polarity")
         return RelationshipDecl(
             kind,
             a.text,
@@ -427,11 +448,11 @@ def validate_spec(
             seen[el.name] = el
         if not (0.0 <= el.threshold < 1.0):
             err(f"threshold of {el.name!r} must lie in [0, 1), got {el.threshold!r}", el.line, el.col)
-        if el.kind is ElementKind.EMOTION and el.affect is Affect.NEUTRAL:
+        if el.kind is Layer.EMOTION and el.affect is Affect.NEUTRAL:
             err(f"emotion {el.name!r} must declare a positive or negative affect", el.line, el.col)
 
-    sensors = [el for el in spec.elements if el.kind is ElementKind.SENSORY]
-    emotions = [el for el in spec.elements if el.kind is ElementKind.EMOTION]
+    sensors = [el for el in spec.elements if el.kind is Layer.SENSORY]
+    emotions = [el for el in spec.elements if el.kind is Layer.EMOTION]
     if not sensors:
         err("an organism needs at least one sensory element")
     if not emotions:
@@ -455,7 +476,7 @@ def validate_spec(
         synapses = rel.synapses()
         for _, post, *_ in synapses:
             el = seen.get(post)
-            if el is not None and el.kind is ElementKind.SENSORY:
+            if el is not None and el.kind is Layer.SENSORY:
                 err(
                     f"{rel.kind.value} relationship would drive sensory element {post!r};"
                     " sensors are inputs only",
@@ -477,9 +498,18 @@ def validate_spec(
                     rel.col,
                 )
 
-    cycle = _dominance_cycle(spec, {el.name for el in emotions})
-    if cycle:
-        err("dominance cycle among emotions: " + " -> ".join(cycle))
+    emotion_names = {el.name for el in emotions}
+    # b comes after the a that dominates it; graphlib reports the first cycle
+    # of a depth-first search from each emotion in name order, along the
+    # dominance edges in file order
+    dominance = graphlib.TopologicalSorter(dict.fromkeys(sorted(emotion_names), ()))
+    for rel in spec.relationships:
+        if rel.kind is RelationKind.DOMINATES and {rel.a, rel.b} <= emotion_names:
+            dominance.add(rel.b, rel.a)
+    try:
+        dominance.prepare()
+    except graphlib.CycleError as exc:
+        err("dominance cycle among emotions: " + " -> ".join(exc.args[1]))
 
     n = len(sensors)
     if n and 2**n - 1 > sci_cap:
@@ -488,42 +518,11 @@ def validate_spec(
             f" interneurons, exceeding the cap of {sci_cap}"
         )
 
+    unwired = {TYPE_WORDS[word]: word for word in ("interneuron", "motor", "muscle")}
     warnings = [
-        f"warning:{el.line}:{el.col}: {el.kind.value} element {el.name!r}"
+        f"warning:{el.line}:{el.col}: {unwired[el.kind]} element {el.name!r}"
         " is not referenced by any relationship"
         for el in spec.elements
-        if el.kind in (ElementKind.INTERNEURON, ElementKind.MOTOR, ElementKind.MUSCLE)
-        and el.name not in referenced
+        if el.kind in unwired and el.name not in referenced
     ]
     return errors, warnings
-
-
-def _dominance_cycle(spec: NetworkSpec, emotions: set[str]) -> list[str] | None:
-    adj: dict[str, list[str]] = {}
-    for rel in spec.relationships:
-        if rel.kind is RelationKind.DOMINATES and rel.a in emotions and rel.b in emotions:
-            adj.setdefault(rel.a, []).append(rel.b)
-    state: dict[str, int] = {}
-    stack: list[str] = []
-
-    def visit(node: str) -> list[str] | None:
-        state[node] = 1
-        stack.append(node)
-        for nxt in adj.get(node, ()):
-            if state.get(nxt, 0) == 1:
-                return stack[stack.index(nxt):] + [nxt]
-            if state.get(nxt, 0) == 0:
-                found = visit(nxt)
-                if found:
-                    return found
-        stack.pop()
-        state[node] = 2
-        return None
-
-    for start in sorted(adj):
-        if state.get(start, 0) == 0:
-            found = visit(start)
-            if found:
-                return found
-    return None
-

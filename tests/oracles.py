@@ -26,7 +26,8 @@ import math
 import numpy as np
 
 from ortus import physiology
-from ortus.connectome import ChemicalSynapse, Connectome, GapJunction, Layer, Neuron
+from ortus.connectome import ChemicalSynapse, Connectome, GapJunction, Neuron
+from ortus.dsl import Layer
 from ortus.errors import OrtusError
 from ortus.kernel import ACTIVATION_RANGE, NetView, step
 from ortus.physiology import PhysioBinding, PhysioConfig
@@ -41,7 +42,7 @@ from ortus.protocol import EventKind, Protocol, RunConfig, TraceLog, schedule
 def make_net(n, chem=(), gap=(), thresholds=None) -> Connectome:
     """A connectome of `n` plain neurons named n0, n1, ... wired as given."""
     thresholds = thresholds or [0.0] * n
-    neurons = [Neuron(i, f"n{i}", Layer.PLAIN, thresholds[i]) for i in range(n)]
+    neurons = [Neuron(f"n{i}", Layer.PLAIN, thresholds[i]) for i in range(n)]
     return Connectome(
         neurons=neurons,
         chem=list(chem),

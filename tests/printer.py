@@ -4,7 +4,7 @@ The tests parse what it prints to check that the parser keeps every
 attribute and that the text builds the same connectome.
 """
 
-from ortus.dsl import NetworkSpec, RelationKind
+from ortus.dsl import TYPE_WORDS, NetworkSpec, RelationKind
 
 
 def _fmt(x: float) -> str:
@@ -17,10 +17,11 @@ def format_spec(spec: NetworkSpec) -> str:
     The output makes every defaulted attribute explicit and parses back to a
     structurally equal spec.
     """
+    type_word = {layer: word for word, layer in TYPE_WORDS.items()}
     lines: list[str] = []
     for el in spec.elements:
         lines.append(
-            f"element {el.name} {{ type: {el.kind.value} affect: {el.affect.value}"
+            f"element {el.name} {{ type: {type_word[el.kind]} affect: {el.affect.value}"
             f" threshold: {_fmt(el.threshold)} }}"
         )
     for rel in spec.relationships:

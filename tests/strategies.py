@@ -4,7 +4,8 @@ than one test module reads."""
 from hypothesis import strategies as st
 
 # Specs that validate clean but cannot be built, each with the generated
-# name that a declared element already holds.
+# name that another neuron already holds and the position the refusal
+# names: the declared element's, or 0:0 when both neurons are generated.
 COLLISIONS = [
     (
         """
@@ -15,11 +16,13 @@ element eFEAR     { type: emotion  affect: negative  threshold: 0.046 }
 element ePLEASURE { type: emotion  affect: positive  threshold: 0.046 }
 element issH2O { type: interneuron }""",
         "issH2O",
+        "7:1",
     ),
     (
         "element sA { type: sensory }\nelement sB { type: sensory }\n"
         "element sA_sB { type: sensory }\nelement eX { type: emotion affect: positive }",
         "c_sA_sB",
+        "0:0",
     ),
 ]
 

@@ -24,7 +24,8 @@ import pytest
 
 from ortus.cli import asset_path
 from ortus.cli import main as cli_main
-from ortus.connectome import ChemicalSynapse, Layer
+from ortus.connectome import ChemicalSynapse
+from ortus.dsl import Layer
 from ortus.kernel import NetView, SimConfig, step
 from ortus.plasticity import H_LEN, PlasticityConfig, _lag_sums, _slope_sums, plasticity_step
 from ortus.protocol import RunConfig, control_variant, load_protocol, parse_protocol, peak_indices, run

@@ -54,11 +54,14 @@ def test_validate_reports_errors(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("source,generated", COLLISIONS, ids=[name for _, name in COLLISIONS])
-def test_validate_refuses_a_generated_name_collision_as_build_does(source, generated, tmp_path, capsys):
+@pytest.mark.parametrize("source,generated,where", COLLISIONS, ids=[name for _, name, _ in COLLISIONS])
+def test_validate_refuses_a_generated_name_collision_as_build_does(source, generated, where, tmp_path, capsys):
     ort = tmp_path / "collide.ort"
     ort.write_text(source)
-    message = f"error: generated name '{generated}' collides with an existing neuron\n"
+    message = (
+        "error: spec failed validation:\n"
+        f"error:{where}: generated name '{generated}' collides with an existing neuron\n"
+    )
     assert main(["validate", str(ort)]) == EXIT_DOMAIN
     assert capsys.readouterr() == ("", message)
     assert main(["build", str(ort), "--out", str(tmp_path / "o")]) == EXIT_DOMAIN
@@ -466,6 +469,32 @@ def test_experiment_probe_is_latest_injection_in_time(tmp_path, capsys):
     assert (out / "control_markers.csv").read_text() == (
         "step,marker\n80,start inject sH2O 0.5\n90,end inject sH2O 0.5\n"
     )
+
+
+def summary_of(tmp_path, name, text):
+    proto = tmp_path / f"{name}.protocol"
+    proto.write_text(text)
+    out = tmp_path / name
+    assert main(["experiment", "ortus.ort", str(proto), "--out", str(out)]) == EXIT_OK
+    return (out / "summary.csv").read_text()
+
+
+def test_experiment_summary_keeps_step_order_whatever_the_line_order(tmp_path, capsys):
+    text = asset_path("fear_conditioning.protocol").read_text()
+    first = "at 50..90   inject sH2O 0.8\nat 50..90   block respiration exhale inhale\n"
+    second = "at 150..190 inject sH2O 0.8\nat 150..190 block respiration exhale inhale\n"
+    assert first + second in text
+    moved = text.replace(first + second, second + first)
+    assert summary_of(tmp_path, "moved", moved) == summary_of(tmp_path, "bundled", text)
+
+
+def test_experiment_summary_has_one_row_per_burst_window(tmp_path, capsys):
+    text = asset_path("fear_conditioning.protocol").read_text()
+    paired_with_o2 = text.replace("block respiration exhale inhale", "inject sO2 0.8")
+    rows = [line.split(",") for line in summary_of(tmp_path, "o2", paired_with_o2).splitlines()]
+    bursts = [row[2:4] for row in rows if row[0] == "peak"][:-1]  # the last is the probe
+    assert bursts == [["50", "105"], ["150", "205"], ["250", "305"], ["350", "405"]]
+    assert "probe eFEAR peak ratio: 4.7824580767148515\n" in capsys.readouterr().out
 
 
 def test_experiment_refuses_a_tie_for_the_probe(tmp_path, capsys):

@@ -14,7 +14,6 @@ from hypothesis import assume, example, given, settings
 from ortus.connectome import (
     BuildConfig,
     BuildError,
-    Layer,
     build,
     chem_csv,
     gap_csv,
@@ -23,7 +22,7 @@ from ortus.connectome import (
     write_csvs,
 )
 from ortus.cli import asset_path
-from ortus.dsl import ElementKind, parse_source, validate_spec
+from ortus.dsl import Layer, parse_source, validate_spec
 from ortus.errors import ConfigError
 from printer import format_spec
 from strategies import COLLISIONS, random_specs
@@ -306,18 +305,22 @@ relationship { +sCO2 causes -mP }
     assert "error:10:1: sCO2 -> mP is already wired by the relationship at 9:1" in str(exc.value)
 
 
-@pytest.mark.parametrize("source,generated", COLLISIONS)
-def test_generated_name_collision_rejected(source, generated):
-    with pytest.raises(BuildError, match=f"generated name '{generated}' collides"):
+@pytest.mark.parametrize("source,generated,where", COLLISIONS)
+def test_generated_name_collision_rejected(source, generated, where):
+    with pytest.raises(BuildError) as exc:
         net_of(source)
+    assert str(exc.value) == (
+        "spec failed validation:\n"
+        f"error:{where}: generated name '{generated}' collides with an existing neuron"
+    )
 
 
 def generated_name_collides(spec) -> bool:
     """Whether two neurons of the build would share a name: the recipe's
     ``is<sensor>``, ``c_<subset>`` and ``x<emotion>_<sci>`` names beside the
     declared ones, enumerated here independently of ``build``."""
-    sensors = [el.name for el in spec.elements if el.kind is ElementKind.SENSORY]
-    emotions = [el.name for el in spec.elements if el.kind is ElementKind.EMOTION]
+    sensors = [el.name for el in spec.elements if el.kind is Layer.SENSORY]
+    emotions = [el.name for el in spec.elements if el.kind is Layer.EMOTION]
     scis = [
         "c_" + "_".join(sorted(subset))
         for k in range(1, len(sensors) + 1)
@@ -378,7 +381,7 @@ def test_bundled_organism_counts(organism_net):
     # declared + SEI + SCI fan-in + EEI forward + EEI feedback + dominance
     assert len(net.chem) == 8 + 3 + 12 + 14 + 14 + 7
     assert len(net.gap) == 14
-    assert [nr.id for nr in net.neurons if nr.layer is Layer.SENSORY] == [0, 1, 2]
+    assert [nid for nid, nr in enumerate(net.neurons) if nr.layer is Layer.SENSORY] == [0, 1, 2]
     assert [nr.name for nr in net.neurons if nr.layer is Layer.EMOTION] == ["eFEAR", "ePLEASURE"]
 
 

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ortus.dsl import (
+    TYPE_WORDS,
     Affect,
     ElementDecl,
-    ElementKind,
+    Layer,
     ParseError,
     Polarity,
     RelationKind,
@@ -116,7 +117,7 @@ def test_tokenize_values_and_columns_beyond_ascii():
 def test_parse_element_defaults():
     light, _ = parse_source(MINIMAL).elements
     assert light.name == "sLIGHT"
-    assert light.kind is ElementKind.SENSORY
+    assert light.kind is Layer.SENSORY
     assert light.affect is Affect.NEUTRAL
     assert light.threshold == 0.05
 
@@ -203,7 +204,7 @@ RELATIONSHIP_KEYS = {"weight", "mutability", "polarity", "}"}
 @pytest.mark.parametrize(
     "source,position,expected",
     [
-        ("element sX { type: spaceship }", (1, 20), {k.value for k in ElementKind}),
+        ("element sX { type: spaceship }", (1, 20), {"sensory", "interneuron", "motor", "muscle", "emotion"}),
         ("element eX { affect: grumpy }", (1, 22), {a.value for a in Affect}),
         ("element sX { type: sensory colour: red }", (1, 28), ELEMENT_KEYS),
         ("element sX { type: sensory type: motor }", (1, 28), set()),
@@ -322,6 +323,24 @@ relationship { eC dominates eA }
     assert errors == ["error:0:0: dominance cycle among emotions: eA -> eB -> eC -> eA"]
 
 
+def test_dominance_cycle_reported_is_the_first_found_from_the_emotions_in_name_order():
+    """A depth-first search from eA along the edges in file order reaches eB,
+    then eC, which closes the cycle through eB before eB's edge back to eA
+    is tried."""
+    src = """
+element sX { type: sensory }
+element eA { type: emotion affect: positive }
+element eB { type: emotion affect: negative }
+element eC { type: emotion affect: negative }
+relationship { eB dominates eC }
+relationship { eC dominates eB }
+relationship { eA dominates eB }
+relationship { eB dominates eA }
+"""
+    errors, _ = validate_spec(parse_source(src))
+    assert errors == ["error:0:0: dominance cycle among emotions: eB -> eC -> eB"]
+
+
 def test_dominance_chain_is_fine():
     src = """
 element sX { type: sensory }
@@ -376,7 +395,7 @@ relationship { sX correlated eY weight: 0.25 }
 
 
 _names = st.sampled_from(["sA", "sB", "mC", "eD", "nE", "uF"])
-_kinds = st.sampled_from(list(ElementKind))
+_kinds = st.sampled_from(list(TYPE_WORDS.values()))
 _affects = st.sampled_from(list(Affect))
 _signs = st.sampled_from(list(Sign))
 _unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)

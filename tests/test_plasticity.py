@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ortus import BuildConfig, build, parse_source
-from ortus.connectome import ChemicalSynapse, Layer
+from ortus.connectome import ChemicalSynapse
+from ortus.dsl import Layer
 from ortus.errors import ConfigError
 from ortus.kernel import NetView
 from ortus.plasticity import H_LEN, ZERO_NORM, PlasticityConfig, _lag_sums, _slope_sums, plasticity_step
