@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import enum
 import sys
 from importlib import resources
 from pathlib import Path
@@ -82,25 +81,35 @@ def _coerce(field: dataclasses.Field, text: str):
     return type(default)(text)
 
 
+def _settings(cfgs: Configs) -> dict[str, tuple[object, dataclasses.Field]]:
+    """Each ``ns.key`` that ``--set`` takes, with the config and field it sets."""
+    sections = cfgs.sections()
+    return {
+        f"{ns}.{f.name}": (obj, f)
+        for ns, obj in sections.items()
+        for f in dataclasses.fields(obj)
+        if f.name not in sections
+    }
+
+
 def apply_overrides(cfgs: Configs, pairs: list[str]) -> Configs:
     """Apply ``ns.key=value`` strings onto fresh config objects."""
-    sections = cfgs.sections()
+    sections, settings = cfgs.sections(), _settings(cfgs)
     for pair in pairs:
         if "=" not in pair or "." not in pair.split("=", 1)[0]:
             raise OrtusError(f"--set expects ns.key=value, got {pair!r}")
         key, _, text = pair.partition("=")
-        ns, _, name = key.partition(".")
+        ns = key.partition(".")[0]
         if ns not in sections:
             raise OrtusError(f"unknown config namespace {ns!r} (one of {', '.join(sections)})")
-        target = sections[ns]
-        fields = {f.name: f for f in dataclasses.fields(target)}
-        if name not in fields or name in sections:
+        if key not in settings:
             raise OrtusError(f"unknown config key {key!r}")
+        target, field = settings[key]
         try:
-            value = _coerce(fields[name], text)
+            value = _coerce(field, text)
         except ValueError as exc:
             raise OrtusError(f"bad value for {key!r}: {exc}") from exc
-        setattr(target, name, value)
+        setattr(target, field.name, value)
     # Re-run validation hooks after the overrides land.
     for obj in sections.values():
         obj.__post_init__()
@@ -108,16 +117,7 @@ def apply_overrides(cfgs: Configs, pairs: list[str]) -> Configs:
 
 
 def resolved_config_text(cfgs: Configs) -> str:
-    lines = []
-    sections = cfgs.sections()
-    for ns, obj in sections.items():
-        for f in dataclasses.fields(obj):
-            if f.name in sections:
-                continue
-            value = getattr(obj, f.name)
-            if isinstance(value, enum.Enum):
-                value = value.value
-            lines.append(f"{ns}.{f.name} = {value}")
+    lines = [f"{key} = {getattr(obj, f.name)}" for key, (obj, f) in _settings(cfgs).items()]
     return "\n".join(sorted(lines)) + "\n"
 
 

@@ -29,7 +29,6 @@ each b end, then out of each a end, in junction order.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,15 +44,10 @@ class ConservationError(OrtusError):
     """Gap-junction flux failed to cancel across the network."""
 
 
-class GjMode(enum.Enum):
-    SYMMETRIC = "symmetric"
-    PAPER_LITERAL = "paper-literal"
-
-
 @dataclass
 class SimConfig:
     decay_fraction: float = 0.20
-    gj_mode: GjMode = GjMode.SYMMETRIC
+    gj_mode: str = "symmetric"  # or "paper-literal"
     activation_clamp: bool = True
     check_conservation: bool = False
     conservation_tolerance: float = 1e-9
@@ -66,7 +60,9 @@ class SimConfig:
             raise ConfigError(
                 f"conservation_tolerance cannot be negative, got {self.conservation_tolerance!r}"
             )
-        if self.check_conservation and self.gj_mode is GjMode.PAPER_LITERAL:
+        if self.gj_mode not in ("symmetric", "paper-literal"):
+            raise ConfigError(f"gj_mode must be 'symmetric' or 'paper-literal', got {self.gj_mode!r}")
+        if self.check_conservation and self.gj_mode == "paper-literal":
             raise ConfigError("conservation checks are meaningless in paper-literal mode")
 
 
@@ -75,7 +71,6 @@ class NetView:
     """Vectorized, immutable view of a connectome's structure."""
 
     n: int
-    names: tuple[str, ...]
     syn_pre: np.ndarray
     syn_post: np.ndarray
     syn_rev: np.ndarray
@@ -115,7 +110,6 @@ class NetView:
         used = np.flatnonzero(np.bincount(keys, minlength=2 * net.n))  # sorted, distinct
         return cls(
             n=net.n,
-            names=tuple(nr.name for nr in net.neurons),
             syn_pre=pre,
             syn_post=post,
             syn_rev=rev,
@@ -194,7 +188,7 @@ def step(
             raise ConservationError(f"gap-junction flux drift {drift:g} per step")
 
     decay = cfg.decay_fraction * a
-    if cfg.gj_mode is GjMode.PAPER_LITERAL:  # re-adds the outgoing flux, -gj_in
+    if cfg.gj_mode == "paper-literal":  # re-adds the outgoing flux, -gj_in
         decay += gj_in
 
     nxt = a - decay  # then + gj_in + cs_in + inject, left to right

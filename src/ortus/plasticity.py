@@ -55,6 +55,9 @@ class PlasticityConfig:
         for name in ("xcorr_window", "max_lag"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        for name in ("rapid_rate", "slow_rate"):  # negative, each strengthening class would weaken
+            if getattr(self, name) < 0.0:
+                raise ConfigError(f"{name} cannot be negative, got {getattr(self, name)!r}")
         if not (self.weaken_xcorr_max < self.strengthen_xcorr_min < self.rapid_xcorr_min):
             raise ConfigError("classification bands must be ordered weaken < strengthen < rapid")
         if self.rapid_xcorr_min > self.max_lag:
@@ -90,10 +93,9 @@ def _lag_sums(pre_win: np.ndarray, post_win: np.ndarray, cfg: PlasticityConfig) 
     ok = (na >= ZERO_NORM) & (nb >= ZERO_NORM)
     terms = np.zeros(num.shape)
     np.divide(num, na * nb, out=terms, where=ok)
-    sums = np.zeros(pre_win.shape[1])  # lag by lag from +0.0
-    for term in terms:
-        sums += term
-    return sums
+    # lag by lag down axis 0; + 0.0 turns an all -0.0 total into the +0.0
+    # that a sum starting from +0.0 gives
+    return terms.sum(axis=0) + 0.0
 
 
 def _slope_sums(win: np.ndarray, cfg: PlasticityConfig) -> np.ndarray:

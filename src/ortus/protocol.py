@@ -33,6 +33,7 @@ computing them again (see ``run``); the bytes are the same.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -355,9 +356,14 @@ def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> Tr
     weights array (which plasticity replaces only when a weight's bytes
     change) starts a cycle.  A state is looked up by its activation sum and
     confirmed by comparing the last ``H_LEN`` trace rows byte for byte, so
-    -0.0 and NaN cannot fake a repeat.  The cycle's rows are then tiled, and
-    its unchanged weights snapshotted at their cadence, for every whole
-    period left in the segment; the remaining steps are computed.
+    -0.0 and NaN cannot fake a repeat.  The cycle's rows are then tiled for
+    every whole period left in the segment; the remaining steps are computed.
+
+    The snapshot steps (every ``weight_snapshot_every`` steps, and the last
+    step) are listed once.  When a pass replaces the weights array, the old
+    one is the snapshot at every step not yet filled before this one; the
+    last array fills the rest after the loop.  So the fast-forward, which
+    changes no weight, records nothing but trace rows.
     """
     cfg = cfg or RunConfig()
     view = NetView.of(net)
@@ -372,9 +378,10 @@ def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> Tr
     # read-only, as is every array a learning pass returns, so snapshots
     # share the arrays themselves
     weights = view.syn_w0
-    trace = np.zeros((protocol.total_steps, view.n))
-    every = cfg.weight_snapshot_every
-    snapshots: list[tuple[int, np.ndarray]] = [(0, weights)]
+    total, every = protocol.total_steps, cfg.weight_snapshot_every
+    marks = [*range(0, total, every or total), total]  # the snapshot steps
+    snapshots: list[tuple[int, np.ndarray]] = []  # filled in step order
+    trace = np.zeros((total, view.n))
     markers: list[tuple[int, str]] = []
     for ev in protocol.events:
         markers.append((ev.start, f"start {ev.label}"))
@@ -391,11 +398,11 @@ def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> Tr
             t += 1
             if cfg.plasticity_enabled and t >= H_LEN:
                 weights = plasticity_step(trace[t - H_LEN:t][::-1], weights, view, cfg.plasticity)
-            if every and t % every == 0:
-                snapshots.append((t, weights))
             if t < H_LEN:
                 continue
             if weights is not before:
+                # `before` held for every snapshot step not yet filled, up to t
+                snapshots.extend((s, before) for s in marks[len(snapshots):bisect_left(marks, t)])
                 seen.clear()
             key = float(a.sum())
             t0 = seen.get(key)
@@ -406,17 +413,13 @@ def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> Tr
             skip = (seg.end - t) // period * period
             # broadcast, so no (skip, n) temporary is made
             trace[t:t + skip].reshape(skip // period, period, view.n)[:] = trace[t0:t]
-            if every:
-                cadence = range(t // every * every + every, t + skip + 1, every)
-                snapshots.extend((s, weights) for s in cadence)
             t += skip
             seen.clear()  # fewer steps than a period are left, so no whole cycle fits again
 
-    if snapshots[-1][0] != protocol.total_steps:
-        snapshots.append((protocol.total_steps, weights))
+    snapshots.extend((s, weights) for s in marks[len(snapshots):])
 
     return TraceLog(
-        names=view.names,
+        names=tuple(nr.name for nr in net.neurons),
         activations=trace,
         syn_pre=view.syn_pre,
         syn_post=view.syn_post,

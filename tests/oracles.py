@@ -335,7 +335,7 @@ def run_every_step(net: Connectome, protocol: Protocol, cfg: RunConfig | None = 
         snapshots.append((protocol.total_steps, weights.copy()))
 
     return TraceLog(
-        names=view.names,
+        names=tuple(nr.name for nr in net.neurons),
         activations=trace,
         syn_pre=view.syn_pre,
         syn_post=view.syn_post,

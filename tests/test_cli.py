@@ -10,7 +10,6 @@ import pytest
 
 from ortus import connectome, dsl
 from ortus.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, Configs, apply_overrides, asset_path, main
-from ortus.kernel import GjMode
 from strategies import COLLISIONS
 
 BAD_ORT = "element sX { type: sensory }\nelement sX { type: sensory }\n"
@@ -258,7 +257,7 @@ def test_set_overrides_are_applied_and_echoed(tmp_path):
         "sim.warp_speed=9",  # unknown key
         "sim.activation_clamp=maybe",  # uncoercible boolean
         "sim.decay_fraction=1.5",  # fails the config's own validation
-        "sim.gj_mode=sideways",  # not a member of the enum
+        "sim.gj_mode=sideways",  # neither symmetric nor paper-literal
         "run.weight_snapshot_every=-1",  # fails the run config's validation
         "run.weight_snapshot_every=2.5",  # not an integer
         "sim.conservation_tolerance=-1",  # would fail every checked step
@@ -268,6 +267,8 @@ def test_set_overrides_are_applied_and_echoed(tmp_path):
         "plasticity.xcorr_window=0",  # no correlation window to sum
         "plasticity.xcorr_window=-3",  # likewise
         "plasticity.max_lag=0",  # no lag to correlate over
+        "plasticity.rapid_rate=-0.01",  # each strengthening class would weaken
+        "plasticity.slow_rate=-0.001",  # likewise
     ],
 )
 def test_bad_set_values_fail_cleanly(tmp_path, capsys, override):
@@ -306,12 +307,27 @@ def test_set_coerces_by_the_default_type():
             "physio.lung_name=LUNG2",
         ],
     )
-    assert cfgs.run.sim.gj_mode is GjMode.PAPER_LITERAL
+    assert cfgs.run.sim.gj_mode == "paper-literal"
     assert cfgs.run.sim.activation_clamp is False
     assert cfgs.run.weight_snapshot_every == 0
     assert cfgs.build.sci_cap == 8
     assert cfgs.run.plasticity.rapid_rate == 0.02
     assert cfgs.run.physio.lung_name == "LUNG2"
+
+
+def test_config_resolved_round_trips_through_set(tmp_path):
+    """Every line of ``config.resolved``, fed back as ``--set key=value``,
+    resolves to the same bytes: each namespace's keys, a string setting and a
+    boolean included."""
+    first, again = tmp_path / "first", tmp_path / "again"
+    changed = ["--set", "sim.gj_mode=paper-literal", "--set", "sim.activation_clamp=off"]
+    assert main(["build", "ortus.ort", "--out", str(first), *changed]) == EXIT_OK
+    text = (first / "config.resolved").read_text()
+    assert "sim.gj_mode = paper-literal\n" in text and "sim.activation_clamp = False\n" in text
+    assert {line.partition(".")[0] for line in text.splitlines()} == set(Configs().sections())
+    argv = [arg for line in text.splitlines() for arg in ("--set", line.replace(" = ", "=", 1))]
+    assert main(["build", "ortus.ort", "--out", str(again), *argv]) == EXIT_OK
+    assert (again / "config.resolved").read_bytes() == text.encode()
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ortus.connectome import ChemicalSynapse, GapJunction
 from ortus.errors import ConfigError
-from ortus.kernel import ConservationError, GjMode, NetView, SimConfig, _chem_terms, _gap_terms, step
+from ortus.kernel import ConservationError, NetView, SimConfig, _chem_terms, _gap_terms, step
 from oracles import chem_terms_all_synapses, conductance, gap_terms_add_at, cs_inflow, gj_flux, make_net
 
 # sigmoid of +/- the full activation range, frozen
@@ -370,7 +370,7 @@ def test_literal_mode_neutralizes_gap_junctions():
     sym = lit = np.array([0.5, -0.5])
     for _ in range(5):
         sym = step(sym, view.syn_w0, view, np.zeros(2), SimConfig())
-        lit = step(lit, view.syn_w0, view, np.zeros(2), SimConfig(gj_mode=GjMode.PAPER_LITERAL))
+        lit = step(lit, view.syn_w0, view, np.zeros(2), SimConfig(gj_mode="paper-literal"))
     # symmetric mode pulls the pair together; literal mode leaves pure decay
     assert abs(sym[0] - sym[1]) < 0.8 ** 5
     np.testing.assert_allclose(lit, [0.5 * 0.8 ** 5, -0.5 * 0.8 ** 5], atol=1e-12)
@@ -378,8 +378,8 @@ def test_literal_mode_neutralizes_gap_junctions():
 
 def test_literal_mode_refuses_conservation_check():
     with pytest.raises(ConfigError, match="meaningless in paper-literal mode"):
-        SimConfig(gj_mode=GjMode.PAPER_LITERAL, check_conservation=True)
-    SimConfig(gj_mode=GjMode.PAPER_LITERAL)
+        SimConfig(gj_mode="paper-literal", check_conservation=True)
+    SimConfig(gj_mode="paper-literal")
     SimConfig(check_conservation=True)
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +270,29 @@ def test_snapshots_share_unchanged_weights_and_none_can_be_written(organism_net,
     for w in arrays:
         with pytest.raises(ValueError, match="read-only"):
             w[0] = 0.5
+
+
+def test_a_run_keeps_no_weights_array_that_no_snapshot_holds(
+    organism_net, conditioning_protocol_path, monkeypatch
+):
+    """While it runs, a run holds the arrays its snapshots will share and
+    the live weights, not every array a pass has made: the bundled run makes
+    280 for 30 distinct snapshots, and a large network replaces its weights
+    on most steps."""
+    made, most = [], 0
+    learn = ortus.protocol.plasticity_step
+
+    def tracked(history, weights, *args):
+        nonlocal most
+        out = learn(history, weights, *args)
+        if out is not weights:
+            made.append(weakref.ref(out))
+        most = max(most, sum(ref() is not None for ref in made))
+        return out
+
+    monkeypatch.setattr(ortus.protocol, "plasticity_step", tracked)
+    snapshots = run(organism_net, load_protocol(conditioning_protocol_path, organism_net)).weight_snapshots
+    assert most <= len({id(w) for _, w in snapshots}) + 1 < len(made)
 
 
 def test_run_config_rejects_negative_snapshot_cadence():
@@ -580,7 +604,15 @@ def assert_same_bytes(got: TraceLog, want: TraceLog) -> None:
 
 @pytest.mark.parametrize(
     "case, every",
-    [("conditioned", 10), ("control", 10), ("late_block", 10), ("resting", 7), ("resting", 0)],
+    [
+        ("conditioned", 10),
+        ("control", 10),
+        ("late_block", 10),
+        ("late_block", 1),  # a snapshot every step
+        ("resting", 7),
+        ("resting", 0),
+        ("control", 1000),  # a cadence longer than the run: the first and last only
+    ],
 )
 def test_run_fast_forwards_repeats_byte_for_byte(organism_net, conditioning_protocol_path, monkeypatch, case, every):
     """The bundled organism at rest repeats with period 19 from step 200, as
