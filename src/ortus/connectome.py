@@ -37,7 +37,7 @@ class BuildError(OrtusError):
     or a generated name collides with another neuron's."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neuron:
     """One neuron; its id is its index in ``Connectome.neurons``."""
 
@@ -47,7 +47,7 @@ class Neuron:
     affect: Affect = Affect.NEUTRAL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChemicalSynapse:
     pre: int
     post: int
@@ -57,7 +57,7 @@ class ChemicalSynapse:
     inverted: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GapJunction:
     a: int
     b: int

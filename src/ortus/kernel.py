@@ -101,7 +101,7 @@ class NetView:
         table = [(s.pre, s.post, s.reversal, s.weight, s.mutability, s.inverted) for s in net.chem]
         pre, post, rev, w0, mi, inverted = np.array(table, dtype=float).reshape(-1, 6).T.copy()
         pre, post, inverted = pre.astype(int), post.astype(int), inverted.astype(bool)
-        w0.flags.writeable = False  # the run's first weights, shared by its snapshots
+        w0.flags.writeable = False  # the run's first weights, and the base of every snapshot read
         ends_a = np.array([g.a for g in net.gap], dtype=int)
         ends_b = np.array([g.b for g in net.gap], dtype=int)
         gap_w = np.array([g.weight for g in net.gap], dtype=float)

@@ -157,5 +157,5 @@ def plasticity_step(
         return weights
     out = weights.copy()
     out.put(idx, new)
-    out.flags.writeable = False  # a run's snapshots share it
+    out.flags.writeable = False  # the next step and pass read it; neither may write it
     return out

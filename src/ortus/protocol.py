@@ -24,9 +24,10 @@ kernel, applies plasticity, and records the committed activations.  Each
 element's injections are summed in ascending order of amount, and
 overlapping clamps agree, so the order of event lines changes no activation
 or weight.  Runs take no random input, so replaying a protocol
-reproduces its trace byte for byte.  Weight arrays are read-only, so the
-weight snapshots share them rather than copy them.  Where a segment returns to a state it
-has already been in, the loop copies the cycle's rows forward instead of
+reproduces its trace byte for byte.  Only the mutable synapses learn, so a
+weight snapshot stores their weights alone and rebuilds the full array when
+read (see ``WeightSnapshots``).  Where a segment returns to a state it has
+already been in, the loop copies the cycle's rows forward instead of
 computing them again (see ``run``); the bytes are the same.
 """
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -282,6 +283,30 @@ class RunConfig:
             )
 
 
+@dataclass(frozen=True, eq=False)
+class WeightSnapshots(Sequence):
+    """A run's ``(step, weights)`` snapshots, read like a list.  Each stores
+    only the mutable synapses' weights, a row that snapshots with the same
+    weights share; every read puts its row into a new copy of the built
+    weights ``w0``, read-only, with one entry per synapse."""
+
+    w0: np.ndarray
+    mutable: np.ndarray  # the mutable synapses' indices, as ``NetView.syn_mutable``
+    steps: list[int]
+    rows: list[np.ndarray]  # per step, the weights at ``mutable``
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+    def __getitem__(self, i: int | slice):
+        if isinstance(i, slice):
+            return replace(self, steps=self.steps[i], rows=self.rows[i])
+        weights = self.w0.copy()
+        weights.put(self.mutable, self.rows[i])
+        weights.flags.writeable = False
+        return self.steps[i], weights
+
+
 @dataclass
 class TraceLog:
     """Everything a run produces: per-step activations, sparse weight
@@ -291,7 +316,7 @@ class TraceLog:
     activations: np.ndarray  # (steps, n)
     syn_pre: np.ndarray
     syn_post: np.ndarray
-    weight_snapshots: list[tuple[int, np.ndarray]]
+    weight_snapshots: Sequence[tuple[int, np.ndarray]]
     markers: list[tuple[int, str]]
 
     def column(self, name: str) -> np.ndarray:
@@ -361,9 +386,11 @@ def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> Tr
 
     The snapshot steps (every ``weight_snapshot_every`` steps, and the last
     step) are listed once.  When a pass replaces the weights array, the old
-    one is the snapshot at every step not yet filled before this one; the
-    last array fills the rest after the loop.  So the fast-forward, which
-    changes no weight, records nothing but trace rows.
+    one's mutable weights, taken once, are the row of every step not yet
+    filled before this one; the last array fills the rest after the loop.
+    So the fast-forward, which changes no weight, records nothing but trace
+    rows, and a run holds no weights array beyond the live one and the one
+    it replaces.
     """
     cfg = cfg or RunConfig()
     view = NetView.of(net)
@@ -375,12 +402,10 @@ def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> Tr
         a[binding.co2] = cfg.physio.initial_co2
         a[binding.o2] = cfg.physio.initial_o2
 
-    # read-only, as is every array a learning pass returns, so snapshots
-    # share the arrays themselves
     weights = view.syn_w0
     total, every = protocol.total_steps, cfg.weight_snapshot_every
     marks = [*range(0, total, every or total), total]  # the snapshot steps
-    snapshots: list[tuple[int, np.ndarray]] = []  # filled in step order
+    rows: list[np.ndarray] = []  # the marks' mutable weights, filled in step order
     trace = np.zeros((total, view.n))
     markers: list[tuple[int, str]] = []
     for ev in protocol.events:
@@ -402,7 +427,9 @@ def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> Tr
                 continue
             if weights is not before:
                 # `before` held for every snapshot step not yet filled, up to t
-                snapshots.extend((s, before) for s in marks[len(snapshots):bisect_left(marks, t)])
+                filled = bisect_left(marks, t)
+                if filled > len(rows):
+                    rows.extend([before.take(view.syn_mutable)] * (filled - len(rows)))
                 seen.clear()
             key = float(a.sum())
             t0 = seen.get(key)
@@ -416,14 +443,14 @@ def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> Tr
             t += skip
             seen.clear()  # fewer steps than a period are left, so no whole cycle fits again
 
-    snapshots.extend((s, weights) for s in marks[len(snapshots):])
+    rows.extend([weights.take(view.syn_mutable)] * (len(marks) - len(rows)))
 
     return TraceLog(
         names=tuple(nr.name for nr in net.neurons),
         activations=trace,
         syn_pre=view.syn_pre,
         syn_post=view.syn_post,
-        weight_snapshots=snapshots,
+        weight_snapshots=WeightSnapshots(view.syn_w0, view.syn_mutable, marks, rows),
         markers=markers,
     )
 

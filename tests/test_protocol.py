@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -261,24 +262,52 @@ def test_run_weight_snapshot_cadence(organism_net):
 
 
 def test_snapshots_share_unchanged_weights_and_none_can_be_written(organism_net, conditioning_protocol_path):
-    # the built weights and every array a learning pass returns are read-only,
-    # so a snapshot that shares one with later snapshots cannot change them
-    assert not NetView.of(organism_net).syn_w0.flags.writeable
+    """A snapshot stores one entry per mutable synapse, in a row that the
+    steps with unchanged weights share; every read is a new read-only array
+    with one entry per synapse, so no read can change another."""
+    view = NetView.of(organism_net)
+    assert not view.syn_w0.flags.writeable  # every read starts from a copy of it
     snapshots = run(organism_net, load_protocol(conditioning_protocol_path, organism_net)).weight_snapshots
-    arrays = list({id(w): w for _, w in snapshots}.values())
-    assert 2 < len(arrays) < len(snapshots)
-    for w in arrays:
+    rows = list({id(row): row for row in snapshots.rows}.values())
+    assert (len(rows), len(snapshots)) == (30, 71)
+    assert all(row.shape == view.syn_mutable.shape for row in rows)
+    reads = [w for _, w in snapshots] + [w for _, w in snapshots]
+    assert len({id(w) for w in reads}) == len(reads) == 142
+    for w in reads:
+        assert w.shape == view.syn_w0.shape
         with pytest.raises(ValueError, match="read-only"):
             w[0] = 0.5
+
+
+def test_weight_snapshots_read_like_the_every_step_list(organism_net, conditioning_protocol_path):
+    """Indices, negative ones too, slices, ``len`` and iteration give the
+    pairs the every-step oracle lists, byte for byte."""
+    protocol = load_protocol(conditioning_protocol_path, organism_net)
+    got = run(organism_net, protocol).weight_snapshots
+    want = run_every_step(organism_net, protocol).weight_snapshots
+
+    def pairs(snapshots):
+        return [(s, w.tobytes()) for s, w in snapshots]
+
+    assert len(got) == len(want) == 71
+    assert pairs(got) == pairs(want)
+    for i in (0, 1, 35, 70, -1, -2, -71):
+        assert pairs([got[i]]) == pairs([want[i]])
+    for i in (71, -72):
+        with pytest.raises(IndexError):
+            got[i]
+    for part in (slice(None), slice(5, 20), slice(-10, None), slice(None, None, -3), slice(60, 5, -7), slice(80, 90)):
+        assert len(got[part]) == len(want[part])
+        assert pairs(got[part]) == pairs(want[part])
+    assert pairs(reversed(got)) == pairs(reversed(want))
 
 
 def test_a_run_keeps_no_weights_array_that_no_snapshot_holds(
     organism_net, conditioning_protocol_path, monkeypatch
 ):
-    """While it runs, a run holds the arrays its snapshots will share and
-    the live weights, not every array a pass has made: the bundled run makes
-    280 for 30 distinct snapshots, and a large network replaces its weights
-    on most steps."""
+    """While it runs, a run holds the live weights and the array a pass
+    just replaced, not every array a pass has made: the bundled run makes
+    280, and a large network replaces its weights on most steps."""
     made, most = [], 0
     learn = ortus.protocol.plasticity_step
 
@@ -291,8 +320,26 @@ def test_a_run_keeps_no_weights_array_that_no_snapshot_holds(
         return out
 
     monkeypatch.setattr(ortus.protocol, "plasticity_step", tracked)
-    snapshots = run(organism_net, load_protocol(conditioning_protocol_path, organism_net)).weight_snapshots
-    assert most <= len({id(w) for _, w in snapshots}) + 1 < len(made)
+    run(organism_net, load_protocol(conditioning_protocol_path, organism_net))
+    assert most <= 2 < len(made)
+
+
+def test_a_dense_run_holds_its_trace_and_little_more(load_perfbench, monkeypatch):
+    """What a run leaves allocated beyond its activations, on the benchmark's
+    ``dense`` inputs (3,094 neurons, 10,253 synapses, 2,046 of them mutable,
+    71 snapshots): about 1.6 MiB, against 4.4 MiB when each snapshot held a
+    full weights array."""
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])  # the inputs read the assets by relative path
+    inputs = load_perfbench("inputs").generate("dense", 0)
+    net = ortus.build(ortus.parse_source(inputs["organism.ort"]), ortus.BuildConfig(eei_initial_weight=0.3))
+    protocol = parse_protocol(inputs["experiment.protocol"], net)
+    tracemalloc.start()
+    try:
+        trace = run(net, protocol)
+        held = tracemalloc.get_traced_memory()[0] - trace.activations.nbytes
+    finally:
+        tracemalloc.stop()
+    assert held < 2.5 * 2**20
 
 
 def test_run_config_rejects_negative_snapshot_cadence():
