@@ -30,6 +30,7 @@ from .protocol import Query, RunConfig, TraceLog, control_variant, load_protocol
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
+BURST_TAIL = 15  # steps after each burst's end that still count toward its peak
 
 
 def asset_path(name: str) -> Path:
@@ -208,7 +209,7 @@ def _cmd_experiment(args: argparse.Namespace, cfgs: Configs) -> int:
     # extended.
     injects = [ev for ev in protocol.events if ev.kind is proto.EventKind.INJECT and ev is not probe_ev]
     bursts = sorted({(ev.start, ev.end) for ev in injects})
-    queries = [Query("peak", headline, start, min(end + 15, protocol.total_steps)) for start, end in bursts]
+    queries = [Query("peak", headline, s, min(e + BURST_TAIL, protocol.total_steps)) for s, e in bursts]
     if probe_ev is not None:
         queries.append(Query("peak", headline, probe_ev.start, probe_ev.end))
     rows = summarize(trace, queries)

@@ -25,10 +25,11 @@ element's injections are summed in ascending order of amount, and
 overlapping clamps agree, so the order of event lines changes no activation
 or weight.  Runs take no random input, so replaying a protocol
 reproduces its trace byte for byte.  Only the mutable synapses learn, so a
-weight snapshot stores their weights alone and rebuilds the full array when
-read (see ``WeightSnapshots``).  Where a segment returns to a state it has
-already been in, the loop copies the cycle's rows forward instead of
-computing them again (see ``run``); the bytes are the same.
+weight snapshot stores their weights alone, rebuilds the full array when
+read, and writes weights.csv from the stored rows (see ``WeightSnapshots``).
+Where a segment returns to a state it has already been in, the loop copies
+the cycle's rows forward instead of computing them again, with the same
+bytes (see ``run``).
 """
 
 from __future__ import annotations
@@ -285,15 +286,25 @@ class RunConfig:
 
 @dataclass(frozen=True, eq=False)
 class WeightSnapshots(Sequence):
-    """A run's ``(step, weights)`` snapshots, read like a list.  Each stores
-    only the mutable synapses' weights, a row that snapshots with the same
-    weights share; every read puts its row into a new copy of the built
-    weights ``w0``, read-only, with one entry per synapse."""
+    """A run's ``(step, weights)`` snapshots, read like a list and written
+    as weights.csv.  Each stores only the mutable synapses' weights, a row
+    that snapshots with the same weights share; every read puts its row into
+    a new copy of the built weights ``w0``, read-only, with one entry per
+    synapse."""
 
     w0: np.ndarray
+    pre: np.ndarray
+    post: np.ndarray
     mutable: np.ndarray  # the mutable synapses' indices, as ``NetView.syn_mutable``
     steps: list[int]
-    rows: list[np.ndarray]  # per step, the weights at ``mutable``
+    rows: list[np.ndarray] = field(default_factory=list)  # per step filled, the weights at ``mutable``
+
+    def hold(self, weights: np.ndarray, until: int) -> None:
+        """Fill every step before ``until`` not yet filled with one shared
+        row of ``weights``."""
+        filled = bisect_left(self.steps, until)
+        if filled > len(self.rows):
+            self.rows.extend([weights.take(self.mutable)] * (filled - len(self.rows)))
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -306,6 +317,25 @@ class WeightSnapshots(Sequence):
         weights.flags.writeable = False
         return self.steps[i], weights
 
+    def csv_blocks(self) -> Iterator[str]:
+        """weights.csv's rows, one string per snapshot with no final newline.
+        Each synapse keeps its ``,pre,post,weight`` string; it is made again
+        only where a row's int64 bits differ from the previous row's (the
+        first row's from ``w0``'s), so a signed zero's flip is seen."""
+        pre, post, mutable = self.pre.tolist(), self.post.tolist(), self.mutable.tolist()
+        cells = [f",{i},{j},{w!r}" for i, j, w in zip(pre, post, self.w0.tolist())]
+        if not cells:
+            return
+        bits = self.w0.take(self.mutable).view(np.int64)
+        for n, row in zip(self.steps, self.rows):
+            now = row.view(np.int64)
+            changed = np.flatnonzero(now != bits)
+            for k, w in zip(changed.tolist(), row.take(changed).tolist()):
+                i = mutable[k]
+                cells[i] = f",{pre[i]},{post[i]},{w!r}"
+            bits = now
+            yield f"{n}" + f"\n{n}".join(cells)
+
 
 @dataclass
 class TraceLog:
@@ -314,9 +344,7 @@ class TraceLog:
 
     names: tuple[str, ...]
     activations: np.ndarray  # (steps, n)
-    syn_pre: np.ndarray
-    syn_post: np.ndarray
-    weight_snapshots: Sequence[tuple[int, np.ndarray]]
+    weight_snapshots: WeightSnapshots
     markers: list[tuple[int, str]]
 
     def column(self, name: str) -> np.ndarray:
@@ -326,28 +354,9 @@ class TraceLog:
             raise QueryError(f"no neuron named {name!r} in trace") from None
         return self.activations[:, idx]
 
-    def _weight_lines(self) -> Iterator[str]:
-        """weights.csv's rows.  Most cells repeat the previous snapshot's
-        bits, so only the cells whose int64 view changed are formatted
-        again; one snapshot's strings are kept."""
-        pairs = [f",{pre},{post}," for pre, post in zip(self.syn_pre.tolist(), self.syn_post.tolist())]
-        cells: list[str] = []
-        bits = None
-        for n, ws in self.weight_snapshots:
-            ws = np.ascontiguousarray(ws, dtype=float)
-            now = ws.view(np.int64)
-            if bits is None:
-                cells = list(map(repr, ws.tolist()))
-            else:
-                changed = np.flatnonzero(now != bits)
-                for i, w in zip(changed.tolist(), ws.take(changed).tolist()):
-                    cells[i] = repr(w)
-            bits = now
-            yield from (f"{n}{pair}{cell}" for pair, cell in zip(pairs, cells))
-
     def write_csv(self, outdir: str | Path, prefix: str = "") -> list[Path]:
-        """Write trace.csv, weights.csv, and markers.csv a line at a time;
-        deterministic bytes."""
+        """Write trace.csv, weights.csv, and markers.csv a line at a time
+        (weights.csv a snapshot at a time); deterministic bytes."""
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         trace = (",".join(map(repr, row.tolist())) for row in self.activations)
@@ -355,7 +364,7 @@ class TraceLog:
         paths = []
         for name, header, lines in (
             ("trace.csv", ",".join(self.names), trace),
-            ("weights.csv", "step,pre,post,weight", self._weight_lines()),
+            ("weights.csv", "step,pre,post,weight", self.weight_snapshots.csv_blocks()),
             ("markers.csv", "step,marker", markers),
         ):
             paths.append(outdir / f"{prefix}{name}")
@@ -385,9 +394,9 @@ def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> Tr
     every whole period left in the segment; the remaining steps are computed.
 
     The snapshot steps (every ``weight_snapshot_every`` steps, and the last
-    step) are listed once.  When a pass replaces the weights array, the old
-    one's mutable weights, taken once, are the row of every step not yet
-    filled before this one; the last array fills the rest after the loop.
+    step) are listed once, in ``WeightSnapshots``.  When a pass replaces the
+    weights array, the old one holds for every step not yet filled before
+    this one; the last array fills the rest after the loop.
     So the fast-forward, which changes no weight, records nothing but trace
     rows, and a run holds no weights array beyond the live one and the one
     it replaces.
@@ -403,9 +412,9 @@ def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> Tr
         a[binding.o2] = cfg.physio.initial_o2
 
     weights = view.syn_w0
-    total, every = protocol.total_steps, cfg.weight_snapshot_every
-    marks = [*range(0, total, every or total), total]  # the snapshot steps
-    rows: list[np.ndarray] = []  # the marks' mutable weights, filled in step order
+    total = protocol.total_steps
+    steps = [*range(0, total, cfg.weight_snapshot_every or total), total]
+    snapshots = WeightSnapshots(view.syn_w0, view.syn_pre, view.syn_post, view.syn_mutable, steps)
     trace = np.zeros((total, view.n))
     markers: list[tuple[int, str]] = []
     for ev in protocol.events:
@@ -426,10 +435,7 @@ def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> Tr
             if t < H_LEN:
                 continue
             if weights is not before:
-                # `before` held for every snapshot step not yet filled, up to t
-                filled = bisect_left(marks, t)
-                if filled > len(rows):
-                    rows.extend([before.take(view.syn_mutable)] * (filled - len(rows)))
+                snapshots.hold(before, until=t)
                 seen.clear()
             key = float(a.sum())
             t0 = seen.get(key)
@@ -443,16 +449,8 @@ def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> Tr
             t += skip
             seen.clear()  # fewer steps than a period are left, so no whole cycle fits again
 
-    rows.extend([weights.take(view.syn_mutable)] * (len(marks) - len(rows)))
-
-    return TraceLog(
-        names=tuple(nr.name for nr in net.neurons),
-        activations=trace,
-        syn_pre=view.syn_pre,
-        syn_post=view.syn_post,
-        weight_snapshots=WeightSnapshots(view.syn_w0, view.syn_mutable, marks, rows),
-        markers=markers,
-    )
+    snapshots.hold(weights, until=total + 1)
+    return TraceLog(tuple(nr.name for nr in net.neurons), trace, snapshots, markers)
 
 
 # ---------------------------------------------------------------------------

@@ -334,11 +334,5 @@ def run_every_step(net: Connectome, protocol: Protocol, cfg: RunConfig | None = 
     if snapshots[-1][0] != protocol.total_steps:
         snapshots.append((protocol.total_steps, weights.copy()))
 
-    return TraceLog(
-        names=tuple(nr.name for nr in net.neurons),
-        activations=trace,
-        syn_pre=view.syn_pre,
-        syn_post=view.syn_post,
-        weight_snapshots=snapshots,
-        markers=markers,
-    )
+    # a list of full copies, not ``WeightSnapshots``: this log is compared, never written
+    return TraceLog(tuple(nr.name for nr in net.neurons), trace, snapshots, markers)

@@ -27,6 +27,7 @@ from ortus.protocol import (
     QueryError,
     RunConfig,
     TraceLog,
+    WeightSnapshots,
     control_variant,
     load_protocol,
     metrics_csv,
@@ -426,7 +427,8 @@ def test_weights_csv_reuses_strings_with_the_per_cell_bytes(tmp_path):
     w3[1] = 0.0
     snapshots = [(0, w0), (10, w0), (20, w0.copy()), (30, w1), (40, w2), (50, w3), (60, w3.copy())]
     pre, post = np.array([0, 1, 2, 3, 4]), np.array([5, 5, 6, 6, 7])
-    log = TraceLog(("n0",), np.zeros((1, 1)), pre, post, snapshots, [])
+    stored = WeightSnapshots(w0, pre, post, np.arange(5), [n for n, _ in snapshots], [ws for _, ws in snapshots])
+    log = TraceLog(("n0",), np.zeros((1, 1)), stored, [])
     log.write_csv(tmp_path)
     want = "step,pre,post,weight\n" + "".join(
         f"{n},{i},{j},{w!r}\n" for n, ws in snapshots for i, j, w in zip(pre.tolist(), post.tolist(), ws.tolist())
@@ -434,6 +436,36 @@ def test_weights_csv_reuses_strings_with_the_per_cell_bytes(tmp_path):
     got = (tmp_path / "weights.csv").read_text()
     assert got == want
     assert "40,1,5,-0.0\n" in got and "50,1,5,0.0\n" in got and "40,4,7,0.0\n" in got
+
+
+def test_weights_csv_lists_every_read_snapshot_of_a_learning_run(load_perfbench, monkeypatch, tmp_path):
+    """On a 5-sensor organism whose associations start at 0.3, where about
+    thirty mutable weights move, weights.csv is every read snapshot's
+    synapses in order."""
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])  # the inputs read the assets by relative path
+    inputs = load_perfbench("inputs")
+    extra = inputs.extra_sensor_names(0, count=2)
+    net = ortus.build(ortus.parse_source(inputs.organism(extra)), ortus.BuildConfig(eei_initial_weight=0.3))
+    trace = run(net, parse_protocol(inputs.dense_protocol(0, extra), net))
+    snapshots = trace.weight_snapshots
+    assert (snapshots[0][1] != snapshots[-1][1]).sum() > 20
+    trace.write_csv(tmp_path)
+    view = NetView.of(net)
+    want = "step,pre,post,weight\n" + "".join(
+        f"{n},{pre},{post},{w!r}\n"
+        for n, ws in snapshots
+        for pre, post, w in zip(view.syn_pre.tolist(), view.syn_post.tolist(), ws.tolist())
+    )
+    assert (tmp_path / "weights.csv").read_text() == want
+
+
+def test_a_net_without_chemical_synapses_writes_the_weights_header_alone(tmp_path):
+    net = make_net(2)
+    protocol = parse_protocol("steps 12\nat 0..5 inject n0 0.5\n", net)
+    trace = run(net, protocol, RunConfig(physio=PhysioConfig(enabled=False)))
+    assert len(trace.weight_snapshots) == 3
+    trace.write_csv(tmp_path)
+    assert (tmp_path / "weights.csv").read_text() == "step,pre,post,weight\n"
 
 
 def test_write_csv_prefix(organism_net, tmp_path):
@@ -460,8 +492,6 @@ def synthetic_trace():
     return TraceLog(
         names=("osc", "flat"),
         activations=activations,
-        syn_pre=np.array([], dtype=int),
-        syn_post=np.array([], dtype=int),
         weight_snapshots=[],
         markers=[],
     )

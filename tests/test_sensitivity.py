@@ -19,13 +19,13 @@ import itertools
 import pytest
 
 from ortus import BuildConfig, build
+from ortus.cli import BURST_TAIL
 from ortus.kernel import SimConfig
 from ortus.plasticity import PlasticityConfig
 from ortus.protocol import EventKind, RunConfig, control_variant, load_protocol, run
 
 DEFAULTS = {"decay_fraction": 0.20, "rapid_rate": 0.01, "eei_initial_weight": 0.05}
 MOVES = (0.9, 1.1)
-BURST_TAIL = 15  # steps after each burst's end that still count toward its peak
 
 
 def neighbourhood():
