@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .dsl import DEFAULT_SCI_CAP, Affect, Layer, NetworkSpec, RelationKind, validate_spec
-from .errors import ConfigError, OrtusError, require_finite
+from .errors import ConfigError, OrtusError, require_numbers
 
 
 class BuildError(OrtusError):
@@ -120,7 +120,7 @@ class BuildConfig:
     dominance_weight: float = 0.6
 
     def __post_init__(self) -> None:
-        require_finite(self)
+        require_numbers(self)
         # The learning rule clips the weights it moves to [0, 1] and skips
         # synapses of mutability 0; both assume built values inside [0, 1].
         for name in (

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connectome import Connectome
-from .errors import ConfigError, OrtusError, require_finite
+from .errors import ConfigError, OrtusError, require_numbers
 
 # Activation range: the excitatory reversal (1) less the inhibitory one (-1).
 ACTIVATION_RANGE = 2.0
@@ -53,7 +53,7 @@ class SimConfig:
     conservation_tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
-        require_finite(self)
+        require_numbers(self)
         if not (0.0 <= self.decay_fraction < 1.0):
             raise ConfigError(f"decay_fraction must lie in [0, 1), got {self.decay_fraction!r}")
         if self.conservation_tolerance < 0.0:

@@ -16,21 +16,33 @@ window is a least-squares fit oriented so that positive means rising toward
 the present.
 
 The pass works on the active pairs' history columns, gathered by one
-``take`` into an (H_LEN, 2K) window, presynaptic columns then postsynaptic;
-norms, lag numerators and slopes come from it alone.  Window sums add one
-row at a time, in the order a per-neuron ``.sum(axis=0)`` uses, so no result
-depends on which pairs are active.  The weights are copied only on a step
-that changes the bytes of one, so a pass whose live pairs all sit at a
-bound hands the same array on.
+``take`` into a C-contiguous (H_LEN, 2K) window, presynaptic columns then
+postsynaptic.  Norms and lag numerators come from read-only strided views of
+that window and of its square, which the ``np.ndarray`` constructor lays over
+the runs of rows each offset needs without copying them: every column's
+window norm at offsets 0..max_lag is one sum over an (xcorr_window,
+max_lag + 1, 2K) view, and every lag numerator one product of the
+postsynaptic rows with an (xcorr_window, max_lag, K) view of the presynaptic
+rows.  Each sum runs down its view's leading axis one row at a time, and the
+lag terms add lag by lag from +0.0: the order a per-neuron ``.sum(axis=0)``
+uses, so no result depends on which pairs are active.
+
+A pair whose weight is exactly 1.0 and whose lag sum is not below
+``weaken_xcorr_max`` is left out of the slopes and the update: both
+strengthening classes clip it back to 1.0 and class none adds +0.0, so its
+bytes cannot change.  Classes map to rates through one four-entry table.  The
+weights are copied only on a step that changes the bytes of one, so a pass
+whose live pairs all sit at a bound hands the same array on.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, require_finite
+from .errors import ConfigError, require_numbers
 from .kernel import NetView
 
 H_LEN = 8  # committed rows the rule reads, newest first
@@ -51,7 +63,7 @@ class PlasticityConfig:
     activity_threshold: float = 0.2
 
     def __post_init__(self) -> None:
-        require_finite(self)
+        require_numbers(self)
         for name in ("xcorr_window", "max_lag"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)!r}")
@@ -68,34 +80,32 @@ class PlasticityConfig:
             raise ConfigError(f"slope_window must lie in [1, {H_LEN - self.max_lag - 1}]")
 
 
-def _row_sums(rows: np.ndarray, w: int) -> np.ndarray:
-    """Sums of every run of `w` consecutive rows, one row added at a time:
-    ((r0 + r1) + r2) + r3 for w = 4, the order ``.sum(axis=0)`` uses on a
-    (w, K) window, so the result does not depend on K."""
-    count = len(rows) - w + 1
-    total = rows[:count] + rows[1:count + 1] if w > 1 else rows[:count].copy()
-    for r in range(2, w):
-        total += rows[r:r + count]
-    return total
+def _windows(a: np.ndarray, w: int, count: int, start: int = 0, cols: int | None = None) -> np.ndarray:
+    """Read-only view ``v[r, j] = a[start + r + j, :cols]`` of the C-contiguous
+    2-D `a`: `count` overlapping runs of `w` rows, not copied.
+    ``v.sum(axis=0)`` adds each run's rows in order, as ``.sum(axis=0)`` does
+    on the one (w, K) run, so no sum depends on K.  The constructor refuses a
+    view that reaches past the buffer."""
+    row, col = a.strides
+    v = np.ndarray((w, count, cols or a.shape[1]), a.dtype, a, start * row, (row, row, col))
+    v.flags.writeable = False
+    return v
 
 
-def _lag_sums(pre_win: np.ndarray, post_win: np.ndarray, cfg: PlasticityConfig) -> np.ndarray:
-    """Correlation sums over lags 1..max_lag, one per column of the gathered
-    (H_LEN, K) pre- and postsynaptic history windows."""
+def _lag_sums(win: np.ndarray, cfg: PlasticityConfig) -> np.ndarray:
+    """Correlation sums over lags 1..max_lag, one per pair of a gathered
+    (H_LEN, 2K) history window as ``take`` returns it, C-contiguous, with K
+    presynaptic columns then K postsynaptic."""
     w, lags = cfg.xcorr_window, cfg.max_lag
-    post_now = post_win[:w]
-    na = np.sqrt(_row_sums(post_now * post_now, w))  # (1, K): offset 0
-    pre_back = pre_win[1:lags + w]
-    nb = np.sqrt(_row_sums(pre_back * pre_back, w))  # (max_lag, K): offsets 1..max_lag
-    num = post_now[0] * pre_back[:lags]
-    for r in range(1, w):
-        num += post_now[r] * pre_back[r:r + lags]
-    ok = (na >= ZERO_NORM) & (nb >= ZERO_NORM)
-    terms = np.zeros(num.shape)
-    np.divide(num, na * nb, out=terms, where=ok)
-    # lag by lag down axis 0; + 0.0 turns an all -0.0 total into the +0.0
-    # that a sum starting from +0.0 gives
-    return terms.sum(axis=0) + 0.0
+    k = win.shape[1] // 2
+    norms = np.sqrt(_windows(win * win, w, lags + 1).sum(axis=0))  # (max_lag + 1, 2K): offsets 0..max_lag
+    # A norm below ZERO_NORM becomes inf, so each term it enters is a zero of
+    # either sign; the sum from +0.0 below gives the bits a +0.0 term gives.
+    norms[norms < ZERO_NORM] = np.inf
+    # postsynaptic row r times presynaptic row 1 + r + l: lag l + 1
+    num = (win[:w, None, k:] * _windows(win, w, lags, 1, k)).sum(axis=0)  # (max_lag, K)
+    num /= norms[0, k:] * norms[1:, :k]
+    return num.sum(axis=0, initial=0.0)  # lag by lag, never -0.0
 
 
 def _slope_sums(win: np.ndarray, cfg: PlasticityConfig) -> np.ndarray:
@@ -130,23 +140,28 @@ def plasticity_step(
         return weights
     k = len(active)
     win = history.take(view.mut_ends.take(active, axis=1).ravel(), axis=1)  # pre columns, then post
-    xs = _lag_sums(win[:, :k], win[:, k:], cfg)
-    flat = _slope_sums(win, cfg) <= cfg.rapid_slope_max
-    rapid = (xs >= cfg.rapid_xcorr_min) & flat[:k] & flat[k:]
-    # At most one class holds: rapid wins and the bands are ordered.  For one
-    # class, rapid*rr + slow*sr - weaken*sr is exactly rr, sr, -sr or +0.0,
-    # except that a zero rate of either sign gives +0.0, as `+ 0.0` and
-    # `0.0 -` do.
-    rr, sr = cfg.rapid_rate, cfg.slow_rate
-    rate = np.where(
-        rapid,
-        rr + 0.0,
-        np.where(xs > cfg.strengthen_xcorr_min, sr + 0.0, np.where(xs < cfg.weaken_xcorr_max, 0.0 - sr, 0.0)),
-    )
+    xs = _lag_sums(win, cfg)
     idx = view.syn_mutable.take(active)
     old = weights.take(idx)
+    # A weight of exactly 1.0 keeps its bytes unless its pair weakens: the
+    # strengthening classes clip it back and class none adds +0.0.  Below the
+    # cap class none still turns -0.0 into +0.0, so only 1.0 is left out.
+    live = ((old != 1.0) | (xs < cfg.weaken_xcorr_max)).nonzero()[0]
+    if len(live) < k:
+        if not len(live):
+            return weights
+        win = win.take(np.concatenate((live, live + k)), axis=1)
+        xs, idx, old = xs.take(live), idx.take(live), old.take(live)
+        k = len(live)
+    flat = _slope_sums(win, cfg) <= cfg.rapid_slope_max
+    # Bands 0..2 (weaken, none, slow) from the lag sum alone, 3 for rapid,
+    # which wins and lies in band 2 as the bands are ordered.  A zero rate of
+    # either sign comes out +0.0, as `+ 0.0` and `0.0 -` give.
+    edges = np.array((cfg.weaken_xcorr_max, math.nextafter(cfg.strengthen_xcorr_min, math.inf)))
+    band = edges.searchsorted(xs, "right")
+    band += (xs >= cfg.rapid_xcorr_min) & flat[:k] & flat[k:]
     new = view.syn_mi.take(idx)
-    new *= rate
+    new *= np.array((0.0 - cfg.slow_rate, 0.0, cfg.slow_rate + 0.0, cfg.rapid_rate + 0.0)).take(band)
     new += old
     # np.clip's bits without its Python wrapper.  The two can differ only on
     # an input of -0.0, and `old + mi*rate` is never -0.0: rate is never -0.0

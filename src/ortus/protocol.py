@@ -44,7 +44,7 @@ import numpy as np
 
 from . import physiology
 from .connectome import Connectome
-from .errors import ConfigError, OrtusError
+from .errors import ConfigError, OrtusError, require_numbers
 from .kernel import NetView, SimConfig, step
 from .physiology import PhysioBinding, PhysioConfig
 from .plasticity import H_LEN, PlasticityConfig, plasticity_step
@@ -278,6 +278,7 @@ class RunConfig:
     weight_snapshot_every: int = 10  # 0 keeps only the first and last snapshots
 
     def __post_init__(self) -> None:
+        require_numbers(self)
         if self.weight_snapshot_every < 0:
             raise ConfigError(
                 f"weight_snapshot_every cannot be negative, got {self.weight_snapshot_every!r}"

@@ -364,9 +364,7 @@ def test_criterion_9_oracle_equivalence():
     history[:, :pairs][:, rng.uniform(size=pairs) < 0.05] = 0.0  # exercise the zero-norm guard
     cfg = PlasticityConfig()
     view = NetView.of(net)
-    lag_sums = _lag_sums(
-        history.take(view.syn_pre, axis=1), history.take(view.syn_post, axis=1), cfg
-    )
+    lag_sums = _lag_sums(history.take(np.concatenate((view.syn_pre, view.syn_post)), axis=1), cfg)
     slope_sums = _slope_sums(history, cfg)
     worst_x, worst_s = 0.0, 0.0
     for i in range(pairs):

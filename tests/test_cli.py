@@ -269,6 +269,8 @@ def test_set_overrides_are_applied_and_echoed(tmp_path):
         "plasticity.max_lag=0",  # no lag to correlate over
         "plasticity.rapid_rate=-0.01",  # each strengthening class would weaken
         "plasticity.slow_rate=-0.001",  # likewise
+        "physio.initial_co2=5",  # outside the activation range
+        "physio.initial_o2=-1.5",  # likewise
     ],
 )
 def test_bad_set_values_fail_cleanly(tmp_path, capsys, override):

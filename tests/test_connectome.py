@@ -116,6 +116,7 @@ def test_sci_cap_enforced():
         ("eei_mutability", 1.5),
         ("eei_gj_weight", -0.8),
         ("sei_weight", float("nan")),
+        ("sci_cap", 10.5),  # no integer, so no whole number of subsets
     ],
 )
 def test_build_config_rejects_out_of_range_values(field, value):

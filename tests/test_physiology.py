@@ -105,6 +105,17 @@ def test_config_validation():
     assert PhysioConfig(co2_production=0.0).co2_production == 0.0
 
 
+@pytest.mark.parametrize("value", [-5.0, -1.0000000000000002, 1.0000000000000002, 5.0])
+@pytest.mark.parametrize("name", ["initial_co2", "initial_o2"])
+def test_initial_gas_levels_stay_in_the_activation_range(name, value):
+    # the range protocol injections and clamps are held to; a level of 5
+    # once ran and reported a probe ratio near 1
+    with pytest.raises(ConfigError, match=f"^{name} must lie in \\[-1, 1\\]"):
+        PhysioConfig(**{name: value})
+    for edge in (-1.0, 1.0):
+        assert getattr(PhysioConfig(**{name: edge}), name) == edge
+
+
 # ---------------------------------------------------------------------------
 # closed-form equilibrium
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ hand-computed values; the vectorized engine, ``plasticity_step``, must agree
 with it synapse for synapse.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -215,6 +216,14 @@ def test_config_rejects_non_finite_numbers(name, value):
         PlasticityConfig(**{name: value})
 
 
+@pytest.mark.parametrize("value", [2.5, 3.0, True])
+@pytest.mark.parametrize("name", ["xcorr_window", "max_lag", "slope_window"])
+def test_window_sizes_must_be_integers(name, value):
+    # they size the strided window views; a float would fail inside the pass
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+        PlasticityConfig(**{name: value})
+
+
 @pytest.mark.parametrize("slope_window", [0, 4, 9])
 def test_slope_windows_stay_inside_the_history_ring(slope_window):
     # max_lag 4 leaves rows for a 3-step window at most; 0 steps fit no slope
@@ -382,6 +391,23 @@ def test_weight_clamp_has_np_clips_bits_under_every_rate(old):
     assert not np.signbit(got).any()  # even from -0.0
 
 
+def test_band_edges_belong_to_the_middle_band():
+    # both edges are strict: a lag sum equal to weaken_xcorr_max or to
+    # strengthen_xcorr_min leaves the weight alone, one ulp past either moves it
+    view = NetView.of(make_net(2, [ChemicalSynapse(0, 1, 0.5, 1.0, 1.0)]))
+    history = np.stack(CLASS_HISTORIES[Classification.NONE], axis=1)  # pre column, then post
+    xs = float(_lag_sums(history, PlasticityConfig())[0])
+    assert 0.05 < xs < 3.5
+
+    def learned(**band):
+        return plasticity_step(history, view.syn_w0, view, PlasticityConfig(**band))[0]
+
+    assert learned(weaken_xcorr_max=xs) == 0.5
+    assert learned(strengthen_xcorr_min=xs) == 0.5
+    assert learned(weaken_xcorr_max=math.nextafter(xs, math.inf)) == 0.5 - 0.001
+    assert learned(strengthen_xcorr_min=math.nextafter(xs, -math.inf)) == 0.5 + 0.001
+
+
 def edge_history(n, rng):
     """Noise plus the columns the guards and signs are about: zero at every
     offset, zero in the newest window only, zero in the oldest window only,
@@ -408,12 +434,66 @@ def test_gathered_windows_equal_the_per_neuron_formulas_bit_for_bit(n, k):
         pre, post = rng.integers(0, n, k), rng.integers(0, n, k)
         both = np.concatenate((pre, post))
         win = history.take(both, axis=1)
-        got, want = _lag_sums(win[:, :k], win[:, k:], cfg), lag_sums_by_neuron(history, pre, post, cfg)
+        got, want = _lag_sums(win, cfg), lag_sums_by_neuron(history, pre, post, cfg)
         np.testing.assert_array_equal(got, want)
         assert got.tobytes() == want.tobytes()
         got, want = _slope_sums(win, cfg), slope_sums_by_neuron(history, cfg)[both]
         np.testing.assert_array_equal(got, want)
         assert got.tobytes() == want.tobytes()
+
+
+def window_shapes():
+    """Every (xcorr_window, max_lag, slope_window) that PlasticityConfig
+    accepts, with ordered classification bands that fit any lag count."""
+    shapes = []
+    for w, lags, u in itertools.product(range(H_LEN + 1), repeat=3):
+        bands = dict(weaken_xcorr_max=0.05, strengthen_xcorr_min=0.875 * lags, rapid_xcorr_min=0.98 * lags)
+        try:
+            shapes.append(PlasticityConfig(xcorr_window=w, max_lag=lags, slope_window=u, **bands))
+        except ConfigError:
+            pass
+    return shapes
+
+
+WINDOW_SHAPES = window_shapes()
+# With slope_window >= 3 the oracle's matrix product adds a slope's terms in
+# another order than the engine's running sum.  Such a sum stays below 4 (at
+# most 4 slopes of |value| <= 0.8), so 1e-15 allows two of its ulps (ulp(2)
+# is 4.4e-16).  With coefficients -1, 0, 1 or +-0.5 every product and the one
+# sum are exact, so those shapes match bit for bit.
+SLOPE_ATOL = 1e-15
+
+
+def test_window_shapes_are_all_the_legal_ones():
+    assert len(WINDOW_SHAPES) == 112
+    assert PlasticityConfig() in WINDOW_SHAPES
+
+
+@pytest.mark.parametrize(
+    "cfg", WINDOW_SHAPES, ids=lambda c: f"w{c.xcorr_window}-lag{c.max_lag}-u{c.slope_window}"
+)
+def test_every_window_shape_matches_the_oracles(cfg, organism_net):
+    rng = np.random.default_rng([cfg.xcorr_window, cfg.max_lag, cfg.slope_window])
+    for n, k in [(1, 1), (3, 40), (60, 400)]:
+        for _ in range(3):
+            history = edge_history(n, rng)
+            pre, post = rng.integers(0, n, k), rng.integers(0, n, k)
+            both = np.concatenate((pre, post))
+            win = history.take(both, axis=1)
+            got, want = _lag_sums(win, cfg), lag_sums_by_neuron(history, pre, post, cfg)
+            assert got.tobytes() == want.tobytes()
+            got, want = _slope_sums(win, cfg), slope_sums_by_neuron(history, cfg)[both]
+            if cfg.slope_window <= 2:
+                assert got.tobytes() == want.tobytes()
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=SLOPE_ATOL)
+    # the whole pass, with weights at both bounds so the cap rule is exercised
+    net = replace(organism_net, chem=[replace(s, mutability=1.0) for s in organism_net.chem])
+    view = NetView.of(net)
+    history = mixed_history(view.n, rng)
+    weights = rng.choice([0.0, 0.3, 1.0], len(net.chem))
+    want = apply_updates(weights, oracle_classes(net, history, cfg), view.syn_mi, cfg)
+    np.testing.assert_allclose(plasticity_step(history, weights, view, cfg), want, rtol=0, atol=1e-15)
 
 
 def test_plasticity_step_without_a_live_pair_hands_the_weights_on(organism_net):

@@ -348,6 +348,14 @@ def test_run_config_rejects_negative_snapshot_cadence():
         RunConfig(weight_snapshot_every=-1)
 
 
+@pytest.mark.parametrize("value", [2.5, 10.0, True])
+def test_run_config_rejects_a_snapshot_cadence_that_is_no_integer(value):
+    # a float once passed here and the run died in range() with a TypeError
+    with pytest.raises(ConfigError, match="^weight_snapshot_every must be an integer"):
+        RunConfig(weight_snapshot_every=value)
+    assert RunConfig(weight_snapshot_every=np.int64(10)).weight_snapshot_every == 10
+
+
 def test_injection_moves_the_sensor(organism_net):
     quiet = run(organism_net, parse_protocol("steps 20\n", organism_net), RunConfig())
     poked = run(
