@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .dsl import DEFAULT_SCI_CAP, Affect, Layer, NetworkSpec, RelationKind, validate_spec
-from .errors import ConfigError, OrtusError, require_numbers
+from .errors import THRESHOLD, WEIGHT, OrtusError, require_numbers
 
 
 class BuildError(OrtusError):
@@ -120,21 +120,13 @@ class BuildConfig:
     dominance_weight: float = 0.6
 
     def __post_init__(self) -> None:
-        require_numbers(self)
         # The learning rule clips the weights it moves to [0, 1] and skips
         # synapses of mutability 0; both assume built values inside [0, 1].
-        for name in (
-            "sei_weight",
-            "eei_initial_weight",
-            "eei_feedback_weight",
-            "dominance_weight",
-            "eei_mutability",
-        ):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
-        if self.eei_gj_weight < 0.0:
-            raise ConfigError(f"eei_gj_weight cannot be negative, got {self.eei_gj_weight!r}")
+        require_numbers(
+            self, sei_weight=WEIGHT, generated_threshold=THRESHOLD, eei_initial_weight=WEIGHT,
+            eei_mutability=WEIGHT, eei_gj_weight="[0, inf)", eei_feedback_weight=WEIGHT,
+            dominance_weight=WEIGHT,
+        )
 
 
 def generate_seis(net: Connectome, sensor_ids: list[int], cfg: BuildConfig) -> dict[int, int]:

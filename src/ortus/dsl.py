@@ -38,7 +38,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import TypeVar
 
-from .errors import OrtusError
+from .errors import THRESHOLD, WEIGHT, OrtusError, bound_error
 
 DEFAULT_THRESHOLD = 0.05
 DEFAULT_WEIGHT = 0.5
@@ -446,8 +446,8 @@ def validate_spec(
             err(f"element {el.name!r} declared twice", el.line, el.col)
         else:
             seen[el.name] = el
-        if not (0.0 <= el.threshold < 1.0):
-            err(f"threshold of {el.name!r} must lie in [0, 1), got {el.threshold!r}", el.line, el.col)
+        if message := bound_error(f"threshold of {el.name!r}", el.threshold, THRESHOLD):
+            err(message, el.line, el.col)
         if el.kind is Layer.EMOTION and el.affect is Affect.NEUTRAL:
             err(f"emotion {el.name!r} must declare a positive or negative affect", el.line, el.col)
 
@@ -468,10 +468,9 @@ def validate_spec(
                 err(f"relationship references undeclared element {name!r}", rel.line, rel.col)
         if rel.a == rel.b:
             err(f"element {rel.a!r} cannot relate to itself", rel.line, rel.col)
-        if not (0.0 <= rel.weight <= 1.0):
-            err(f"weight must lie in [0, 1], got {rel.weight!r}", rel.line, rel.col)
-        if rel.mutability is not None and not (0.0 <= rel.mutability <= 1.0):
-            err(f"mutability must lie in [0, 1], got {rel.mutability!r}", rel.line, rel.col)
+        for name, value in (("weight", rel.weight), ("mutability", rel.mutability)):
+            if value is not None and (message := bound_error(name, value, WEIGHT)):
+                err(message, rel.line, rel.col)
         # Sensors are inputs: nothing may synapse onto them.
         synapses = rel.synapses()
         for _, post, *_ in synapses:

@@ -53,13 +53,7 @@ class SimConfig:
     conservation_tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
-        require_numbers(self)
-        if not (0.0 <= self.decay_fraction < 1.0):
-            raise ConfigError(f"decay_fraction must lie in [0, 1), got {self.decay_fraction!r}")
-        if self.conservation_tolerance < 0.0:
-            raise ConfigError(
-                f"conservation_tolerance cannot be negative, got {self.conservation_tolerance!r}"
-            )
+        require_numbers(self, decay_fraction="[0, 1)", conservation_tolerance="[0, inf)")
         if self.gj_mode not in ("symmetric", "paper-literal"):
             raise ConfigError(f"gj_mode must be 'symmetric' or 'paper-literal', got {self.gj_mode!r}")
         if self.check_conservation and self.gj_mode == "paper-literal":

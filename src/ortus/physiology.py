@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connectome import Connectome
-from .errors import ConfigError, require_numbers
+from .errors import ACTIVATION, ConfigError, require_numbers
 
 
 @dataclass
@@ -33,13 +33,10 @@ class PhysioConfig:
     enabled: bool = True
 
     def __post_init__(self) -> None:
-        require_numbers(self)
-        for name in ("co2_production", "o2_consumption", "lung_threshold", "exchange_gain"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} cannot be negative")
-        for name in ("initial_co2", "initial_o2"):  # the range injections and clamps are held to
-            if not -1.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must lie in [-1, 1], got {getattr(self, name)!r}")
+        require_numbers(  # initial levels in the range injections and clamps are held to
+            self, co2_production="[0, inf)", o2_consumption="[0, inf)", lung_threshold="[0, inf)",
+            exchange_gain="[0, inf)", initial_co2=ACTIVATION, initial_o2=ACTIVATION,
+        )
         if self.exchange_gain <= self.co2_production:
             raise ConfigError("exchange_gain must exceed co2_production or breathing can never win")
 

@@ -63,21 +63,16 @@ class PlasticityConfig:
     activity_threshold: float = 0.2
 
     def __post_init__(self) -> None:
-        require_numbers(self)
-        for name in ("xcorr_window", "max_lag"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)!r}")
-        for name in ("rapid_rate", "slow_rate"):  # negative, each strengthening class would weaken
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"{name} cannot be negative, got {getattr(self, name)!r}")
+        # Windows read at most the `rows` left past the largest lag, a slope fit
+        # one row more than it spans; no correlation sum exceeds max_lag; and
+        # with a negative rate each strengthening class would weaken.
+        rows = H_LEN - self.max_lag
+        require_numbers(
+            self, max_lag=f"[1, {H_LEN - 1}]", xcorr_window=f"[1, {rows}]", slope_window=f"[1, {rows})",
+            rapid_xcorr_min=f"(-inf, {self.max_lag}]", rapid_rate="[0, inf)", slow_rate="[0, inf)",
+        )
         if not (self.weaken_xcorr_max < self.strengthen_xcorr_min < self.rapid_xcorr_min):
             raise ConfigError("classification bands must be ordered weaken < strengthen < rapid")
-        if self.rapid_xcorr_min > self.max_lag:
-            raise ConfigError("rapid_xcorr_min cannot exceed the maximum correlation sum")
-        if self.max_lag + self.xcorr_window > H_LEN:
-            raise ConfigError(f"correlation windows cannot reach past the last {H_LEN} rows")
-        if not 1 <= self.slope_window < H_LEN - self.max_lag:
-            raise ConfigError(f"slope_window must lie in [1, {H_LEN - self.max_lag - 1}]")
 
 
 def _windows(a: np.ndarray, w: int, count: int, start: int = 0, cols: int | None = None) -> np.ndarray:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -44,7 +44,7 @@ import numpy as np
 
 from . import physiology
 from .connectome import Connectome
-from .errors import ConfigError, OrtusError, require_numbers
+from .errors import ACTIVATION, OrtusError, bound_error, require_numbers
 from .kernel import NetView, SimConfig, step
 from .physiology import PhysioBinding, PhysioConfig
 from .plasticity import H_LEN, PlasticityConfig, plasticity_step
@@ -119,8 +119,8 @@ def parse_protocol(text: str, net: Connectome, source: str = "<protocol>") -> Pr
             if len(words) != 2 or not words[1].isdecimal():
                 raise fail(lineno, "expected: steps <N>")
             total = int(words[1])
-            if total < 1:
-                raise fail(lineno, "steps must be at least 1")
+            if message := bound_error("steps", total, "[1, inf)"):
+                raise fail(lineno, message)
             continue
         if words[0] != "at":
             raise fail(lineno, f"unknown directive {words[0]!r}")
@@ -140,8 +140,8 @@ def parse_protocol(text: str, net: Connectome, source: str = "<protocol>") -> Pr
             if len(args) != 2:
                 raise fail(lineno, "expected: inject <element> <amplitude>")
             amplitude = _number(args[1], lineno, fail)
-            if not (-1.0 <= amplitude <= 1.0):
-                raise fail(lineno, f"amplitude {amplitude!r} outside [-1, 1]")
+            if message := bound_error("amplitude", amplitude, ACTIVATION):
+                raise fail(lineno, message)
             events.append(
                 ProtocolEvent(start, end, EventKind.INJECT, args[0], resolve(lineno, args[0]), amplitude)
             )
@@ -149,8 +149,8 @@ def parse_protocol(text: str, net: Connectome, source: str = "<protocol>") -> Pr
             if len(args) != 2:
                 raise fail(lineno, "expected: clamp <element> <value>")
             value = _number(args[1], lineno, fail)
-            if not (-1.0 <= value <= 1.0):
-                raise fail(lineno, f"clamp value {value!r} outside [-1, 1]")
+            if message := bound_error("clamp value", value, ACTIVATION):
+                raise fail(lineno, message)
             ev = ProtocolEvent(start, end, EventKind.CLAMP, args[0], resolve(lineno, args[0]), value)
             for k, other in clamps:
                 overlap = other.element_id == ev.element_id and other.start < end and start < other.end
@@ -278,20 +278,16 @@ class RunConfig:
     weight_snapshot_every: int = 10  # 0 keeps only the first and last snapshots
 
     def __post_init__(self) -> None:
-        require_numbers(self)
-        if self.weight_snapshot_every < 0:
-            raise ConfigError(
-                f"weight_snapshot_every cannot be negative, got {self.weight_snapshot_every!r}"
-            )
+        require_numbers(self, weight_snapshot_every="[0, inf)")
 
 
 @dataclass(frozen=True, eq=False)
-class WeightSnapshots(Sequence):
-    """A run's ``(step, weights)`` snapshots, read like a list and written
-    as weights.csv.  Each stores only the mutable synapses' weights, a row
-    that snapshots with the same weights share; every read puts its row into
-    a new copy of the built weights ``w0``, read-only, with one entry per
-    synapse."""
+class WeightSnapshots:
+    """A run's ``(step, weights)`` snapshots, read by index or in order, and
+    written as weights.csv.  Each stores only the mutable synapses' weights,
+    a row that snapshots with the same weights share; every read puts its row
+    into a new copy of the built weights ``w0``, read-only, with one entry
+    per synapse."""
 
     w0: np.ndarray
     pre: np.ndarray
@@ -310,13 +306,14 @@ class WeightSnapshots(Sequence):
     def __len__(self) -> int:
         return len(self.steps)
 
-    def __getitem__(self, i: int | slice):
-        if isinstance(i, slice):
-            return replace(self, steps=self.steps[i], rows=self.rows[i])
+    def __getitem__(self, i: int) -> tuple[int, np.ndarray]:
         weights = self.w0.copy()
         weights.put(self.mutable, self.rows[i])
         weights.flags.writeable = False
         return self.steps[i], weights
+
+    def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
+        return (self[i] for i in range(len(self)))
 
     def csv_blocks(self) -> Iterator[str]:
         """weights.csv's rows, one string per snapshot with no final newline.

@@ -271,6 +271,7 @@ def test_set_overrides_are_applied_and_echoed(tmp_path):
         "plasticity.slow_rate=-0.001",  # likewise
         "physio.initial_co2=5",  # outside the activation range
         "physio.initial_o2=-1.5",  # likewise
+        "build.generated_threshold=5",  # a threshold outside [0, 1) once ran to a nan probe ratio
     ],
 )
 def test_bad_set_values_fail_cleanly(tmp_path, capsys, override):
@@ -531,5 +532,5 @@ def test_experiment_refuses_a_zero_step_protocol_before_writing(tmp_path, capsys
     proto.write_text("steps 0\n")
     out = tmp_path / "exp"
     assert main(["experiment", "ortus.ort", str(proto), "--out", str(out)]) == EXIT_DOMAIN
-    assert f"{proto}:1: steps must be at least 1" in capsys.readouterr().err
+    assert f"{proto}:1: steps must lie in [1, inf), got 0" in capsys.readouterr().err
     assert not out.exists()

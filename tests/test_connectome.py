@@ -117,6 +117,9 @@ def test_sci_cap_enforced():
         ("eei_gj_weight", -0.8),
         ("sei_weight", float("nan")),
         ("sci_cap", 10.5),  # no integer, so no whole number of subsets
+        ("generated_threshold", 5.0),  # once ran and reported a nan probe ratio
+        ("generated_threshold", -0.5),
+        ("generated_threshold", 1.0),  # thresholds lie in [0, 1), as a declared element's
     ],
 )
 def test_build_config_rejects_out_of_range_values(field, value):

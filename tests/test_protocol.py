@@ -94,10 +94,18 @@ def test_block_single_flag(organism_net):
         ("steps 10\nsteps 20\n", "declared twice"),
         ("steps ten\n", "expected: steps <N>"),
         ("steps ²\n", "expected: steps <N>"),
-        ("steps 0\n", "<protocol>:1: steps must be at least 1"),
+        ("steps 0\n", "<protocol>:1: steps must lie in [1, inf), got 0"),
         ("steps 10\nat 5..5 inject sH2O 0.5\n", "0 <= start < end"),
         ("steps 10\nat 5..20 inject sH2O 0.5\n", "0 <= start < end"),
-        ("steps 10\nat 0..5 inject sH2O 1.5\n", "outside [-1, 1]"),
+        ("steps 10\nat 0..5 inject sH2O 1.5\n", "<protocol>:2: amplitude must lie in [-1, 1], got 1.5"),
+        # NaN lies in no interval, and the infinities lie outside this one
+        ("steps 10\nat 0..5 inject sH2O nan\n", "<protocol>:2: amplitude must lie in [-1, 1], got nan"),
+        ("steps 10\nat 0..5 inject sH2O inf\n", "<protocol>:2: amplitude must lie in [-1, 1], got inf"),
+        ("steps 10\nat 0..5 inject sH2O -inf\n", "<protocol>:2: amplitude must lie in [-1, 1], got -inf"),
+        ("steps 10\nat 0..5 clamp eFEAR NaN\n", "<protocol>:2: clamp value must lie in [-1, 1], got nan"),
+        ("steps 10\nat 0..5 clamp eFEAR inf\n", "<protocol>:2: clamp value must lie in [-1, 1], got inf"),
+        ("steps 10\nat 0..5 clamp eFEAR -inf\n", "<protocol>:2: clamp value must lie in [-1, 1], got -inf"),
+        ("steps 10\nat 0..5 clamp eFEAR -1.5\n", "<protocol>:2: clamp value must lie in [-1, 1], got -1.5"),
         ("steps 10\nat 0..5 inject sGHOST 0.5\n", "unknown element"),
         ("steps 10\nat 0..5 clamp eFEAR high\n", "bad number"),
         ("steps 30\nat 0..5 clamp sO2 1_0e-1\n", "<protocol>:2: bad number '1_0e-1'"),
@@ -281,8 +289,8 @@ def test_snapshots_share_unchanged_weights_and_none_can_be_written(organism_net,
 
 
 def test_weight_snapshots_read_like_the_every_step_list(organism_net, conditioning_protocol_path):
-    """Indices, negative ones too, slices, ``len`` and iteration give the
-    pairs the every-step oracle lists, byte for byte."""
+    """Indices, negative ones too, ``len`` and iteration give the pairs the
+    every-step oracle lists, byte for byte."""
     protocol = load_protocol(conditioning_protocol_path, organism_net)
     got = run(organism_net, protocol).weight_snapshots
     want = run_every_step(organism_net, protocol).weight_snapshots
@@ -297,9 +305,6 @@ def test_weight_snapshots_read_like_the_every_step_list(organism_net, conditioni
     for i in (71, -72):
         with pytest.raises(IndexError):
             got[i]
-    for part in (slice(None), slice(5, 20), slice(-10, None), slice(None, None, -3), slice(60, 5, -7), slice(80, 90)):
-        assert len(got[part]) == len(want[part])
-        assert pairs(got[part]) == pairs(want[part])
     assert pairs(reversed(got)) == pairs(reversed(want))
 
 
