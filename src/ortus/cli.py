@@ -24,7 +24,7 @@ from . import connectome as cn
 from . import dsl
 from . import protocol as proto
 from .connectome import BuildConfig, build
-from .errors import ConfigError, OrtusError
+from .errors import ConfigError, OrtusError, read_utf8
 from .protocol import Query, RunConfig, TraceLog, control_variant, load_protocol, metrics_csv, run, summarize
 
 EXIT_OK = 0
@@ -132,7 +132,7 @@ def _build_from_args(
 ) -> tuple[dsl.NetworkSpec, cn.Connectome]:
     # build is the one checker: it raises the errors, with their positions,
     # and hands back the warnings
-    spec = dsl.parse_source(_resolve_input(args.ort).read_text())
+    spec = dsl.parse_source(read_utf8(_resolve_input(args.ort), dsl.ParseError))
     net = build(spec, cfgs.build)
     for line in net.warnings:
         print(line, file=sys.stderr)
@@ -153,7 +153,7 @@ def _write_outputs(
     cn.write_csvs(net, outdir)
     for prefix, trace in (traces or {}).items():
         trace.write_csv(outdir, prefix=prefix)
-    (outdir / "config.resolved").write_text(resolved_config_text(cfgs))
+    (outdir / "config.resolved").write_text(resolved_config_text(cfgs), encoding="utf-8")
 
 
 def _cmd_build(args: argparse.Namespace, cfgs: Configs) -> int:
@@ -173,7 +173,7 @@ def _cmd_export(args: argparse.Namespace, cfgs: Configs) -> int:
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "connectome.dot").write_text(text)
+        (outdir / "connectome.dot").write_text(text, encoding="utf-8")
         print(f"wrote {outdir / 'connectome.dot'}")
     else:
         print(text, end="")
@@ -229,7 +229,7 @@ def _cmd_experiment(args: argparse.Namespace, cfgs: Configs) -> int:
                 [Query("peak_count", lung), Query("interval_mean", lung), Query("interval_cv", lung)],
             )
         )
-    (outdir / "summary.csv").write_text(metrics_csv(rows, extra))
+    (outdir / "summary.csv").write_text(metrics_csv(rows, extra), encoding="utf-8")
     print(f"experiment complete -> {outdir}")
     return EXIT_OK
 

@@ -25,6 +25,7 @@ collides with another neuron's, and keeps the warnings on the result.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -267,43 +268,33 @@ def _num(x: float) -> str:
     return repr(float(x))
 
 
-def neurons_csv(net: Connectome) -> str:
-    lines = ["id,name,layer,threshold,affect"]
-    for nid, nr in enumerate(net.neurons):
-        lines.append(f"{nid},{nr.name},{nr.layer.value},{_num(nr.threshold)},{nr.affect.value}")
-    return "\n".join(lines) + "\n"
-
-
-def chem_csv(net: Connectome) -> str:
-    lines = ["pre,post,weight,reversal,mutability,inverted"]
-    for s in net.chem:
-        lines.append(
-            f"{s.pre},{s.post},{_num(s.weight)},{_num(s.reversal)},{_num(s.mutability)},{int(s.inverted)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def gap_csv(net: Connectome) -> str:
-    lines = ["a,b,weight"]
-    for g in net.gap:
-        lines.append(f"{g.a},{g.b},{_num(g.weight)}")
-    return "\n".join(lines) + "\n"
+def write_tables(outdir: str | Path, tables: Iterable[tuple[str, str, Iterable[str]]]) -> list[Path]:
+    """Make `outdir` and write each ``(file name, header, rows)`` table in it as UTF-8: the
+    header, then each row, each followed by a newline.  Returns the paths in the order written."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name, header, rows in tables:
+        paths.append(outdir / name)
+        with paths[-1].open("w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+            fh.writelines(row + "\n" for row in rows)
+    return paths
 
 
 def write_csvs(net: Connectome, outdir: str | Path) -> list[Path]:
     """Write neurons.csv, chem.csv, and gap.csv; returns the created paths."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, text in (
-        ("neurons.csv", neurons_csv(net)),
-        ("chem.csv", chem_csv(net)),
-        ("gap.csv", gap_csv(net)),
-    ):
-        path = outdir / name
-        path.write_text(text)
-        written.append(path)
-    return written
+    return write_tables(outdir, [
+        ("neurons.csv", "id,name,layer,threshold,affect", (
+            f"{i},{nr.name},{nr.layer.value},{_num(nr.threshold)},{nr.affect.value}"
+            for i, nr in enumerate(net.neurons)
+        )),
+        ("chem.csv", "pre,post,weight,reversal,mutability,inverted", (
+            f"{s.pre},{s.post},{_num(s.weight)},{_num(s.reversal)},{_num(s.mutability)},{int(s.inverted)}"
+            for s in net.chem
+        )),
+        ("gap.csv", "a,b,weight", (f"{g.a},{g.b},{_num(g.weight)}" for g in net.gap)),
+    ])
 
 
 _DOT_SHAPE = {

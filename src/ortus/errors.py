@@ -1,9 +1,10 @@
-"""Shared exception hierarchy, and the one interval check of every bounded
-number: configs, ``.ort`` files and protocols share it and the bounds below."""
+"""Shared exception hierarchy, the one reader of input text, and the one interval check of
+every bounded number: configs, ``.ort`` files and protocols share it and the bounds below."""
 
 import dataclasses
 import math
 import numbers
+from pathlib import Path
 
 ACTIVATION = "[-1, 1]"  # activation levels: the reversal range
 WEIGHT = "[0, 1]"  # synaptic weights and mutability
@@ -43,3 +44,14 @@ def require_numbers(cfg, **intervals: str) -> None:
         message = bound_error(name, getattr(cfg, name), interval)
         if message is not None:
             raise ConfigError(message)
+
+
+def read_utf8(path: Path, refuse) -> str:
+    """The text of the file at `path`, decoded as UTF-8 whatever the locale; the first byte
+    that is no UTF-8 raises ``refuse(message, line, col)``, at its 1-based line and column."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        *above, head = data[: exc.start].decode("utf-8").split("\n")
+        raise refuse(f"byte {data[exc.start]:#04x} is not UTF-8", len(above) + 1, len(head) + 1) from None

@@ -66,6 +66,7 @@ class PlasticityConfig:
         # Windows read at most the `rows` left past the largest lag, a slope fit
         # one row more than it spans; no correlation sum exceeds max_lag; and
         # with a negative rate each strengthening class would weaken.
+        require_numbers(self)  # the types first: the bounds are worked out from max_lag
         rows = H_LEN - self.max_lag
         require_numbers(
             self, max_lag=f"[1, {H_LEN - 1}]", xcorr_window=f"[1, {rows}]", slope_window=f"[1, {rows})",

@@ -43,8 +43,8 @@ from pathlib import Path
 import numpy as np
 
 from . import physiology
-from .connectome import Connectome
-from .errors import ACTIVATION, OrtusError, bound_error, require_numbers
+from .connectome import Connectome, write_tables
+from .errors import ACTIVATION, OrtusError, bound_error, read_utf8, require_numbers
 from .kernel import NetView, SimConfig, step
 from .physiology import PhysioBinding, PhysioConfig
 from .plasticity import H_LEN, PlasticityConfig, plasticity_step
@@ -193,7 +193,8 @@ def _number(text: str, lineno: int, fail) -> float:
 
 def load_protocol(path: str | Path, net: Connectome) -> Protocol:
     path = Path(path)
-    return parse_protocol(path.read_text(), net, source=str(path))
+    text = read_utf8(path, lambda message, line, _: ProtocolError(f"{path}:{line}: {message}"))
+    return parse_protocol(text, net, source=str(path))
 
 
 def probe_event(protocol: Protocol) -> ProtocolEvent | None:
@@ -355,21 +356,13 @@ class TraceLog:
     def write_csv(self, outdir: str | Path, prefix: str = "") -> list[Path]:
         """Write trace.csv, weights.csv, and markers.csv a line at a time
         (weights.csv a snapshot at a time); deterministic bytes."""
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
         trace = (",".join(map(repr, row.tolist())) for row in self.activations)
         markers = (f"{step_no},{label}" for step_no, label in self.markers)
-        paths = []
-        for name, header, lines in (
-            ("trace.csv", ",".join(self.names), trace),
-            ("weights.csv", "step,pre,post,weight", self.weight_snapshots.csv_blocks()),
-            ("markers.csv", "step,marker", markers),
-        ):
-            paths.append(outdir / f"{prefix}{name}")
-            with paths[-1].open("w") as fh:
-                fh.write(header + "\n")
-                fh.writelines(line + "\n" for line in lines)
-        return paths
+        return write_tables(outdir, [
+            (f"{prefix}trace.csv", ",".join(self.names), trace),
+            (f"{prefix}weights.csv", "step,pre,post,weight", self.weight_snapshots.csv_blocks()),
+            (f"{prefix}markers.csv", "step,marker", markers),
+        ])
 
 
 def run(net: Connectome, protocol: Protocol, cfg: RunConfig | None = None) -> TraceLog:

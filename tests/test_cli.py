@@ -76,6 +76,16 @@ def test_validate_reports_unreadable_numbers_with_a_position(tmp_path, capsys):
     assert err == "error: 2:39: malformed number '.e5'\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "build"])
+def test_a_byte_that_is_no_utf8_is_refused_at_its_line_and_column(command, tmp_path, capsys):
+    bad = tmp_path / "bad.ort"
+    bad.write_bytes("element sA { type: sensory }\n# β caf".encode() + b"\xe9\n")  # column 8, byte 9
+    out = [] if command == "validate" else ["--out", str(tmp_path / "o")]
+    assert main([command, str(bad), *out]) == EXIT_DOMAIN
+    assert capsys.readouterr() == ("", "error: 2:8: byte 0xe9 is not UTF-8\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_validate_applies_overrides(capsys):
     assert main(["validate", "ortus.ort", "--set", "build.sci_cap=3"]) == EXIT_DOMAIN
     captured = capsys.readouterr()
@@ -284,6 +294,32 @@ def test_bad_set_values_fail_cleanly(tmp_path, capsys, override):
     # the message names the key, or the namespace when that is unknown
     ns, _, name = override.partition("=")[0].rpartition(".")
     assert name in err or f"'{ns}'" in err
+
+
+def test_a_protocol_byte_that_is_no_utf8_is_refused_before_any_file_is_written(tmp_path, capsys):
+    proto = tmp_path / "bad.protocol"
+    proto.write_bytes(b"steps 5\n# caf\xe9\n")
+    assert main(["experiment", "ortus.ort", str(proto), "--out", str(tmp_path / "o")]) == EXIT_DOMAIN
+    assert capsys.readouterr() == ("", f"error: {proto}:2: byte 0xe9 is not UTF-8\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_non_ascii_name_writes_the_same_bytes_under_an_ascii_locale(tmp_path):
+    # the files are read and written as UTF-8 whatever the locale says
+    ort = tmp_path / "beta.ort"
+    ort.write_bytes("element mβ { type: motor }\n".encode() + asset_path("ortus.ort").read_bytes())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = {}
+    for name, locale in {"utf8": {"PYTHONUTF8": "1"}, "posix": {"PYTHONUTF8": "0", "LC_ALL": "POSIX"}}.items():
+        done = subprocess.run(
+            [sys.executable, "-m", "ortus", "experiment", str(ort), "fear_conditioning.protocol", "--out", name],
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": path, **locale}, capture_output=True, timeout=120,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        outputs[name] = {p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())}
+    assert outputs["posix"] == outputs["utf8"]
+    assert "\n0,mβ,motor,".encode() in outputs["utf8"]["neurons.csv"]
 
 
 @pytest.mark.parametrize("module", ["ortus", "ortus.cli"])

@@ -14,10 +14,8 @@ from hypothesis import assume, example, given, settings
 from ortus.connectome import (
     BuildConfig,
     BuildError,
+    Connectome,
     build,
-    chem_csv,
-    gap_csv,
-    neurons_csv,
     to_dot,
     write_csvs,
 )
@@ -398,19 +396,39 @@ def test_neuron_ids_match_declaration_then_generation_order(organism_net):
 
 def test_csv_headers_and_shapes(organism_net, tmp_path):
     paths = write_csvs(organism_net, tmp_path)
-    assert sorted(p.name for p in paths) == ["chem.csv", "gap.csv", "neurons.csv"]
-    assert (tmp_path / "neurons.csv").read_text().splitlines()[0] == "id,name,layer,threshold,affect"
-    assert (tmp_path / "chem.csv").read_text().splitlines()[0] == "pre,post,weight,reversal,mutability,inverted"
-    assert (tmp_path / "gap.csv").read_text().splitlines()[0] == "a,b,weight"
-    assert len(neurons_csv(organism_net).splitlines()) == organism_net.n + 1
-    assert len(chem_csv(organism_net).splitlines()) == len(organism_net.chem) + 1
-    assert len(gap_csv(organism_net).splitlines()) == len(organism_net.gap) + 1
+    assert paths == [tmp_path / "neurons.csv", tmp_path / "chem.csv", tmp_path / "gap.csv"]
+    neurons, chem, gap = (path.read_text().splitlines() for path in paths)
+    assert neurons[0] == "id,name,layer,threshold,affect"
+    assert chem[0] == "pre,post,weight,reversal,mutability,inverted"
+    assert gap[0] == "a,b,weight"
+    assert len(neurons) == organism_net.n + 1
+    assert len(chem) == len(organism_net.chem) + 1
+    assert len(gap) == len(organism_net.gap) + 1
 
 
-def test_gap_csv_rows_are_canonical(organism_net):
-    for line in gap_csv(organism_net).splitlines()[1:]:
+def test_gap_csv_rows_are_canonical(organism_net, tmp_path):
+    write_csvs(organism_net, tmp_path)
+    for line in (tmp_path / "gap.csv").read_text().splitlines()[1:]:
         a, b, _ = line.split(",")
         assert int(a) < int(b)
+
+
+def test_a_table_with_no_rows_is_its_header_alone(tmp_path):
+    # one net without gap junctions, one without chemical synapses
+    chem_only, gap_only = Connectome(), Connectome()
+    for net in (chem_only, gap_only):
+        net.add_neuron("sA", Layer.SENSORY, 0.1)
+        net.add_neuron("mβ", Layer.MOTOR, 0.1)
+    chem_only.add_chem(0, 1, 0.5, 1.0, 0.0)
+    gap_only.add_gap(1, 0, 0.25)
+    files = {
+        name: [path.read_bytes().decode() for path in write_csvs(net, tmp_path / name)]
+        for name, net in (("chem_only", chem_only), ("gap_only", gap_only))
+    }
+    chem_header = "pre,post,weight,reversal,mutability,inverted\n"
+    neurons = "id,name,layer,threshold,affect\n0,sA,sensory,0.1,neutral\n1,mβ,motor,0.1,neutral\n"
+    assert files["chem_only"] == [neurons, chem_header + "0,1,0.5,1.0,0.0,0\n", "a,b,weight\n"]
+    assert files["gap_only"] == [neurons, chem_header, "a,b,weight\n0,1,0.25\n"]
 
 
 def test_dot_export(organism_net):

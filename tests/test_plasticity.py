@@ -8,6 +8,7 @@ with it synapse for synapse.
 
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -216,11 +217,12 @@ def test_config_rejects_non_finite_numbers(name, value):
         PlasticityConfig(**{name: value})
 
 
-@pytest.mark.parametrize("value", [2.5, 3.0, True])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "4", None, [4]])
 @pytest.mark.parametrize("name", ["xcorr_window", "max_lag", "slope_window"])
 def test_window_sizes_must_be_integers(name, value):
-    # they size the strided window views; a float would fail inside the pass
-    with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+    # they size the strided window views; a float would fail inside the pass,
+    # and the other windows' bounds are worked out from max_lag
+    with pytest.raises(ConfigError, match="^" + re.escape(f"{name} must be an integer, got {value!r}")):
         PlasticityConfig(**{name: value})
 
 

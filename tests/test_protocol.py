@@ -161,6 +161,14 @@ def test_parse_errors_carry_source_and_line(organism_net):
     assert str(exc.value).startswith("exp.protocol:2:")
 
 
+def test_load_protocol_refuses_a_byte_that_is_no_utf8_at_its_line(organism_net, tmp_path):
+    path = tmp_path / "bad.protocol"
+    path.write_bytes(b"steps 5\n\n# caf\xe9\n")
+    with pytest.raises(ProtocolError) as exc:
+        load_protocol(path, organism_net)
+    assert str(exc.value) == f"{path}:3: byte 0xe9 is not UTF-8"
+
+
 def test_load_protocol_resolves_against_net(organism_net, conditioning_protocol_path):
     proto = load_protocol(conditioning_protocol_path, organism_net)
     assert proto.total_steps == 700
@@ -485,11 +493,7 @@ def test_write_csv_prefix(organism_net, tmp_path):
     proto = parse_protocol("steps 3\n", organism_net)
     trace = run(organism_net, proto, RunConfig())
     paths = trace.write_csv(tmp_path, prefix="control_")
-    assert [p.name for p in paths] == [
-        "control_trace.csv",
-        "control_weights.csv",
-        "control_markers.csv",
-    ]
+    assert paths == [tmp_path / f"control_{name}" for name in ("trace.csv", "weights.csv", "markers.csv")]
 
 
 # ---------------------------------------------------------------------------
