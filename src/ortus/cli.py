@@ -33,6 +33,13 @@ EXIT_USAGE = 2
 BURST_TAIL = 15  # steps after each burst's end that still count toward its peak
 
 
+def _print_utf8(text: str) -> None:
+    """Write `text` to stdout as UTF-8 whatever the locale: the bytes a file gets."""
+    sys.stdout.flush()
+    sys.stdout.buffer.write(text.encode("utf-8"))
+    sys.stdout.buffer.flush()
+
+
 def asset_path(name: str) -> Path:
     """Path of a bundled asset file (the default organism and protocol)."""
     return Path(str(resources.files("ortus").joinpath("assets", name)))
@@ -176,7 +183,7 @@ def _cmd_export(args: argparse.Namespace, cfgs: Configs) -> int:
         (outdir / "connectome.dot").write_text(text, encoding="utf-8")
         print(f"wrote {outdir / 'connectome.dot'}")
     else:
-        print(text, end="")
+        _print_utf8(text)
     return EXIT_OK
 
 
@@ -220,7 +227,7 @@ def _cmd_experiment(args: argparse.Namespace, cfgs: Configs) -> int:
         # a ratio to a control peak at or below zero says nothing about growth
         ratio = probe.value / control_probe.value if control_probe.value > 0 else float("nan")
         extra.append(("probe_peak_ratio", headline, ratio))
-        print(f"probe {headline} peak ratio: {ratio!r}")
+        _print_utf8(f"probe {headline} peak ratio: {ratio!r}\n")
     lung = cfgs.run.physio.lung_name
     if lung in net.name_to_id:
         rows.extend(

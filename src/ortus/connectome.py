@@ -75,6 +75,7 @@ class Connectome:
     gap: list[GapJunction] = field(default_factory=list)
     name_to_id: dict[str, int] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)  # printed lines of the build's validation
+    view: object = field(default=None, init=False, repr=False)  # kernel.NetView.of's, until an add_*
 
     @property
     def n(self) -> int:
@@ -84,6 +85,7 @@ class Connectome:
         self, name: str, layer: Layer, threshold: float, affect: Affect = Affect.NEUTRAL
     ) -> int:
         nid = len(self.neurons)
+        self.view = None
         self.neurons.append(Neuron(name, layer, threshold, affect))
         self.name_to_id.setdefault(name, nid)  # build refuses a name taken twice
         return nid
@@ -97,10 +99,12 @@ class Connectome:
         mutability: float,
         inverted: bool = False,
     ) -> None:
+        self.view = None
         self.chem.append(ChemicalSynapse(pre, post, weight, reversal, mutability, inverted))
 
     def add_gap(self, a: int, b: int, weight: float) -> None:
         a, b = (a, b) if a < b else (b, a)
+        self.view = None
         self.gap.append(GapJunction(a, b, weight))
 
 

@@ -31,11 +31,13 @@ def bound_error(name: str, value, interval: str) -> str | None:
 
 def require_numbers(cfg, **intervals: str) -> None:
     """Raise ``ConfigError`` naming the first field of the dataclass instance
-    `cfg` that holds NaN or an infinity where its default is a float, or no
-    integer where its default is an int; then the first of `intervals`'
-    fields that lies outside its interval."""
+    `cfg` that holds no number (a bool is none), NaN or an infinity where its
+    default is a float, or no integer where its default is an int; then the
+    first of `intervals`' fields that lies outside its interval."""
     for f in dataclasses.fields(cfg):
         value = getattr(cfg, f.name)
+        if isinstance(f.default, float) and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+            raise ConfigError(f"{f.name} must be a number, got {value!r}")
         if isinstance(f.default, float) and not math.isfinite(value):
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if type(f.default) is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):

@@ -16,15 +16,16 @@ sigmoid of the presynaptic activation scaled by the activation range.  A
 synapse marked inverted is keyed to presynaptic suppression: its drive and
 conductance both read the negated presynaptic activation.
 
-Every synapse is evaluated, one array pass per term.  The drives are the
-entries of ``(a, -a)`` that some synapse reads (``-a`` is ``a * -1.0`` bit
-for bit, signed zeros included), so the sigmoid is taken once per neuron
-and sign rather than once per synapse, and each synapse reads its drive and
-conductance at ``syn_src``.  A gated-off synapse adds its finite inflow
-times 0.0, a signed zero, to a per-neuron sum that starts at +0.0 and so
-can never hold -0.0: no bit changes.  The inflows accumulate per
-postsynaptic neuron in connectome storage order; gap-junction flux into
-each b end, then out of each a end, in junction order.
+Every synapse is evaluated, one array pass per term.  Each distinct
+(presynaptic neuron, sign, postsynaptic threshold) that some synapse reads is
+one gate entry, plain ones first (``-a`` is ``a * -1.0`` bit for bit, signed
+zeros included): its conductance is taken once and multiplied by its gate,
+drive >= threshold, and each synapse reads that product at ``syn_ent``.  A
+gated-off synapse adds its finite inflow times 0.0, a signed zero, to a
+per-neuron sum that starts at +0.0 and so can never hold -0.0: no bit
+changes.  The inflows accumulate per postsynaptic neuron in connectome
+storage order; gap-junction flux into each b end, then out of each a end, in
+junction order.
 """
 
 from __future__ import annotations
@@ -70,25 +71,29 @@ class NetView:
     syn_rev: np.ndarray
     syn_w0: np.ndarray  # built weight, per synapse
     syn_mi: np.ndarray
-    syn_gate: np.ndarray  # postsynaptic transmission threshold, per synapse
     # the mutable synapses, their endpoints as a (2, mutable) array
-    # (presynaptic row, then postsynaptic); the drives some synapse reads, as
-    # presynaptic neurons, plain ones first, with the index of the first
-    # inverted one, and each synapse's index into them; and for every
+    # (presynaptic row, then postsynaptic); the gate entries, as presynaptic
+    # neurons, plain ones first, with the index of the first inverted one,
+    # and thresholds, and each synapse's index into them; and for every
     # junction end, b ends first, the neuron it stands on, the far end and
     # the weight
     syn_mutable: np.ndarray
     mut_ends: np.ndarray
-    src_pre: np.ndarray
-    src_inverted_from: int
-    syn_src: np.ndarray
+    ent_pre: np.ndarray
+    ent_inverted_from: int
+    ent_threshold: np.ndarray
+    syn_ent: np.ndarray
     gap_ends: np.ndarray
     gap_from: np.ndarray
     gap_w2: np.ndarray
 
     @classmethod
     def of(cls, net: Connectome) -> "NetView":
-        thr = np.array([nr.threshold for nr in net.neurons], dtype=float)
+        """`net`'s view, built once and kept on `net` until an ``add_*`` drops it."""
+        if net.view is not None:
+            return net.view
+        rank: dict[float, int] = {}  # the distinct thresholds, in neuron order; -0.0 is 0.0
+        thr_rank = np.array([rank.setdefault(nr.threshold, len(rank)) for nr in net.neurons], dtype=int)
         # One pass over the synapses.  Freeing the (synapses, 6) table lifts
         # glibc's dynamic mmap and trim thresholds above a step's temporaries,
         # so a large network's heap is not trimmed and re-faulted every step.
@@ -100,44 +105,47 @@ class NetView:
         ends_b = np.array([g.b for g in net.gap], dtype=int)
         gap_w = np.array([g.weight for g in net.gap], dtype=float)
         mutable = np.flatnonzero(mi > 0)
-        keys = pre + net.n * inverted  # (a, -a) as one axis
-        used = np.flatnonzero(np.bincount(keys, minlength=2 * net.n))  # sorted, distinct
-        return cls(
+        # (a, -a) by threshold as one axis, its distinct keys counted: the first
+        # np.sort or np.unique (which imports numpy.ma) in a process costs RSS
+        keys = (pre + net.n * inverted) * len(rank) + thr_rank.take(post)
+        used = np.flatnonzero(np.bincount(keys, minlength=2 * net.n * len(rank)))  # sorted, distinct
+        net.view = cls(
             n=net.n,
             syn_pre=pre,
             syn_post=post,
             syn_rev=rev,
             syn_w0=w0,
             syn_mi=mi,
-            syn_gate=thr[post],
             syn_mutable=mutable,
             mut_ends=np.stack((pre[mutable], post[mutable])),
-            src_pre=used % net.n,
-            src_inverted_from=int(np.searchsorted(used, net.n)),
-            syn_src=np.searchsorted(used, keys),
+            ent_pre=used // len(rank) % net.n,
+            ent_inverted_from=int(used.searchsorted(net.n * len(rank))),
+            ent_threshold=np.array(list(rank), dtype=float).take(used % len(rank)),
+            syn_ent=used.searchsorted(keys),
             gap_ends=np.concatenate((ends_b, ends_a)),
             gap_from=np.concatenate((ends_a, ends_b)),
             gap_w2=np.concatenate((gap_w, gap_w)),
         )
+        return net.view
 
 
 def _chem_terms(a: np.ndarray, weights: np.ndarray, view: NetView) -> np.ndarray:
-    drive = a.take(view.src_pre)
-    if view.src_inverted_from < len(drive):
-        drive[view.src_inverted_from:] *= -1.0
-    g = drive * -5.0
-    g /= ACTIVATION_RANGE
-    # a drive below -283.9 (unclamped runs only) overflows exp; g is then
-    # exactly 0.0, the sigmoid's limit, and needs no warning
-    with np.errstate(over="ignore"):
-        np.exp(g, out=g)
+    drive = a.take(view.ent_pre)
+    if view.ent_inverted_from < len(drive):
+        drive[view.ent_inverted_from:] *= -1.0
+    # held at -283 or above, where exp stays finite: a drive below lies under
+    # every threshold a build accepts (0 or more), so its gate is off anyway;
+    # `* -2.5` and `* -5.0 / 2.0` differ only on subnormals, which exp takes to 1.0
+    g = np.maximum(drive, -283.0)
+    g *= -5.0 / ACTIVATION_RANGE  # -2.5
+    np.exp(g, out=g)
     g += 1.0
     np.divide(1.0, g, out=g)
-    contrib = g.take(view.syn_src)
+    g *= drive >= view.ent_threshold
+    contrib = g.take(view.syn_ent)
     contrib *= weights
     force = a.take(view.syn_post)  # becomes the driving force, reversal - a_post
     contrib *= np.subtract(view.syn_rev, force, out=force)
-    contrib *= drive.take(view.syn_src) >= view.syn_gate
     # given no weights to sum, bincount counts in int64; astype copies only then
     return np.bincount(view.syn_post, contrib, minlength=view.n).astype(float, copy=False)
 

@@ -15,7 +15,7 @@ many steps back; a zero-norm window contributes 0.  The slope of a history
 window is a least-squares fit oriented so that positive means rising toward
 the present.
 
-The pass works on the active pairs' history columns, gathered by one
+The pass works on the live pairs' history columns, gathered by one
 ``take`` into a C-contiguous (H_LEN, 2K) window, presynaptic columns then
 postsynaptic.  Norms and lag numerators come from read-only strided views of
 that window and of its square, which the ``np.ndarray`` constructor lays over
@@ -27,12 +27,19 @@ rows.  Each sum runs down its view's leading axis one row at a time, and the
 lag terms add lag by lag from +0.0: the order a per-neuron ``.sum(axis=0)``
 uses, so no result depends on which pairs are active.
 
-A pair whose weight is exactly 1.0 and whose lag sum is not below
-``weaken_xcorr_max`` is left out of the slopes and the update: both
-strengthening classes clip it back to 1.0 and class none adds +0.0, so its
-bytes cannot change.  Classes map to rates through one four-entry table.  The
-weights are copied only on a step that changes the bytes of one, so a pass
-whose live pairs all sit at a bound hands the same array on.
+A pair whose weight is exactly 1.0 keeps its bytes unless it weakens: both
+strengthening classes clip it back to 1.0 and class none adds +0.0.  It is
+left out, with no lag sum, where a certificate proves that its lag sum
+reaches ``weaken_xcorr_max``.  Where all H_LEN samples of a neuron lie in
+[ZERO_NORM, 1], with least lo and greatest hi, let rho = lo/hi.  A window u
+of the presynaptic neuron and v of the postsynaptic one, w samples each,
+have u.v >= w lo_u lo_v and |u||v| <= w hi_u hi_v, so every lag cosine is
+at least rho_pre rho_post and the lag sum at least max_lag times that.  The
+bound, less a relative ``CERTIFICATE_MARGIN`` far above the rounding of
+either side, must reach ``weaken_xcorr_max``; any other pair is correlated.
+Classes map to rates through one four-entry table.  The weights are copied
+only on a step that changes the bytes of one, so a pass whose live pairs all
+sit at a bound hands the same array on.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ from .kernel import NetView
 
 H_LEN = 8  # committed rows the rule reads, newest first
 ZERO_NORM = 1e-12
+CERTIFICATE_MARGIN = 1e-9  # relative; a computed lag sum or bound strays from its exact value by ulps
 
 
 @dataclass
@@ -134,21 +142,22 @@ def plasticity_step(
     active = (above[0] & above[1]).nonzero()[0]
     if not len(active):
         return weights
-    k = len(active)
-    win = history.take(view.mut_ends.take(active, axis=1).ravel(), axis=1)  # pre columns, then post
-    xs = _lag_sums(win, cfg)
-    idx = view.syn_mutable.take(active)
+    ends, idx = view.mut_ends.take(active, axis=1), view.syn_mutable.take(active)
     old = weights.take(idx)
-    # A weight of exactly 1.0 keeps its bytes unless its pair weakens: the
-    # strengthening classes clip it back and class none adds +0.0.  Below the
-    # cap class none still turns -0.0 into +0.0, so only 1.0 is left out.
-    live = ((old != 1.0) | (xs < cfg.weaken_xcorr_max)).nonzero()[0]
-    if len(live) < k:
-        if not len(live):
-            return weights
-        win = win.take(np.concatenate((live, live + k)), axis=1)
-        xs, idx, old = xs.take(live), idx.take(live), old.take(live)
-        k = len(live)
+    # Below the cap class none still turns -0.0 into +0.0, so only pairs at
+    # 1.0 are left out, where the certificate (above) holds; NaN passes no test.
+    live = old != 1.0
+    if not live.all():
+        lo, hi = history.min(axis=0), history.max(axis=0)
+        lo[(lo < ZERO_NORM) | (hi > 1.0)] = np.nan  # a NaN sample gives NaN already
+        rho = (lo / hi).take(ends)
+        live |= ~(rho[0] * rho[1] * (cfg.max_lag * (1.0 - CERTIFICATE_MARGIN)) >= cfg.weaken_xcorr_max)
+    live = live.nonzero()[0]
+    if not len(live):
+        return weights
+    k, idx, old = len(live), idx.take(live), old.take(live)
+    win = history.take(ends.take(live, axis=1).ravel(), axis=1)  # pre columns, then post
+    xs = _lag_sums(win, cfg)
     flat = _slope_sums(win, cfg) <= cfg.rapid_slope_max
     # Bands 0..2 (weaken, none, slow) from the lag sum alone, 3 for rapid,
     # which wins and lies in band 2 as the bands are ordered.  A zero rate of

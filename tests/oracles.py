@@ -8,14 +8,16 @@ values and then hold the vectorized engine in ``ortus.kernel`` and
 ``make_net``.
 
 The last section keeps whole-network array formulas (every synapse
-evaluated with its own sigmoid, window norms and slopes taken once per
-neuron) that the engine's per-neuron sigmoid and gathered learning windows
-must reproduce bit for bit.  The chemical and gap-junction formulas read the
-connectome itself, not the ``NetView`` derived from it, so they do not share
-the derivation they check.  The protocol section keeps the
-scan over every event on every step that the compiled schedule replaces, and
-the runner's loop that computes every step, which the fast-forwarding
-``protocol.run`` must reproduce byte for byte.
+evaluated with its own sigmoid and gate, window norms and slopes taken once
+per neuron) that the engine's gate entries and gathered learning windows
+must reproduce bit for bit, and the learning pass without its held-pair
+certificate, which the certified pass must reproduce byte for byte.  The
+chemical and gap-junction formulas read the connectome itself, not the
+``NetView`` derived from it, so they do not share the derivation they
+check.  The protocol section keeps the scan over every event on every step
+that the compiled schedule replaces, and the runner's loop that computes
+every step, which the fast-forwarding ``protocol.run`` must reproduce byte
+for byte.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from ortus.dsl import Layer
 from ortus.errors import OrtusError
 from ortus.kernel import ACTIVATION_RANGE, NetView, step
 from ortus.physiology import PhysioBinding, PhysioConfig
-from ortus.plasticity import H_LEN, ZERO_NORM, PlasticityConfig, plasticity_step
+from ortus.plasticity import H_LEN, ZERO_NORM, PlasticityConfig, _lag_sums, _slope_sums, plasticity_step
 from ortus.protocol import EventKind, Protocol, RunConfig, TraceLog, schedule
 
 # ---------------------------------------------------------------------------
@@ -260,6 +262,45 @@ def slope_sums_by_neuron(history: np.ndarray, cfg: PlasticityConfig) -> np.ndarr
         seg = history[t:t + u + 1, :]
         total += np.abs(-(c @ seg) / denom)
     return total
+
+
+def plasticity_step_uncertified(
+    history: np.ndarray, weights: np.ndarray, view: NetView, cfg: PlasticityConfig | None = None
+) -> np.ndarray:
+    """``plasticity_step`` without the held-pair certificate: every active
+    pair's lag sum is taken, and a pair at 1.0 is left out of the slopes
+    and the update only where that lag sum is not below ``weaken_xcorr_max``."""
+    cfg = cfg or PlasticityConfig()
+    above = history[0].take(view.mut_ends) > cfg.activity_threshold
+    active = (above[0] & above[1]).nonzero()[0]
+    if not len(active):
+        return weights
+    k = len(active)
+    win = history.take(view.mut_ends.take(active, axis=1).ravel(), axis=1)
+    xs = _lag_sums(win, cfg)
+    idx = view.syn_mutable.take(active)
+    old = weights.take(idx)
+    live = ((old != 1.0) | (xs < cfg.weaken_xcorr_max)).nonzero()[0]
+    if len(live) < k:
+        if not len(live):
+            return weights
+        win = win.take(np.concatenate((live, live + k)), axis=1)
+        xs, idx, old = xs.take(live), idx.take(live), old.take(live)
+        k = len(live)
+    flat = _slope_sums(win, cfg) <= cfg.rapid_slope_max
+    edges = np.array((cfg.weaken_xcorr_max, math.nextafter(cfg.strengthen_xcorr_min, math.inf)))
+    band = edges.searchsorted(xs, "right")
+    band += (xs >= cfg.rapid_xcorr_min) & flat[:k] & flat[k:]
+    new = view.syn_mi.take(idx)
+    new *= np.array((0.0 - cfg.slow_rate, 0.0, cfg.slow_rate + 0.0, cfg.rapid_rate + 0.0)).take(band)
+    new += old
+    np.minimum(np.maximum(new, 0.0, out=new), 1.0, out=new)
+    if new.tobytes() == old.tobytes():
+        return weights
+    out = weights.copy()
+    out.put(idx, new)
+    out.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------

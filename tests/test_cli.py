@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, exit codes, --set plumbing, outputs."""
 
+import io
 import os
 import subprocess
 import sys
@@ -320,6 +321,54 @@ def test_a_non_ascii_name_writes_the_same_bytes_under_an_ascii_locale(tmp_path):
         outputs[name] = {p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())}
     assert outputs["posix"] == outputs["utf8"]
     assert "\n0,mβ,motor,".encode() in outputs["utf8"]["neurons.csv"]
+
+
+def test_export_prints_the_bytes_it_writes_under_an_ascii_locale(tmp_path):
+    # stdout is written as UTF-8 whatever the locale says, as connectome.dot is
+    ort = tmp_path / "beta.ort"
+    ort.write_bytes(asset_path("ortus.ort").read_bytes().replace(b"sH2O", "sβ".encode()))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    assert main(["export", str(ort), "--out", str(tmp_path / "dot")]) == EXIT_OK
+    written = (tmp_path / "dot" / "connectome.dot").read_bytes()
+    assert 'label="sβ"'.encode() in written
+    for locale in ({"PYTHONUTF8": "1"}, {"PYTHONUTF8": "0", "LC_ALL": "POSIX"}):
+        done = subprocess.run(
+            [sys.executable, "-m", "ortus", "export", str(ort)],
+            env={**os.environ, "PYTHONPATH": path, **locale}, capture_output=True, timeout=120,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout == written
+
+
+def test_the_probe_line_is_utf8_on_an_ascii_stdout(tmp_path, monkeypatch):
+    ort = tmp_path / "beta.ort"
+    ort.write_bytes(asset_path("ortus.ort").read_bytes().replace(b"eFEAR", "eβ".encode()))
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    argv = ["experiment", str(ort), "fear_conditioning.protocol", "--headline", "eβ", "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_OK
+    stdout.flush()
+    assert stdout.buffer.getvalue() == (
+        "probe eβ peak ratio: 4.7824580767148515\n".encode()
+        + f"experiment complete -> {tmp_path / 'o'}\n".encode()
+    )
+
+
+def test_a_bundled_experiment_never_imports_numpy_ma(tmp_path):
+    # numpy.ma comes in with the first np.unique call and costs about 1.6 MB of RSS
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = ["experiment", "ortus.ort", "fear_conditioning.protocol", "--out", str(tmp_path / "o")]
+    code = (
+        "import sys\n"
+        "from ortus.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("module", ["ortus", "ortus.cli"])

@@ -118,6 +118,9 @@ def test_sci_cap_enforced():
         ("generated_threshold", 5.0),  # once ran and reported a nan probe ratio
         ("generated_threshold", -0.5),
         ("generated_threshold", 1.0),  # thresholds lie in [0, 1), as a declared element's
+        ("sei_weight", "1"),  # no number: refused by name, not by a TypeError
+        ("dominance_weight", None),
+        ("eei_gj_weight", True),
     ],
 )
 def test_build_config_rejects_out_of_range_values(field, value):

@@ -6,6 +6,7 @@ expressions (sigmoid at the reversal potentials, hand-multiplied inflows) so
 regressions in the vectorized path cannot hide.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -263,8 +264,9 @@ SHARED_SOURCE = [
 def test_chem_terms_equal_the_oracle_on_edge_wirings(chem):
     net = make_net(3, chem, thresholds=[0.0, 0.25, 0.0])
     view = NetView.of(net)
-    if chem:  # two drives, neuron 0 plain and then inverted, each read twice
-        assert (view.src_pre.tolist(), view.src_inverted_from, view.syn_src.tolist()) == ([0, 0], 1, [0, 1, 0, 1])
+    if chem:  # two gate entries, neuron 0 plain and then inverted at threshold 0.25, each read twice
+        entries = view.ent_pre.tolist(), view.ent_inverted_from, view.ent_threshold.tolist(), view.syn_ent.tolist()
+        assert entries == ([0, 0], 1, [0.25, 0.25], [0, 1, 0, 1])
     samples = [0.0, -0.0, 0.25, -0.25, 0.7, -0.7, 1.0, -1.0]
     for a0 in samples:
         for a1 in samples:
@@ -272,6 +274,51 @@ def test_chem_terms_equal_the_oracle_on_edge_wirings(chem):
             got, want = _chem_terms(a, view.syn_w0, view), chem_terms_all_synapses(a, view.syn_w0, net)
             assert got.dtype == np.float64
             assert got.tobytes() == want.tobytes()  # signed zeros included
+
+
+def test_gate_entries_are_one_per_neuron_sign_and_threshold():
+    # neuron 0 drives targets at three thresholds, -0.0 and 0.0 being one,
+    # plainly and inverted, and neuron 1 one inverted target: four entries,
+    # plain first, each in order of neuron, then of the threshold's first
+    # neuron (0.5 at neuron 0, 0.25 at 1, -0.0 at 2)
+    chem = [
+        ChemicalSynapse(0, 1, 0.6, 1.0, 0.0),
+        ChemicalSynapse(0, 2, 0.3, -1.0, 0.0),
+        ChemicalSynapse(0, 3, 0.9, -1.0, 0.0),
+        ChemicalSynapse(1, 0, 0.2, 1.0, 0.0, inverted=True),
+        ChemicalSynapse(0, 1, 0.5, -1.0, 0.0, inverted=True),
+        ChemicalSynapse(0, 1, 0.4, 1.0, 0.0),
+    ]
+    net = make_net(4, chem, thresholds=[0.5, 0.25, -0.0, 0.0])
+    view = NetView.of(net)
+    assert view.ent_pre.tolist() == [0, 0, 0, 1]
+    assert view.ent_inverted_from == 2
+    assert view.ent_threshold.tobytes() == np.array([0.25, -0.0, 0.25, 0.5]).tobytes()
+    assert view.syn_ent.tolist() == [0, 1, 1, 3, 2, 0]
+    samples = [0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0]
+    for a0, a1 in itertools.product(samples, repeat=2):
+        a = np.array([a0, a1, 0.3, -0.7])
+        assert _chem_terms(a, view.syn_w0, view).tobytes() == chem_terms_all_synapses(a, view.syn_w0, net).tobytes()
+
+
+@pytest.mark.parametrize("level", [400.0, 1e30])
+def test_an_unclamped_step_stays_quiet_far_outside_the_reversal_range(level):
+    # every drive beyond where exp overflows, plain and inverted, either
+    # sign; pytest fails on a RuntimeWarning from the step, while the
+    # oracle's own overflow is silenced
+    net = make_net(4, SHARED_SOURCE + [ChemicalSynapse(2, 3, 0.7, -1.0, 0.0)], [GapJunction(1, 3, 0.4)])
+    view = NetView.of(net)
+    cfg = SimConfig(activation_clamp=False)
+    for signs in itertools.product([1.0, -1.0], repeat=4):
+        a = level * np.array(signs)
+        got = step(a, view.syn_w0, view, cfg=cfg)
+        with np.errstate(over="ignore"):
+            chem = chem_terms_all_synapses(a, view.syn_w0, net)
+        assert _chem_terms(a, view.syn_w0, view).tobytes() == chem.tobytes()
+        want = a - cfg.decay_fraction * a
+        want += gap_terms_add_at(a, net)
+        want += chem
+        assert got.tobytes() == want.tobytes()
 
 
 def test_chem_terms_stay_quiet_where_the_sigmoid_overflows():
@@ -384,6 +431,8 @@ def test_literal_mode_refuses_conservation_check():
 
 
 def test_decay_fraction_validated():
+    with pytest.raises(ConfigError, match="^decay_fraction must be a number, got 'x'$"):
+        SimConfig(decay_fraction="x")
     with pytest.raises(ConfigError):
         SimConfig(decay_fraction=1.0)
     with pytest.raises(ConfigError):

@@ -94,6 +94,13 @@ def test_config_rejects_non_finite_numbers(name, value):
         PhysioConfig(**{name: value})
 
 
+@pytest.mark.parametrize("value", ["x", None, False])
+@pytest.mark.parametrize("name", ["co2_production", "initial_o2"])
+def test_config_rejects_what_is_no_number(name, value):
+    with pytest.raises(ConfigError, match=f"^{name} must be a number, got {value!r}$"):
+        PhysioConfig(**{name: value})
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         PhysioConfig(co2_production=-0.01)

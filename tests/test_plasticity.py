@@ -13,15 +13,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ortus import BuildConfig, build, parse_source
+from ortus import BuildConfig, build, parse_source, plasticity, protocol
 from ortus.connectome import ChemicalSynapse
 from ortus.dsl import Layer
 from ortus.errors import ConfigError
 from ortus.kernel import NetView
-from ortus.plasticity import H_LEN, ZERO_NORM, PlasticityConfig, _lag_sums, _slope_sums, plasticity_step
+from ortus.plasticity import (
+    CERTIFICATE_MARGIN,
+    H_LEN,
+    ZERO_NORM,
+    PlasticityConfig,
+    _lag_sums,
+    _slope_sums,
+    plasticity_step,
+)
 from oracles import (
     Classification,
     InsufficientHistory,
@@ -30,6 +38,7 @@ from oracles import (
     lag_sums_by_neuron,
     lagged_xcorr,
     make_net,
+    plasticity_step_uncertified,
     slope,
     slope_abs_sum,
     slope_sums_by_neuron,
@@ -214,6 +223,14 @@ def test_config_rejects_non_finite_numbers(name, value):
     # a NaN threshold would switch learning off and an infinite rate would
     # write NaN weights (0 * inf), both without a word
     with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+        PlasticityConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", ["x", None, True, [0.01]])
+@pytest.mark.parametrize("name", ["rapid_rate", "weaken_xcorr_max", "activity_threshold"])
+def test_config_rejects_what_is_no_number(name, value):
+    # checked before math.isfinite, which raises TypeError on a str or None
+    with pytest.raises(ConfigError, match="^" + re.escape(f"{name} must be a number, got {value!r}")):
         PlasticityConfig(**{name: value})
 
 
@@ -496,6 +513,7 @@ def test_every_window_shape_matches_the_oracles(cfg, organism_net):
     weights = rng.choice([0.0, 0.3, 1.0], len(net.chem))
     want = apply_updates(weights, oracle_classes(net, history, cfg), view.syn_mi, cfg)
     np.testing.assert_allclose(plasticity_step(history, weights, view, cfg), want, rtol=0, atol=1e-15)
+    assert_certified_as_uncertified(cfg, rng)
 
 
 def test_plasticity_step_without_a_live_pair_hands_the_weights_on(organism_net):
@@ -504,3 +522,192 @@ def test_plasticity_step_without_a_live_pair_hands_the_weights_on(organism_net):
     history = rng.uniform(-1, 1, (H_LEN, view.n))
     history[0] = PlasticityConfig().activity_threshold  # no pair above it now, whatever came before
     assert plasticity_step(history, view.syn_w0, view) is view.syn_w0
+
+
+# ---------------------------------------------------------------------------
+# the held-pair certificate
+# ---------------------------------------------------------------------------
+
+
+def certificate_bounds(history, pre, post, cfg):
+    """The certificate's lower bound on each (pre[i], post[i]) pair's lag
+    sum, as plasticity_step works it out; NaN where a neuron has a sample
+    outside [ZERO_NORM, 1]."""
+    lo, hi = history.min(axis=0), history.max(axis=0)
+    ok = (lo >= ZERO_NORM) & (hi <= 1.0)
+    rho = np.full(len(lo), np.nan)
+    rho[ok] = lo[ok] / hi[ok]
+    return rho[pre] * rho[post] * (cfg.max_lag * (1.0 - CERTIFICATE_MARGIN))
+
+
+def with_bands(shape, weaken):
+    """`shape`'s windows with weaken_xcorr_max at `weaken`, the rapid band at
+    max_lag and the strengthening one between; None where they cannot be ordered."""
+    strengthen = (weaken + shape.max_lag) / 2
+    if not weaken < strengthen:
+        strengthen = math.nextafter(weaken, math.inf)
+    try:
+        return replace(shape, weaken_xcorr_max=weaken, strengthen_xcorr_min=strengthen, rapid_xcorr_min=shape.max_lag)
+    except ConfigError:
+        return None
+
+
+EDGE_SAMPLES = [0.0, -0.0, ZERO_NORM, math.nextafter(ZERO_NORM, 0.0), 1.0, math.nextafter(1.0, 2.0), 1.5, -0.5]
+
+
+@st.composite
+def certificate_cases(draw):
+    """A hand-wired net, histories and weights, mostly held at 1.0, and a
+    config whose weaken_xcorr_max is free, at most 0, or at one pair's
+    certificate bound or lag sum or one ulp either side of either."""
+    shape = draw(st.sampled_from(WINDOW_SHAPES))
+    n = draw(st.integers(2, 5))
+    columns = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["constant", "steady", "positive", "mixed", "edge"]))
+        if kind == "constant":  # rho is 1, so the bound is max_lag, and the lag sum may round below it
+            column = [draw(st.floats(0.21, 1.0))] * H_LEN
+        elif kind == "steady":
+            base = draw(st.floats(0.25, 1.0))
+            column = [min(1.0, base * (1.0 + draw(st.floats(-1e-3, 1e-3)))) for _ in range(H_LEN)]
+        else:
+            samples = {
+                "positive": st.floats(ZERO_NORM, 1.0),
+                "mixed": st.floats(-1.0, 1.0),
+                "edge": st.sampled_from(EDGE_SAMPLES),
+            }[kind]
+            column = draw(st.lists(samples, min_size=H_LEN, max_size=H_LEN))
+            if draw(st.booleans()):
+                column[0] = draw(st.floats(0.21, 1.0))  # above the activity threshold now
+        columns.append(column)
+    history = np.array(columns).T.copy()
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=8))
+    chem = [ChemicalSynapse(i, j, 1.0, 1.0, draw(st.sampled_from([1.0, 0.9, 0.0]))) for i, j in pairs]
+    weights = np.array([draw(st.sampled_from([1.0, 1.0, 1.0, 0.5, 0.0, math.nextafter(1.0, 0.0)])) for _ in chem])
+    kind = draw(st.sampled_from(["free", "nonpositive", "bound", "lag sum"]))
+    if kind == "free":
+        weaken = draw(st.floats(-shape.max_lag, 0.9 * shape.max_lag))
+    elif kind == "nonpositive":
+        weaken = draw(st.sampled_from([0.0, -0.0, -1e-300, -0.25, -float(shape.max_lag)]))
+    else:
+        j = draw(st.integers(0, len(pairs) - 1))
+        pre, post = np.array(pairs).T
+        if kind == "bound":
+            edge = float(certificate_bounds(history, pre, post, shape)[j])
+        else:
+            edge = float(_lag_sums(history.take([pre[j], post[j]], axis=1), shape)[0])
+        assume(math.isfinite(edge))
+        weaken = draw(st.sampled_from([edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]))
+    cfg = with_bands(shape, weaken)
+    assume(cfg is not None)
+    return make_net(n, chem), history, weights, cfg
+
+
+@settings(max_examples=400, deadline=None)
+@given(certificate_cases())
+def test_the_certified_pass_equals_the_uncertified_one_byte_for_byte(case):
+    net, history, weights, cfg = case
+    view = NetView.of(net)
+    got = plasticity_step(history, weights, view, cfg)
+    want = plasticity_step_uncertified(history, weights, view, cfg)
+    assert got.tobytes() == want.tobytes()
+    assert (got is weights) == (want is weights)
+
+
+def anti_history(rng, n):
+    """Columns active now whose earlier samples take either sign, half of
+    them flipped against the newest, so that held pairs weaken below 0."""
+    h = rng.uniform(0.3, 1.0, (H_LEN, n))
+    h[1:, : n // 2] *= -1.0
+    h[1:, rng.uniform(size=n) < 0.2] = ZERO_NORM / 2
+    return h
+
+
+def assert_certified_as_uncertified(shape, rng):
+    """Every pair held at 1.0, with weaken_xcorr_max at, below and above 0
+    and one ulp around some pairs' bounds: the certified pass moves the same
+    bytes as the uncertified one, and certifies some pair."""
+    n = 12
+    pre, post = rng.integers(0, n, 40), rng.integers(0, n, 40)
+    view = NetView.of(make_net(n, [ChemicalSynapse(i, j, 1.0, 1.0, 0.9) for i, j in zip(pre, post)]))
+    skipped = 0
+    for history in (anti_history(rng, n), mixed_history(n, rng), rng.uniform(0.5, 1.0, (H_LEN, n))):
+        bounds = certificate_bounds(history, pre, post, shape)
+        finite = bounds[np.isfinite(bounds)]
+        near = [x for b in finite[:3] for x in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf))]
+        weakens = [0.05, 0.0, -0.0, -0.5] + near
+        for cfg in filter(None, (with_bands(shape, w) for w in weakens)):
+            got = plasticity_step(history, view.syn_w0, view, cfg)
+            want = plasticity_step_uncertified(history, view.syn_w0, view, cfg)
+            assert got.tobytes() == want.tobytes()
+            assert (got is view.syn_w0) == (want is view.syn_w0)
+            skipped += int((bounds >= cfg.weaken_xcorr_max).sum())
+    assert skipped > 0
+
+
+def test_a_held_pair_whose_lag_sum_rounds_below_the_bound_is_not_certified():
+    # Two constant histories give rho = 1 and an exact bound of max_lag, but
+    # the computed lag sum can round below it: with weaken_xcorr_max just
+    # above that sum the pair weakens, so the margin has to keep it live.
+    shape = next(c for c in WINDOW_SHAPES if (c.xcorr_window, c.max_lag) == (7, 1))
+    rng = np.random.default_rng(3)
+    for _ in range(1000):
+        history = np.tile(rng.uniform(0.21, 1.0, 2), (H_LEN, 1))
+        xs = float(_lag_sums(history, shape)[0])
+        if xs < math.nextafter(math.nextafter(1.0, 0.0), 0.0):
+            break
+    cfg = with_bands(shape, math.nextafter(xs, math.inf))
+    assert certificate_bounds(history, [0], [1], cfg)[0] < cfg.weaken_xcorr_max <= 1.0
+    view = NetView.of(make_net(2, [ChemicalSynapse(0, 1, 1.0, 1.0, 0.9)]))
+    got = plasticity_step(history, view.syn_w0, view, cfg)
+    assert got.tobytes() == plasticity_step_uncertified(history, view.syn_w0, view, cfg).tobytes()
+    assert got.tolist() == [1.0 - 0.9 * cfg.slow_rate]
+
+
+def test_a_neuron_with_a_sample_above_1_is_not_certified():
+    # constant histories, so rho = 1 for both, but the presynaptic squares
+    # overflow: its norms are inf, each cosine 0, and the held pair weakens
+    history = np.tile([1e160, 0.5], (H_LEN, 1))
+    view = NetView.of(make_net(2, [ChemicalSynapse(0, 1, 1.0, 1.0, 0.9)]))
+    with np.errstate(over="ignore"):
+        got = plasticity_step(history, view.syn_w0, view)
+        want = plasticity_step_uncertified(history, view.syn_w0, view)
+    assert got.tobytes() == want.tobytes()
+    assert got.tolist() == [1.0 - 0.9 * 0.001]
+
+
+def test_the_bundled_runs_take_no_lag_sum_for_a_certified_held_pair(
+    organism_net, conditioning_protocol_path, monkeypatch
+):
+    view, cfg = NetView.of(organism_net), PlasticityConfig()
+    lagged = []
+    real_lag_sums, real_step = plasticity._lag_sums, protocol.plasticity_step
+
+    def lag_sums(win, c):
+        lagged.append(win.shape[1] // 2)
+        return real_lag_sums(win, c)
+
+    passes = []  # per pass: active pairs, certified held pairs, held pairs, pairs given a lag sum
+
+    def counted(history, weights, v, c):
+        above = history[0].take(view.mut_ends) > cfg.activity_threshold
+        active = (above[0] & above[1]).nonzero()[0]
+        pre, post = view.mut_ends[:, active]
+        held = weights[view.syn_mutable[active]] == 1.0
+        certified = held & (certificate_bounds(history, pre, post, cfg) >= cfg.weaken_xcorr_max)
+        before = len(lagged)
+        out = real_step(history, weights, v, c)
+        passes.append((len(active), int(certified.sum()), int(held.sum()), sum(lagged[before:])))
+        return out
+
+    monkeypatch.setattr(plasticity, "_lag_sums", lag_sums)
+    monkeypatch.setattr(protocol, "plasticity_step", counted)
+    prot = protocol.load_protocol(conditioning_protocol_path, organism_net)
+    protocol.run(organism_net, prot)
+    protocol.run(organism_net, protocol.control_variant(prot))
+    assert [lag for k, cert, _, lag in passes] == [k - cert for k, cert, _, _ in passes]
+    active = [p for p in passes if p[0]]
+    assert (len(passes), len(active)) == (1006, 629)
+    assert sum(k for k, *_ in passes) == 4186
+    assert sum(cert for _, cert, _, _ in passes) == sum(held for _, _, held, _ in passes) == 2732  # every held pair
+    assert sum(lag == 0 for *_, lag in active) == 349

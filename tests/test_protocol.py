@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import ortus
 from ortus.connectome import BuildError, ChemicalSynapse
+from ortus.dsl import Layer
 from ortus.errors import ConfigError
 from ortus.kernel import NetView, SimConfig
 from ortus.physiology import PhysioBinding, PhysioConfig
@@ -900,3 +902,52 @@ def test_event_line_order_changes_no_output_byte(organism_net, case):
     assert [(n, w.tobytes()) for n, w in traces[0].weight_snapshots] == [
         (n, w.tobytes()) for n, w in traces[1].weight_snapshots
     ]
+
+
+# ---------------------------------------------------------------------------
+# one view per connectome
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("change", ["add_chem", "add_gap", "add_neuron"])
+def test_a_connectome_changed_after_a_run_is_run_as_changed(organism_spec, conditioning_protocol_path, change):
+    # both runs of an experiment share one view; an add_* drops it, so the
+    # next run sees the new element, as a run on a fresh build with it does
+    def built():
+        net = ortus.build(organism_spec, ortus.BuildConfig())
+        return net, load_protocol(conditioning_protocol_path, net)
+
+    def add(net):
+        ids = net.name_to_id
+        if change == "add_chem":
+            net.add_chem(ids["sH2O"], ids["eFEAR"], 1.0, 1.0, 0.0)
+        elif change == "add_gap":
+            net.add_gap(ids["sH2O"], ids["eFEAR"], 0.5)
+        else:
+            net.add_neuron("mSPARE", Layer.MOTOR, 0.1)
+
+    net, prot = built()
+    before = run(net, prot)
+    view = NetView.of(net)
+    run(net, control_variant(prot))
+    assert NetView.of(net) is view
+    add(net)
+    assert net.view is None
+    after = run(net, prot)
+    assert NetView.of(net) is not view
+    fresh, fresh_prot = built()
+    add(fresh)
+    assert after.activations.tobytes() == run(fresh, fresh_prot).activations.tobytes()
+    if change == "add_neuron":  # one more column, at rest
+        assert after.activations.shape == (before.activations.shape[0], net.n)
+        assert after.activations[:, :-1].tobytes() == before.activations.tobytes()
+    else:
+        assert after.activations.tobytes() != before.activations.tobytes()
+
+
+def test_a_replaced_connectome_gets_a_view_of_its_own(organism_net):
+    view = NetView.of(organism_net)
+    fewer = replace(organism_net, chem=organism_net.chem[:-1])
+    assert fewer.view is None
+    assert len(NetView.of(fewer).syn_pre) == len(view.syn_pre) - 1
+    assert NetView.of(organism_net) is view
