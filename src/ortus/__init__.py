@@ -12,6 +12,6 @@ from .dsl import parse_source
 from .errors import OrtusError
 from .kernel import NetView
 from .plasticity import H_LEN
-from .protocol import Query, control_variant, load_protocol, run, summarize
+from .protocol import Query, control_variant, experiment, load_protocol, run, summarize
 
 __version__ = "0.1.0"

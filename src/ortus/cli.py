@@ -16,21 +16,20 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from importlib import resources
 from pathlib import Path
 
 from . import connectome as cn
 from . import dsl
-from . import protocol as proto
 from .connectome import BuildConfig, build
 from .errors import ConfigError, OrtusError, read_utf8
-from .protocol import Query, RunConfig, TraceLog, control_variant, load_protocol, metrics_csv, run, summarize
+from .protocol import RunConfig, TraceLog, experiment, load_protocol, metrics_csv, run
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
-BURST_TAIL = 15  # steps after each burst's end that still count toward its peak
 
 
 def _print_utf8(text: str) -> None:
@@ -38,6 +37,11 @@ def _print_utf8(text: str) -> None:
     sys.stdout.flush()
     sys.stdout.buffer.write(text.encode("utf-8"))
     sys.stdout.buffer.flush()
+
+
+def utf8(arg: str) -> str:
+    """An argv word read as UTF-8, as the input files are, whatever the locale."""
+    return os.fsencode(arg).decode("utf-8")
 
 
 def asset_path(name: str) -> Path:
@@ -203,40 +207,14 @@ def _cmd_experiment(args: argparse.Namespace, cfgs: Configs) -> int:
     headline = args.headline
     if headline not in net.name_to_id:
         raise ConfigError(f"unknown --headline element {headline!r}")
+    result = experiment(net, protocol, cfgs.run, headline)
     outdir = Path(args.out)
-    control_protocol = control_variant(protocol)  # an ambiguous probe fails before any run
-    trace = run(net, protocol, cfgs.run)
-    control = run(net, control_protocol, cfgs.run)
-    _write_outputs(outdir, cfgs, net, {"": trace, "control_": control})
-
-    probe_ev = proto.probe_event(protocol)
-    # One peak per burst, a distinct window of the other injections, in step
-    # order: the response lags the stimulus (gas dynamics), so extend each
-    # window a little past the event end.  The probe's window, last, is not
-    # extended.
-    injects = [ev for ev in protocol.events if ev.kind is proto.EventKind.INJECT and ev is not probe_ev]
-    bursts = sorted({(ev.start, ev.end) for ev in injects})
-    queries = [Query("peak", headline, s, min(e + BURST_TAIL, protocol.total_steps)) for s, e in bursts]
-    if probe_ev is not None:
-        queries.append(Query("peak", headline, probe_ev.start, probe_ev.end))
-    rows = summarize(trace, queries)
-    extra: list[tuple[str, str, float]] = []
-    if probe_ev is not None:
-        probe, control_probe = rows[-1], summarize(control, queries[-1:])[0]
-        rows.append(dataclasses.replace(control_probe, metric="control_peak"))
-        # a ratio to a control peak at or below zero says nothing about growth
-        ratio = probe.value / control_probe.value if control_probe.value > 0 else float("nan")
-        extra.append(("probe_peak_ratio", headline, ratio))
-        _print_utf8(f"probe {headline} peak ratio: {ratio!r}\n")
-    lung = cfgs.run.physio.lung_name
-    if lung in net.name_to_id:
-        rows.extend(
-            summarize(
-                trace,
-                [Query("peak_count", lung), Query("interval_mean", lung), Query("interval_cv", lung)],
-            )
-        )
-    (outdir / "summary.csv").write_text(metrics_csv(rows, extra), encoding="utf-8")
+    _write_outputs(outdir, cfgs, net, {"": result.trace, "control_": result.control})
+    extra = []
+    if result.ratio is not None:
+        extra.append(("probe_peak_ratio", headline, result.ratio))
+        _print_utf8(f"probe {headline} peak ratio: {result.ratio!r}\n")
+    (outdir / "summary.csv").write_text(metrics_csv(result.rows, extra), encoding="utf-8")
     print(f"experiment complete -> {outdir}")
     return EXIT_OK
 
@@ -254,7 +232,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("ort", help=".ort organism file (bundled assets resolve by name)")
         if protocol:
             p.add_argument("protocol", help="protocol file")
-        p.add_argument("--set", action="append", metavar="NS.KEY=VALUE", help="config override")
+        p.add_argument("--set", action="append", type=utf8, metavar="NS.KEY=VALUE", help="config override")
 
     p = sub.add_parser("validate", help="check that an .ort file builds, writing nothing")
     common(p)
@@ -278,7 +256,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a protocol plus its control and summarize")
     common(p, protocol=True)
     p.add_argument("--out", default="ortus_out")
-    p.add_argument("--headline", default="eFEAR", help="neuron for the headline probe metric")
+    p.add_argument("--headline", default="eFEAR", type=utf8, help="neuron for the headline probe metric")
     p.set_defaults(func=_cmd_experiment)
 
     return parser

@@ -1,4 +1,4 @@
-"""Experiment scripts, the closed-loop runner, and trace recording.
+"""Experiment scripts, the closed-loop runner, trace recording and ``experiment``.
 
 A protocol file is line oriented; ``#`` comments and blank lines are
 skipped.  The step count, at least 1, comes first, then any number of timed
@@ -546,3 +546,39 @@ def metrics_csv(rows: list[MetricRow], extra: list[tuple[str, str, float]] | Non
     for name, neuron, value in extra or []:
         lines.append(f"{name},{neuron},,,{repr(value)}")
     return "\n".join(lines) + "\n"
+
+
+BURST_TAIL = 15  # steps after a burst's end that still count toward its peak: the response lags
+
+
+@dataclass(frozen=True)
+class Experiment:
+    trace: TraceLog
+    control: TraceLog  # the run of ``control_variant(protocol)``
+    rows: tuple[MetricRow, ...]  # summary.csv's metric rows
+    ratio: float | None  # probe / control peak; None with no probe, NaN at a control peak <= 0
+
+
+def experiment(
+    net: Connectome, protocol: Protocol, cfg: RunConfig | None = None, headline: str = "eFEAR"
+) -> Experiment:
+    """Run a protocol and its never-conditioned control and summarize them:
+    one ``headline`` peak per burst (a distinct window of the injections but
+    the probe, in step order, extended by ``BURST_TAIL``), the probe's and the
+    control's peaks over the probe window, then the lung's rhythm if it exists.
+    ``run`` and ``summarize`` are called through this module's globals, which
+    ``perfbench/child.py`` rebinds to time them."""
+    cfg = cfg or RunConfig()
+    probe = probe_event(protocol)  # an ambiguous probe fails before any run
+    trace, control = run(net, protocol, cfg), run(net, control_variant(protocol), cfg)
+    bursts = {(ev.start, ev.end) for ev in protocol.events if ev.kind is EventKind.INJECT and ev is not probe}
+    queries = [Query("peak", headline, s, min(e + BURST_TAIL, protocol.total_steps)) for s, e in sorted(bursts)]
+    queries += [Query("peak", headline, probe.start, probe.end)] if probe is not None else []
+    rows, ratio = summarize(trace, queries), None
+    if probe is not None:
+        peak, control_peak = rows[-1].value, summarize(control, queries[-1:])[0]
+        rows.append(replace(control_peak, metric="control_peak"))
+        ratio = peak / control_peak.value if control_peak.value > 0 else float("nan")
+    if (lung := cfg.physio.lung_name) in net.name_to_id:
+        rows += summarize(trace, [Query(m, lung) for m in ("peak_count", "interval_mean", "interval_cv")])
+    return Experiment(trace, control, tuple(rows), ratio)

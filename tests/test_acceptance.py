@@ -28,7 +28,7 @@ from ortus.connectome import ChemicalSynapse
 from ortus.dsl import Layer
 from ortus.kernel import NetView, SimConfig, step
 from ortus.plasticity import H_LEN, PlasticityConfig, _lag_sums, _slope_sums, plasticity_step
-from ortus.protocol import RunConfig, control_variant, load_protocol, parse_protocol, peak_indices, run
+from ortus.protocol import RunConfig, experiment, load_protocol, parse_protocol, peak_indices, run
 from oracles import Classification, classify, make_net, slope_abs_sum, xcorr_lag_sum
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
@@ -55,27 +55,13 @@ def conditioning(organism_net, conditioning_protocol_path):
 
 
 @pytest.fixture(scope="module")
-def conditioned_run(organism_net, conditioning):
-    return run(organism_net, conditioning, RunConfig())
+def conditioned(organism_net, conditioning):
+    return experiment(organism_net, conditioning)
 
 
 @pytest.fixture(scope="module")
-def control_run(organism_net, conditioning):
-    return run(organism_net, control_variant(conditioning), RunConfig())
-
-
-@pytest.fixture(scope="module")
-def ablated_run(organism_net, conditioning):
-    return run(organism_net, conditioning, RunConfig(plasticity_enabled=False))
-
-
-def burst_windows(protocol):
-    from ortus.protocol import EventKind
-
-    injects = [ev for ev in protocol.events if ev.kind is EventKind.INJECT]
-    bursts = [(ev.start, min(ev.end + 15, protocol.total_steps)) for ev in injects[:-1]]
-    probe = (injects[-1].start, injects[-1].end)
-    return bursts, probe
+def ablated(organism_net, conditioning):
+    return experiment(organism_net, conditioning, RunConfig(plasticity_enabled=False))
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +90,12 @@ def test_criterion_1_respiratory_oscillation(free_run):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_2_fear_growth(conditioned_run, conditioning):
-    bursts, _ = burst_windows(conditioning)
+def test_criterion_2_fear_growth(conditioned):
+    *bursts, _ = [row.value for row in conditioned.rows if row.metric == "peak"]
     assert len(bursts) == 4
-    fear = conditioned_run.column("eFEAR")
-    peaks = [float(fear[s:e].max()) for s, e in bursts]
-    for earlier, later in zip(peaks, peaks[1:]):
+    for earlier, later in zip(bursts, bursts[1:]):
         assert later > earlier
-    report(2, "per-burst eFEAR peaks strictly increase: " + " < ".join(f"{p:.4f}" for p in peaks))
+    report(2, "per-burst eFEAR peaks strictly increase: " + " < ".join(f"{p:.4f}" for p in bursts))
 
 
 # ---------------------------------------------------------------------------
@@ -119,15 +103,13 @@ def test_criterion_2_fear_growth(conditioned_run, conditioning):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_3_conditioned_probe_response(conditioned_run, control_run, conditioning):
-    _, (start, end) = burst_windows(conditioning)
-    conditioned = float(conditioned_run.column("eFEAR")[start:end].max())
-    control = float(control_run.column("eFEAR")[start:end].max())
-    assert conditioned >= 2.0 * control
+def test_criterion_3_conditioned_probe_response(conditioned):
+    peaks = {row.metric: row.value for row in conditioned.rows}  # the probe's peak is the last "peak"
+    assert conditioned.ratio >= 2.0
     report(
         3,
-        f"probe eFEAR peak {conditioned:.4f} >= 2 x control {control:.4f}"
-        f" (ratio {conditioned / control:.2f})",
+        f"probe eFEAR peak {peaks['peak']:.4f} >= 2 x control {peaks['control_peak']:.4f}"
+        f" (ratio {conditioned.ratio:.2f})",
     )
 
 
@@ -136,11 +118,9 @@ def test_criterion_3_conditioned_probe_response(conditioned_run, control_run, co
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_4_learning_ablation(ablated_run, conditioning):
-    bursts, _ = burst_windows(conditioning)
-    fear = ablated_run.column("eFEAR")
-    peaks = [float(fear[s:e].max()) for s, e in bursts]
-    ratio = peaks[3] / peaks[0]
+def test_criterion_4_learning_ablation(ablated):
+    *bursts, _ = [row.value for row in ablated.rows if row.metric == "peak"]
+    ratio = bursts[3] / bursts[0]
     assert ratio < 1.1
     report(4, f"plasticity off: burst4/burst1 peak ratio {ratio:.6f} < 1.1")
 

@@ -11,6 +11,7 @@ import pytest
 
 from ortus import connectome, dsl
 from ortus.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, Configs, apply_overrides, asset_path, main
+from ortus.protocol import experiment, metrics_csv, parse_protocol
 from strategies import COLLISIONS
 
 BAD_ORT = "element sX { type: sensory }\nelement sX { type: sensory }\n"
@@ -355,6 +356,34 @@ def test_the_probe_line_is_utf8_on_an_ascii_stdout(tmp_path, monkeypatch):
     )
 
 
+def ascii_locale_run(tmp_path, ort_bytes, argv):
+    """``python -m ortus`` on a copy of the bundled organism, with the
+    protocol and ``--out o``, under an ASCII locale."""
+    ort = tmp_path / "beta.ort"
+    ort.write_bytes(ort_bytes)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "ortus", argv[0], str(ort), "fear_conditioning.protocol", "--out", "o", *argv[1:]],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path, "PYTHONUTF8": "0", "LC_ALL": "POSIX"},
+        capture_output=True, timeout=120,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    return done
+
+
+def test_a_non_ascii_headline_from_argv_is_read_as_utf8_under_an_ascii_locale(tmp_path):
+    ort = asset_path("ortus.ort").read_bytes().replace(b"eFEAR", "eβ".encode())
+    done = ascii_locale_run(tmp_path, ort, ["experiment", "--headline", "eβ"])
+    assert done.stdout.startswith("probe eβ peak ratio: 4.7824580767148515\n".encode())
+
+
+def test_a_non_ascii_set_value_from_argv_is_read_as_utf8_under_an_ascii_locale(tmp_path):
+    ort = asset_path("ortus.ort").read_bytes().replace(b"LUNG", "Lβ".encode())
+    ascii_locale_run(tmp_path, ort, ["run", "--set", "physio.lung_name=Lβ"])
+    assert "\nphysio.lung_name = Lβ\n".encode() in (tmp_path / "o" / "config.resolved").read_bytes()
+
+
 def test_a_bundled_experiment_never_imports_numpy_ma(tmp_path):
     # numpy.ma comes in with the first np.unique call and costs about 1.6 MB of RSS
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -559,6 +588,21 @@ def test_the_lung_is_rebound_by_set_alone_and_summarized_as_rebound(tmp_path, ca
     assert main(["experiment", "ortus.ort", str(proto), "--out", str(out)]) == EXIT_DOMAIN
     assert f"{proto}:2: unknown directive 'physiology'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_protocol_that_injects_nothing_has_no_probe(tmp_path, capsys, organism_net):
+    text = "steps 100\nat 10..20 clamp sH2O 0.5\n"
+    result = experiment(organism_net, parse_protocol(text, organism_net))
+    assert result.ratio is None
+    assert [(row.metric, row.neuron) for row in result.rows] == [
+        ("peak_count", "LUNG"), ("interval_mean", "LUNG"), ("interval_cv", "LUNG")
+    ]
+    proto = tmp_path / "p.protocol"
+    proto.write_text(text)
+    out = tmp_path / "exp"
+    assert main(["experiment", "ortus.ort", str(proto), "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == f"experiment complete -> {out}\n"  # no ratio line
+    assert (out / "summary.csv").read_text() == metrics_csv(result.rows)
 
 
 def test_experiment_probe_is_latest_injection_in_time(tmp_path, capsys):

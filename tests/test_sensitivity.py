@@ -19,10 +19,9 @@ import itertools
 import pytest
 
 from ortus import BuildConfig, build
-from ortus.cli import BURST_TAIL
 from ortus.kernel import SimConfig
 from ortus.plasticity import PlasticityConfig
-from ortus.protocol import EventKind, RunConfig, control_variant, load_protocol, run
+from ortus.protocol import RunConfig, experiment, load_protocol
 
 DEFAULTS = {"decay_fraction": 0.20, "rapid_rate": 0.01, "eei_initial_weight": 0.05}
 MOVES = (0.9, 1.1)
@@ -53,25 +52,21 @@ def test_the_neighbourhood_has_nineteen_points():
     assert len(CASES) == 19
 
 
-def experiment(values, organism_spec, conditioning_protocol_path):
+def outcome(values, organism_spec, conditioning_protocol_path):
     """The bundled experiment's probe ratio and per-burst eFEAR peaks."""
     net = build(organism_spec, BuildConfig(eei_initial_weight=values["eei_initial_weight"]))
-    protocol = load_protocol(conditioning_protocol_path, net)
     cfg = RunConfig(
         sim=SimConfig(decay_fraction=values["decay_fraction"]),
         plasticity=PlasticityConfig(rapid_rate=values["rapid_rate"]),
     )
-    fear = run(net, protocol, cfg).column("eFEAR")
-    control = run(net, control_variant(protocol), cfg).column("eFEAR")
-
-    *bursts, probe = [ev for ev in protocol.events if ev.kind is EventKind.INJECT]
-    peaks = [float(fear[ev.start:min(ev.end + BURST_TAIL, protocol.total_steps)].max()) for ev in bursts]
-    return float(fear[probe.start:probe.end].max() / control[probe.start:probe.end].max()), peaks
+    result = experiment(net, load_protocol(conditioning_protocol_path, net), cfg)
+    *bursts, _ = [row.value for row in result.rows if row.metric == "peak"]
+    return result.ratio, bursts
 
 
 @pytest.mark.parametrize("values", CASES)
 def test_conditioning_survives_the_neighbourhood(values, organism_spec, conditioning_protocol_path):
-    ratio, peaks = experiment(values, organism_spec, conditioning_protocol_path)
+    ratio, peaks = outcome(values, organism_spec, conditioning_protocol_path)
     assert ratio >= 2.0
     assert all(later > earlier for earlier, later in zip(peaks, peaks[1:])), peaks
 
@@ -81,5 +76,5 @@ def test_the_decay_fraction_cliff_lies_between_0_217288_and_0_217289(
     decay_fraction, conditions, organism_spec, conditioning_protocol_path
 ):
     values = {**DEFAULTS, "decay_fraction": decay_fraction}
-    ratio, _ = experiment(values, organism_spec, conditioning_protocol_path)
+    ratio, _ = outcome(values, organism_spec, conditioning_protocol_path)
     assert (ratio >= 2.0) is conditions, ratio

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from ortus import build, parse_source
-from ortus.protocol import control_variant, parse_protocol, probe_event, run
+from ortus.protocol import experiment, parse_protocol
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -45,8 +45,4 @@ def test_probe_ratio_against_sensor_count(sensors, load_perfbench, monkeypatch):
     monkeypatch.chdir(REPO)  # the benchmark's inputs read the bundled assets by relative path
     inputs = load_perfbench("inputs")
     net = build(parse_source(inputs.organism(inputs.extra_sensor_names(0)[:sensors - 3])))
-    protocol = parse_protocol(inputs.bundled_protocol(), net)
-    probe = probe_event(protocol)
-    fear = run(net, protocol).column("eFEAR")[probe.start:probe.end]
-    control = run(net, control_variant(protocol)).column("eFEAR")[probe.start:probe.end]
-    assert float(fear.max()) / float(control.max()) >= 2.0
+    assert experiment(net, parse_protocol(inputs.bundled_protocol(), net)).ratio >= 2.0
