@@ -5,7 +5,8 @@ Subcommands: ``validate`` an .ort file, ``build`` it into connectome CSVs,
 ``experiment`` (protocol plus a never-conditioned control and a summary).
 Each one builds the connectome first, ``validate`` too (it writes nothing),
 so all five accept and refuse the same specs; errors and warnings go to
-stderr.
+stderr.  Each command writes its files and returns its stdout text, which
+``main`` alone writes, as UTF-8; a reader that has stopped reading is no error.
 Exit codes: 0 success, 1 domain error (parse/validate/build/run), 2 usage or
 I/O error.  Every config value is overridable with ``--set ns.key=value``;
 the overrides are resolved and checked once, before any file is read, and
@@ -18,7 +19,6 @@ import argparse
 import dataclasses
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 
 from . import connectome as cn
@@ -32,13 +32,6 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-def _print_utf8(text: str) -> None:
-    """Write `text` to stdout as UTF-8 whatever the locale: the bytes a file gets."""
-    sys.stdout.flush()
-    sys.stdout.buffer.write(text.encode("utf-8"))
-    sys.stdout.buffer.flush()
-
-
 def utf8(arg: str) -> str:
     """An argv word read as UTF-8, as the input files are, whatever the locale."""
     return os.fsencode(arg).decode("utf-8")
@@ -46,7 +39,7 @@ def utf8(arg: str) -> str:
 
 def asset_path(name: str) -> Path:
     """Path of a bundled asset file (the default organism and protocol)."""
-    return Path(str(resources.files("ortus").joinpath("assets", name)))
+    return Path(__file__).with_name("assets") / name
 
 
 def _resolve_input(path_str: str) -> Path:
@@ -150,10 +143,9 @@ def _build_from_args(
     return spec, net
 
 
-def _cmd_validate(args: argparse.Namespace, cfgs: Configs) -> int:
+def _cmd_validate(args: argparse.Namespace, cfgs: Configs) -> str:
     spec, _ = _build_from_args(args, cfgs)
-    print(f"ok: {len(spec.elements)} elements, {len(spec.relationships)} relationships")
-    return EXIT_OK
+    return f"ok: {len(spec.elements)} elements, {len(spec.relationships)} relationships\n"
 
 
 def _write_outputs(
@@ -167,41 +159,37 @@ def _write_outputs(
     (outdir / "config.resolved").write_text(resolved_config_text(cfgs), encoding="utf-8")
 
 
-def _cmd_build(args: argparse.Namespace, cfgs: Configs) -> int:
+def _cmd_build(args: argparse.Namespace, cfgs: Configs) -> str:
     _, net = _build_from_args(args, cfgs)
     outdir = Path(args.out)
     _write_outputs(outdir, cfgs, net)
-    print(
+    return (
         f"built {net.n} neurons, {len(net.chem)} chemical synapses,"
-        f" {len(net.gap)} gap junctions -> {outdir}"
+        f" {len(net.gap)} gap junctions -> {outdir}\n"
     )
-    return EXIT_OK
 
 
-def _cmd_export(args: argparse.Namespace, cfgs: Configs) -> int:
+def _cmd_export(args: argparse.Namespace, cfgs: Configs) -> str:
     _, net = _build_from_args(args, cfgs)
     text = cn.to_dot(net)
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "connectome.dot").write_text(text, encoding="utf-8")
-        print(f"wrote {outdir / 'connectome.dot'}")
-    else:
-        _print_utf8(text)
-    return EXIT_OK
+    if not args.out:
+        return text
+    path = Path(args.out) / "connectome.dot"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    return f"wrote {path}\n"
 
 
-def _cmd_run(args: argparse.Namespace, cfgs: Configs) -> int:
+def _cmd_run(args: argparse.Namespace, cfgs: Configs) -> str:
     _, net = _build_from_args(args, cfgs)
     protocol = load_protocol(_resolve_input(args.protocol), net)
     trace = run(net, protocol, cfgs.run)
     outdir = Path(args.out)
     _write_outputs(outdir, cfgs, net, {"": trace})
-    print(f"ran {protocol.total_steps} steps -> {outdir}")
-    return EXIT_OK
+    return f"ran {protocol.total_steps} steps -> {outdir}\n"
 
 
-def _cmd_experiment(args: argparse.Namespace, cfgs: Configs) -> int:
+def _cmd_experiment(args: argparse.Namespace, cfgs: Configs) -> str:
     _, net = _build_from_args(args, cfgs)
     protocol = load_protocol(_resolve_input(args.protocol), net)
     headline = args.headline
@@ -210,13 +198,12 @@ def _cmd_experiment(args: argparse.Namespace, cfgs: Configs) -> int:
     result = experiment(net, protocol, cfgs.run, headline)
     outdir = Path(args.out)
     _write_outputs(outdir, cfgs, net, {"": result.trace, "control_": result.control})
-    extra = []
+    extra, probe = [], ""
     if result.ratio is not None:
         extra.append(("probe_peak_ratio", headline, result.ratio))
-        _print_utf8(f"probe {headline} peak ratio: {result.ratio!r}\n")
+        probe = f"probe {headline} peak ratio: {result.ratio!r}\n"
     (outdir / "summary.csv").write_text(metrics_csv(result.rows, extra), encoding="utf-8")
-    print(f"experiment complete -> {outdir}")
-    return EXIT_OK
+    return f"{probe}experiment complete -> {outdir}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +253,24 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         # every override is resolved and checked before any file is read
-        return args.func(args, apply_overrides(Configs(), args.set or []))
-    except OrtusError as exc:
+        text = args.func(args, apply_overrides(Configs(), args.set or []))
+    except (OrtusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_DOMAIN if isinstance(exc, OrtusError) else EXIT_USAGE
+    # the one stdout write, after every file is written: UTF-8 whatever the
+    # locale, and a path from argv as its own bytes
+    if sys.stdout is None:  # started with fd 1 closed
+        return EXIT_OK
+    try:
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8", "surrogateescape"))
+        sys.stdout.buffer.flush()
+    except BrokenPipeError:
+        # the reader has gone; fd 1 goes to devnull, so the flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -105,10 +105,10 @@ class NetView:
         ends_b = np.array([g.b for g in net.gap], dtype=int)
         gap_w = np.array([g.weight for g in net.gap], dtype=float)
         mutable = np.flatnonzero(mi > 0)
-        # (a, -a) by threshold as one axis, its distinct keys counted: the first
-        # np.sort or np.unique (which imports numpy.ma) in a process costs RSS
+        # (a, -a) by threshold as one axis, its distinct keys sorted in Python: the
+        # first np.sort or np.unique (which imports numpy.ma) in a process costs RSS
         keys = (pre + net.n * inverted) * len(rank) + thr_rank.take(post)
-        used = np.flatnonzero(np.bincount(keys, minlength=2 * net.n * len(rank)))  # sorted, distinct
+        used = np.array(sorted(set(keys.tolist())), dtype=int)
         net.view = cls(
             n=net.n,
             syn_pre=pre,

@@ -16,6 +16,22 @@ from strategies import COLLISIONS
 
 BAD_ORT = "element sX { type: sensory }\nelement sX { type: sensory }\n"
 TINY_PROTOCOL = "steps 40\nat 5..15 inject sH2O 0.5\nat 20..30 inject sH2O 0.5\n"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+LOCALES = {"utf8": {"PYTHONUTF8": "1"}, "posix": {"PYTHONUTF8": "0", "LC_ALL": "POSIX"}}
+EXPERIMENT_FILES = {
+    f"{prefix}{name}.csv" for prefix in ("", "control_") for name in ("trace", "weights", "markers")
+} | {"neurons.csv", "chem.csv", "gap.csv", "summary.csv", "config.resolved"}
+
+
+def ortus_env(**extra: str) -> dict[str, str]:
+    """The environment of a ``python -m ortus`` process on this checkout's
+    ``src/``, plus `extra`."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def read_dir(path: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
 
 
 @pytest.fixture()
@@ -310,16 +326,14 @@ def test_a_non_ascii_name_writes_the_same_bytes_under_an_ascii_locale(tmp_path):
     # the files are read and written as UTF-8 whatever the locale says
     ort = tmp_path / "beta.ort"
     ort.write_bytes("element mβ { type: motor }\n".encode() + asset_path("ortus.ort").read_bytes())
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = {}
-    for name, locale in {"utf8": {"PYTHONUTF8": "1"}, "posix": {"PYTHONUTF8": "0", "LC_ALL": "POSIX"}}.items():
+    for name, locale in LOCALES.items():
         done = subprocess.run(
             [sys.executable, "-m", "ortus", "experiment", str(ort), "fear_conditioning.protocol", "--out", name],
-            cwd=tmp_path, env={**os.environ, "PYTHONPATH": path, **locale}, capture_output=True, timeout=120,
+            cwd=tmp_path, env=ortus_env(**locale), capture_output=True, timeout=120,
         )
         assert done.returncode == EXIT_OK, done.stderr
-        outputs[name] = {p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())}
+        outputs[name] = read_dir(tmp_path / name)
     assert outputs["posix"] == outputs["utf8"]
     assert "\n0,mβ,motor,".encode() in outputs["utf8"]["neurons.csv"]
 
@@ -328,15 +342,13 @@ def test_export_prints_the_bytes_it_writes_under_an_ascii_locale(tmp_path):
     # stdout is written as UTF-8 whatever the locale says, as connectome.dot is
     ort = tmp_path / "beta.ort"
     ort.write_bytes(asset_path("ortus.ort").read_bytes().replace(b"sH2O", "sβ".encode()))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     assert main(["export", str(ort), "--out", str(tmp_path / "dot")]) == EXIT_OK
     written = (tmp_path / "dot" / "connectome.dot").read_bytes()
     assert 'label="sβ"'.encode() in written
-    for locale in ({"PYTHONUTF8": "1"}, {"PYTHONUTF8": "0", "LC_ALL": "POSIX"}):
+    for locale in LOCALES.values():
         done = subprocess.run(
             [sys.executable, "-m", "ortus", "export", str(ort)],
-            env={**os.environ, "PYTHONPATH": path, **locale}, capture_output=True, timeout=120,
+            env=ortus_env(**locale), capture_output=True, timeout=120,
         )
         assert done.returncode == EXIT_OK, done.stderr
         assert done.stdout == written
@@ -361,12 +373,9 @@ def ascii_locale_run(tmp_path, ort_bytes, argv):
     protocol and ``--out o``, under an ASCII locale."""
     ort = tmp_path / "beta.ort"
     ort.write_bytes(ort_bytes)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-m", "ortus", argv[0], str(ort), "fear_conditioning.protocol", "--out", "o", *argv[1:]],
-        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path, "PYTHONUTF8": "0", "LC_ALL": "POSIX"},
-        capture_output=True, timeout=120,
+        cwd=tmp_path, env=ortus_env(**LOCALES["posix"]), capture_output=True, timeout=120,
     )
     assert done.returncode == EXIT_OK, done.stderr
     return done
@@ -384,9 +393,86 @@ def test_a_non_ascii_set_value_from_argv_is_read_as_utf8_under_an_ascii_locale(t
     assert "\nphysio.lung_name = Lβ\n".encode() in (tmp_path / "o" / "config.resolved").read_bytes()
 
 
+BETA_OUT = "oβ".encode() + b"\xff"  # no UTF-8 as a whole, and printed as its own bytes all the same
+BETA_STDOUT = {  # the command's words after the organism, and its stdout, %s standing for BETA_OUT
+    "validate": ([], b"ok: 8 elements, 8 relationships\n"),
+    "build": (["--out", BETA_OUT], b"built 32 neurons, 58 chemical synapses, 14 gap junctions -> %s\n"),
+    "export": (["--out", BETA_OUT], b"wrote %s/connectome.dot\n"),
+    "run": (["beta.protocol", "--out", BETA_OUT], b"ran 700 steps -> %s\n"),
+    "experiment": (
+        ["beta.protocol", "--headline", "eβ", "--out", BETA_OUT],
+        "probe eβ peak ratio: 4.7824580767148515\nexperiment complete -> %s\n".encode(),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", BETA_STDOUT)
+def test_each_command_prints_the_same_bytes_under_an_ascii_locale(command, tmp_path):
+    # stdout is UTF-8 whatever the locale says, and a path from argv is its own bytes
+    beta = {b"sH2O": "sβ".encode(), b"eFEAR": "eβ".encode()}
+    for name, asset in (("beta.ort", "ortus.ort"), ("beta.protocol", "fear_conditioning.protocol")):
+        text = asset_path(asset).read_bytes()
+        for old, new in beta.items():
+            text = text.replace(old, new)
+        (tmp_path / name).write_bytes(text)
+    words, stdout = BETA_STDOUT[command]
+    for locale in LOCALES.values():
+        done = subprocess.run(
+            [sys.executable, "-m", "ortus", command, "beta.ort", *words],
+            cwd=tmp_path, env=ortus_env(**locale), capture_output=True, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+        assert done.stdout == stdout.replace(b"%s", BETA_OUT)
+
+
+def run_without_a_reader(argv: list[str], cwd: Path, stdout: str = "reader_gone"):
+    """``python ARGV`` whose stdout nobody reads: a pipe whose reader has gone
+    (as under ``| head -c 0``), or fd 1 closed before the start."""
+    argv = [sys.executable, *argv]
+    if stdout == "fd1_closed":
+        return subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", *argv], cwd=cwd, env=ortus_env(), stderr=subprocess.PIPE, timeout=120
+        )
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(argv, cwd=cwd, env=ortus_env(), stdout=write, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize("stdout", ["reader_gone", "fd1_closed"])
+def test_a_closed_stdout_costs_the_experiment_no_file(stdout, tmp_path):
+    argv = ["experiment", "ortus.ort", "fear_conditioning.protocol", "--out"]
+    assert main([*argv, str(tmp_path / "read")]) == EXIT_OK
+    done = run_without_a_reader(["-m", "ortus", *argv, "unread"], tmp_path, stdout)
+    assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+    written = read_dir(tmp_path / "unread")
+    assert set(written) == EXPERIMENT_FILES
+    assert written == read_dir(tmp_path / "read")
+
+
+@pytest.mark.parametrize("stdout", ["reader_gone", "fd1_closed"])
+def test_export_to_a_closed_stdout_is_no_error(stdout, tmp_path):
+    done = run_without_a_reader(["-m", "ortus", "export", "ortus.ort"], tmp_path, stdout)
+    assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+
+
+def test_once_the_reader_has_gone_stdout_stays_quiet_to_the_exit_flush(tmp_path):
+    # text left for stdout after main returns goes nowhere, and exit flushes it quietly
+    code = (
+        "import sys\n"
+        "from ortus.cli import main\n"
+        "code = main(['export', 'ortus.ort'])\n"
+        "print('more')\n"
+        "sys.exit(code)\n"
+    )
+    done = run_without_a_reader(["-c", code], tmp_path)
+    assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+
+
 def test_a_bundled_experiment_never_imports_numpy_ma(tmp_path):
     # numpy.ma comes in with the first np.unique call and costs about 1.6 MB of RSS
-    src = str(Path(__file__).resolve().parents[1] / "src")
     argv = ["experiment", "ortus.ort", "fear_conditioning.protocol", "--out", str(tmp_path / "o")]
     code = (
         "import sys\n"
@@ -394,18 +480,15 @@ def test_a_bundled_experiment_never_imports_numpy_ma(tmp_path):
         f"assert main({argv!r}) == 0\n"
         "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ortus_env(), timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("module", ["ortus", "ortus.cli"])
 def test_python_dash_m_runs_the_cli(module):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
-        [sys.executable, "-m", module, "--help"], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-m", module, "--help"], capture_output=True, text=True, env=ortus_env(), timeout=60
     )
     assert done.returncode == 0
     assert "experiment" in done.stdout

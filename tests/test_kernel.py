@@ -8,6 +8,7 @@ regressions in the vectorized path cannot hide.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,25 @@ def test_step_conductance_matches_oracle(a_pre, inverted):
 def test_built_weights_are_stored_in_synapse_order(organism_net):
     view = NetView.of(organism_net)
     np.testing.assert_array_equal(view.syn_w0, [s.weight for s in organism_net.chem])
+
+
+def test_a_view_of_many_distinct_thresholds_takes_memory_linear_in_the_net():
+    # 3,000 neurons, each with its own threshold, and one synapse each, every
+    # other one inverted: each synapse is its own gate entry, out of
+    # 2 * 3,000 * 3,000 possible (presynaptic neuron, sign, threshold) keys
+    n = 3000
+    chem = [ChemicalSynapse(i, (7 * i) % n, 0.5, 1.0, 0.0, inverted=i % 2 == 1) for i in range(n)]
+    net = make_net(n, chem, thresholds=[i / n for i in range(n)])
+    tracemalloc.start()
+    try:
+        view = NetView.of(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert view.ent_inverted_from == n // 2
+    np.testing.assert_array_equal(view.ent_pre.take(view.syn_ent), view.syn_pre)
+    np.testing.assert_array_equal(view.ent_threshold.take(view.syn_ent), [(7 * i) % n / n for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
