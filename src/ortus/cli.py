@@ -24,8 +24,8 @@ from pathlib import Path
 from . import connectome as cn
 from . import dsl
 from .connectome import BuildConfig, build
-from .errors import ConfigError, OrtusError, read_utf8
-from .protocol import RunConfig, TraceLog, experiment, load_protocol, metrics_csv, run
+from .errors import OrtusError, read_utf8
+from .protocol import METRICS_HEADER, RunConfig, TraceLog, experiment, load_protocol, run
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -192,17 +192,11 @@ def _cmd_run(args: argparse.Namespace, cfgs: Configs) -> str:
 def _cmd_experiment(args: argparse.Namespace, cfgs: Configs) -> str:
     _, net = _build_from_args(args, cfgs)
     protocol = load_protocol(_resolve_input(args.protocol), net)
-    headline = args.headline
-    if headline not in net.name_to_id:
-        raise ConfigError(f"unknown --headline element {headline!r}")
-    result = experiment(net, protocol, cfgs.run, headline)
+    result = experiment(net, protocol, cfgs.run, args.headline)
     outdir = Path(args.out)
     _write_outputs(outdir, cfgs, net, {"": result.trace, "control_": result.control})
-    extra, probe = [], ""
-    if result.ratio is not None:
-        extra.append(("probe_peak_ratio", headline, result.ratio))
-        probe = f"probe {headline} peak ratio: {result.ratio!r}\n"
-    (outdir / "summary.csv").write_text(metrics_csv(result.rows, extra), encoding="utf-8")
+    cn.write_tables(outdir, [("summary.csv", METRICS_HEADER, (row.line for row in result.rows))])
+    probe = "" if result.ratio is None else f"probe {args.headline} peak ratio: {result.ratio!r}\n"
     return f"{probe}experiment complete -> {outdir}\n"
 
 

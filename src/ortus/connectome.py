@@ -19,8 +19,8 @@ on associations as well as on the raw feeling.
 ``build`` fills the one ``Connectome`` it returns, in storage order: the
 declared elements, the SEIs, SCIs and EEIs with their wiring, then the
 declared relationships.  It is the one checker of a spec: it raises
-``BuildError`` on the validator's errors and on a generated name that
-collides with another neuron's, and keeps the warnings on the result.
+``BuildError`` on the validator's errors, on more SCIs than ``sci_cap`` and
+on a colliding generated name, and keeps the warnings on the result.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dsl import DEFAULT_SCI_CAP, Affect, Layer, NetworkSpec, RelationKind, validate_spec
+from .dsl import Affect, Layer, NetworkSpec, RelationKind, validate_spec
 from .errors import THRESHOLD, WEIGHT, OrtusError, require_numbers
 
 
@@ -112,7 +112,7 @@ class Connectome:
 class BuildConfig:
     """Knobs for the generated layers; declared relationships carry their own."""
 
-    sci_cap: int = DEFAULT_SCI_CAP
+    sci_cap: int = 1024  # most SCIs a spec may expand to; every organism has a sensor, so one at least
     sei_weight: float = 1.0
     generated_threshold: float = 0.005
     eei_initial_weight: float = 0.05
@@ -128,9 +128,9 @@ class BuildConfig:
         # The learning rule clips the weights it moves to [0, 1] and skips
         # synapses of mutability 0; both assume built values inside [0, 1].
         require_numbers(
-            self, sei_weight=WEIGHT, generated_threshold=THRESHOLD, eei_initial_weight=WEIGHT,
-            eei_mutability=WEIGHT, eei_gj_weight="[0, inf)", eei_feedback_weight=WEIGHT,
-            dominance_weight=WEIGHT,
+            self, sci_cap="[1, inf)", sei_weight=WEIGHT, generated_threshold=THRESHOLD,
+            eei_initial_weight=WEIGHT, eei_mutability=WEIGHT, eei_gj_weight="[0, inf)",
+            eei_feedback_weight=WEIGHT, dominance_weight=WEIGHT,
         )
 
 
@@ -214,14 +214,20 @@ def apply_relationships(net: Connectome, spec: NetworkSpec) -> None:
 def build(spec: NetworkSpec, cfg: BuildConfig | None = None) -> Connectome:
     """Compile a spec into a Connectome.
 
-    The spec is validated here, once: its errors raise ``BuildError``, as
-    does a generated name that collides with another neuron's, and the
-    warnings are kept on the result.  Building is pure and deterministic:
-    the same spec and config always produce the same neuron ids, names, and
-    storage order.
+    The spec is validated here, once: its errors, more SCIs than
+    ``cfg.sci_cap`` and a generated name that collides with another
+    neuron's raise ``BuildError``, and the warnings are kept on the result.
+    Building is pure and deterministic: the same spec and config always
+    produce the same neuron ids, names, and storage order.
     """
     cfg = cfg or BuildConfig()
-    errors, warnings = validate_spec(spec, sci_cap=cfg.sci_cap)
+    errors, warnings = validate_spec(spec)
+    s = sum(el.kind is Layer.SENSORY for el in spec.elements)
+    if 2**s - 1 > cfg.sci_cap:
+        errors.append(
+            f"error:0:0: {s} sensory elements expand to 2^{s}-1 = {2**s - 1} sensory consolidation"
+            f" interneurons, exceeding the cap of {cfg.sci_cap}"
+        )
     if errors:
         raise BuildError("spec failed validation:\n" + "\n".join(errors))
 

@@ -43,7 +43,6 @@ from .errors import THRESHOLD, WEIGHT, OrtusError, bound_error
 DEFAULT_THRESHOLD = 0.05
 DEFAULT_WEIGHT = 0.5
 DEFAULT_MUTABILITY = 0.5
-DEFAULT_SCI_CAP = 1024
 
 
 class ParseError(OrtusError):
@@ -424,16 +423,14 @@ def parse_source(source: str) -> NetworkSpec:
 # ---------------------------------------------------------------------------
 
 
-def validate_spec(
-    spec: NetworkSpec, *, sci_cap: int = DEFAULT_SCI_CAP
-) -> tuple[list[str], list[str]]:
+def validate_spec(spec: NetworkSpec) -> tuple[list[str], list[str]]:
     """Check a parsed spec for problems that would make it unbuildable.
 
     Returns the errors and the warnings, each as the line printed for it,
     ``error:L:C: message`` or ``warning:L:C: message`` (``0:0`` when no
     single declaration is at fault).  Warnings (elements that no
-    relationship touches) do not block building; a consolidation layer
-    over ``sci_cap`` is an error.
+    relationship touches) do not block building.  The size of the layers
+    that ``connectome.build`` generates is its own check.
     """
     errors: list[str] = []
 
@@ -509,13 +506,6 @@ def validate_spec(
         dominance.prepare()
     except graphlib.CycleError as exc:
         err("dominance cycle among emotions: " + " -> ".join(exc.args[1]))
-
-    n = len(sensors)
-    if n and 2**n - 1 > sci_cap:
-        err(
-            f"{n} sensory elements expand to 2^{n}-1 = {2**n - 1} sensory consolidation"
-            f" interneurons, exceeding the cap of {sci_cap}"
-        )
 
     unwired = {TYPE_WORDS[word]: word for word in ("interneuron", "motor", "muscle")}
     warnings = [

@@ -37,8 +37,9 @@ class PhysioConfig:
             self, co2_production="[0, inf)", o2_consumption="[0, inf)", lung_threshold="[0, inf)",
             exchange_gain="[0, inf)", initial_co2=ACTIVATION, initial_o2=ACTIVATION,
         )
-        if self.exchange_gain <= self.co2_production:
-            raise ConfigError("exchange_gain must exceed co2_production or breathing can never win")
+        for gas in ("co2_production", "o2_consumption"):
+            if self.exchange_gain <= getattr(self, gas):
+                raise ConfigError(f"exchange_gain must exceed {gas} or breathing can never win")
 
 
 @dataclass(frozen=True)

@@ -72,12 +72,13 @@ class PlasticityConfig:
 
     def __post_init__(self) -> None:
         # Windows read at most the `rows` left past the largest lag, a slope fit
-        # one row more than it spans; no correlation sum exceeds max_lag; and
-        # with a negative rate each strengthening class would weaken.
+        # one row more than it spans, so a lag leaves two rows at least; no
+        # correlation sum exceeds max_lag; and with a negative rate each
+        # strengthening class would weaken.
         require_numbers(self)  # the types first: the bounds are worked out from max_lag
         rows = H_LEN - self.max_lag
         require_numbers(
-            self, max_lag=f"[1, {H_LEN - 1}]", xcorr_window=f"[1, {rows}]", slope_window=f"[1, {rows})",
+            self, max_lag=f"[1, {H_LEN - 2}]", xcorr_window=f"[1, {rows}]", slope_window=f"[1, {rows})",
             rapid_xcorr_min=f"(-inf, {self.max_lag}]", rapid_rate="[0, inf)", slow_rate="[0, inf)",
         )
         if not (self.weaken_xcorr_max < self.strengthen_xcorr_min < self.rapid_xcorr_min):

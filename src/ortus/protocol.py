@@ -135,23 +135,31 @@ def parse_protocol(text: str, net: Connectome, source: str = "<protocol>") -> Pr
         start, end = int(start_s), int(end_s)
         if not (0 <= start < end <= total):
             raise fail(lineno, f"range {start}..{end} must satisfy 0 <= start < end <= {total}")
-        action, args = words[2], words[3:]
-        if action == "inject":
-            if len(args) != 2:
-                raise fail(lineno, "expected: inject <element> <amplitude>")
-            amplitude = _number(args[1], lineno, fail)
-            if message := bound_error("amplitude", amplitude, ACTIVATION):
-                raise fail(lineno, message)
-            events.append(
-                ProtocolEvent(start, end, EventKind.INJECT, args[0], resolve(lineno, args[0]), amplitude)
-            )
-        elif action == "clamp":
-            if len(args) != 2:
-                raise fail(lineno, "expected: clamp <element> <value>")
-            value = _number(args[1], lineno, fail)
-            if message := bound_error("clamp value", value, ACTIVATION):
-                raise fail(lineno, message)
-            ev = ProtocolEvent(start, end, EventKind.CLAMP, args[0], resolve(lineno, args[0]), value)
+        try:
+            kind = EventKind(words[2])
+        except ValueError:
+            raise fail(lineno, f"unknown action {words[2]!r}") from None
+        args = words[3:]
+        if kind is EventKind.BLOCK:
+            if not args or args[0] != "respiration":
+                raise fail(lineno, "expected: block respiration [exhale] [inhale]")
+            flags = args[1:]
+            for flag in flags:
+                if flag not in ("exhale", "inhale"):
+                    raise fail(lineno, f"unknown respiration flag {flag!r}")
+            exhale = "exhale" in flags or not flags
+            inhale = "inhale" in flags or not flags
+            events.append(ProtocolEvent(start, end, kind, block_exhale=exhale, block_inhale=inhale))
+            continue
+        # inject and clamp: <element> <number>, the number named in the usage line and in a refusal
+        operand, bound_name = ("amplitude", "amplitude") if kind is EventKind.INJECT else ("value", "clamp value")
+        if len(args) != 2:
+            raise fail(lineno, f"expected: {kind.value} <element> <{operand}>")
+        value = _number(args[1], lineno, fail)
+        if message := bound_error(bound_name, value, ACTIVATION):
+            raise fail(lineno, message)
+        ev = ProtocolEvent(start, end, kind, args[0], resolve(lineno, args[0]), value)
+        if kind is EventKind.CLAMP:
             for k, other in clamps:
                 overlap = other.element_id == ev.element_id and other.start < end and start < other.end
                 if overlap and repr(other.value) != repr(value):
@@ -161,21 +169,7 @@ def parse_protocol(text: str, net: Connectome, source: str = "<protocol>") -> Pr
                         f" of line {k}; overlapping clamps of one neuron must hold the same value",
                     )
             clamps.append((lineno, ev))
-            events.append(ev)
-        elif action == "block":
-            if not args or args[0] != "respiration":
-                raise fail(lineno, "expected: block respiration [exhale] [inhale]")
-            flags = args[1:]
-            for flag in flags:
-                if flag not in ("exhale", "inhale"):
-                    raise fail(lineno, f"unknown respiration flag {flag!r}")
-            exhale = "exhale" in flags or not flags
-            inhale = "inhale" in flags or not flags
-            events.append(
-                ProtocolEvent(start, end, EventKind.BLOCK, block_exhale=exhale, block_inhale=inhale)
-            )
-        else:
-            raise fail(lineno, f"unknown action {action!r}")
+        events.append(ev)
 
     if total is None:
         raise ProtocolError(f"{source}: missing steps declaration")
@@ -461,9 +455,18 @@ class Query:
 class MetricRow:
     metric: str
     neuron: str
-    start: int
-    end: int
+    start: int | None  # None, with end, for a row of no window: the probe ratio
+    end: int | None
     value: float
+
+    @property
+    def line(self) -> str:
+        """The row as summary.csv writes it (``METRICS_HEADER``'s columns)."""
+        window = "," if self.start is None else f"{self.start},{self.end}"
+        return f"{self.metric},{self.neuron},{window},{self.value!r}"
+
+
+METRICS_HEADER = "metric,neuron,start,end,value"
 
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:
@@ -540,12 +543,9 @@ def summarize(trace: TraceLog, queries: list[Query]) -> list[MetricRow]:
 
 
 def metrics_csv(rows: list[MetricRow], extra: list[tuple[str, str, float]] | None = None) -> str:
-    lines = ["metric,neuron,start,end,value"]
-    for r in rows:
-        lines.append(f"{r.metric},{r.neuron},{r.start},{r.end},{repr(r.value)}")
-    for name, neuron, value in extra or []:
-        lines.append(f"{name},{neuron},,,{repr(value)}")
-    return "\n".join(lines) + "\n"
+    """summary.csv's text: the rows, then each ``(metric, neuron, value)`` of `extra` with no window."""
+    rows = [*rows, *(MetricRow(metric, neuron, None, None, value) for metric, neuron, value in extra or [])]
+    return "\n".join([METRICS_HEADER, *(r.line for r in rows)]) + "\n"
 
 
 BURST_TAIL = 15  # steps after a burst's end that still count toward its peak: the response lags
@@ -555,7 +555,7 @@ BURST_TAIL = 15  # steps after a burst's end that still count toward its peak: t
 class Experiment:
     trace: TraceLog
     control: TraceLog  # the run of ``control_variant(protocol)``
-    rows: tuple[MetricRow, ...]  # summary.csv's metric rows
+    rows: tuple[MetricRow, ...]  # summary.csv's rows, ending with ``probe_peak_ratio`` when there is a probe
     ratio: float | None  # probe / control peak; None with no probe, NaN at a control peak <= 0
 
 
@@ -565,11 +565,15 @@ def experiment(
     """Run a protocol and its never-conditioned control and summarize them:
     one ``headline`` peak per burst (a distinct window of the injections but
     the probe, in step order, extended by ``BURST_TAIL``), the probe's and the
-    control's peaks over the probe window, then the lung's rhythm if it exists.
-    ``run`` and ``summarize`` are called through this module's globals, which
-    ``perfbench/child.py`` rebinds to time them."""
+    control's peaks over the probe window, the lung's rhythm if it exists,
+    then the probe's ratio to the control.  An unknown ``headline`` or an
+    ambiguous probe fails before any run.  ``run`` and ``summarize`` are
+    called through this module's globals, which ``perfbench/child.py``
+    rebinds to time them."""
+    if headline not in net.name_to_id:
+        raise QueryError(f"unknown --headline element {headline!r}")
     cfg = cfg or RunConfig()
-    probe = probe_event(protocol)  # an ambiguous probe fails before any run
+    probe = probe_event(protocol)
     trace, control = run(net, protocol, cfg), run(net, control_variant(protocol), cfg)
     bursts = {(ev.start, ev.end) for ev in protocol.events if ev.kind is EventKind.INJECT and ev is not probe}
     queries = [Query("peak", headline, s, min(e + BURST_TAIL, protocol.total_steps)) for s, e in sorted(bursts)]
@@ -581,4 +585,6 @@ def experiment(
         ratio = peak / control_peak.value if control_peak.value > 0 else float("nan")
     if (lung := cfg.physio.lung_name) in net.name_to_id:
         rows += summarize(trace, [Query(m, lung) for m in ("peak_count", "interval_mean", "interval_cv")])
+    if ratio is not None:
+        rows.append(MetricRow("probe_peak_ratio", headline, None, None, ratio))
     return Experiment(trace, control, tuple(rows), ratio)

@@ -127,6 +127,27 @@ def slope(h: np.ndarray, t: int = 0, u: int = 2) -> float:
     return float(-fit)
 
 
+def brute_cos(x, y) -> float:
+    """The cosine of two windows in exactly rounded sums, with no numpy;
+    0 where either norm is below 1e-12."""
+    nx = math.sqrt(math.fsum(v * v for v in x))
+    ny = math.sqrt(math.fsum(v * v for v in y))
+    if nx < 1e-12 or ny < 1e-12:
+        return 0.0
+    return math.fsum(a * b for a, b in zip(x, y)) / (nx * ny)
+
+
+def brute_slope(h, t: int = 0, u: int = 2) -> float:
+    """``slope`` in exactly rounded sums, with no numpy and no ``polyfit``."""
+    seg = [float(v) for v in h[t : t + u + 1]]
+    xs = list(range(len(seg)))
+    xbar = sum(xs) / len(xs)
+    ybar = math.fsum(seg) / len(seg)
+    num = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, seg))
+    den = math.fsum((x - xbar) ** 2 for x in xs)
+    return -(num / den)
+
+
 def xcorr_lag_sum(h_post: np.ndarray, h_pre: np.ndarray, cfg: PlasticityConfig) -> float:
     """Correlation summed over lags 1 .. max_lag (lag 0 is excluded)."""
     return sum(

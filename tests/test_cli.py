@@ -295,11 +295,13 @@ def test_set_overrides_are_applied_and_echoed(tmp_path):
         "plasticity.xcorr_window=0",  # no correlation window to sum
         "plasticity.xcorr_window=-3",  # likewise
         "plasticity.max_lag=0",  # no lag to correlate over
+        "plasticity.max_lag=7",  # leaves no row for a slope fit
         "plasticity.rapid_rate=-0.01",  # each strengthening class would weaken
         "plasticity.slow_rate=-0.001",  # likewise
         "physio.initial_co2=5",  # outside the activation range
         "physio.initial_o2=-1.5",  # likewise
         "build.generated_threshold=5",  # a threshold outside [0, 1) once ran to a nan probe ratio
+        "build.sci_cap=0",  # every organism has a sensor, so this cap refuses every spec
     ],
 )
 def test_bad_set_values_fail_cleanly(tmp_path, capsys, override):

@@ -102,6 +102,21 @@ def test_sci_cap_enforced():
     assert sum(1 for n in net.neurons if n.layer is Layer.SCI) == 63
 
 
+def test_sci_explosion_is_an_error():
+    # the cap is build's: the validator checks only what the .ort file says
+    elements = "\n".join(f"element s{i} {{ type: sensory }}" for i in range(5))
+    spec = parse_source(elements + "\nelement eY { type: emotion affect: positive }")
+    assert validate_spec(spec) == ([], [])
+    with pytest.raises(BuildError) as exc:
+        build(spec, BuildConfig(sci_cap=10))
+    assert str(exc.value) == (
+        "spec failed validation:\n"
+        "error:0:0: 5 sensory elements expand to 2^5-1 = 31 sensory consolidation"
+        " interneurons, exceeding the cap of 10"
+    )
+    assert sum(nr.layer is Layer.SCI for nr in build(spec, BuildConfig(sci_cap=31)).neurons) == 31
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -115,6 +130,7 @@ def test_sci_cap_enforced():
         ("eei_gj_weight", -0.8),
         ("sei_weight", float("nan")),
         ("sci_cap", 10.5),  # no integer, so no whole number of subsets
+        ("sci_cap", 0),  # every organism has a sensor, so its one SCI passes no cap below 1
         ("generated_threshold", 5.0),  # once ran and reported a nan probe ratio
         ("generated_threshold", -0.5),
         ("generated_threshold", 1.0),  # thresholds lie in [0, 1), as a declared element's
@@ -131,7 +147,7 @@ def test_build_config_rejects_out_of_range_values(field, value):
 
 
 def test_build_config_accepts_the_range_edges():
-    BuildConfig(sei_weight=0.0, eei_initial_weight=1.0, eei_mutability=0.0, eei_gj_weight=0.0)
+    BuildConfig(sei_weight=0.0, eei_initial_weight=1.0, eei_mutability=0.0, eei_gj_weight=0.0, sci_cap=1)
 
 
 def test_generated_neurons_use_configured_threshold():

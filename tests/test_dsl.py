@@ -351,19 +351,6 @@ relationship { eA dominates eB }
     assert validate_spec(parse_source(src)) == ([], [])
 
 
-def test_sci_explosion_is_an_error():
-    elements = "\n".join(f"element s{i} {{ type: sensory }}" for i in range(5))
-    src = elements + "\nelement eY { type: emotion affect: positive }"
-    assert validate_spec(parse_source(src), sci_cap=10) == (
-        [
-            "error:0:0: 5 sensory elements expand to 2^5-1 = 31 sensory consolidation"
-            " interneurons, exceeding the cap of 10"
-        ],
-        [],
-    )
-    assert validate_spec(parse_source(src), sci_cap=31) == ([], [])
-
-
 def test_unreferenced_warning_only_for_wirable_kinds():
     src = MINIMAL + "element mARM { type: motor }\nelement sSPARE { type: sensory }"
     assert validate_spec(parse_source(src)) == (

@@ -109,6 +109,10 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         # exchange too weak to ever beat production: the loop could never close
         PhysioConfig(exchange_gain=0.01, co2_production=0.01)
+    with pytest.raises(ConfigError, match="^exchange_gain must exceed o2_consumption or breathing can never win$"):
+        # likewise for the O2 that metabolism uses up: at o2_consumption 0.12
+        # sO2 never rose above -0.12 in a 700-step bundled run
+        PhysioConfig(exchange_gain=0.12, o2_consumption=0.12)
     assert PhysioConfig(co2_production=0.0).co2_production == 0.0
 
 

@@ -34,6 +34,8 @@ from oracles import (
     Classification,
     InsufficientHistory,
     apply_updates,
+    brute_cos,
+    brute_slope,
     classify,
     lag_sums_by_neuron,
     lagged_xcorr,
@@ -56,24 +58,6 @@ FROZEN_XCORR = {
     4: 0.9572946193992719,
 }
 FROZEN_LAG_SUM = 3.927251173069508
-
-
-def brute_cos(x, y):
-    nx = math.sqrt(math.fsum(v * v for v in x))
-    ny = math.sqrt(math.fsum(v * v for v in y))
-    if nx < 1e-12 or ny < 1e-12:
-        return 0.0
-    return math.fsum(a * b for a, b in zip(x, y)) / (nx * ny)
-
-
-def brute_slope(h, t=0, u=2):
-    seg = list(h[t : t + u + 1])
-    xs = list(range(len(seg)))
-    xbar = sum(xs) / len(xs)
-    ybar = math.fsum(seg) / len(seg)
-    num = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, seg))
-    den = math.fsum((x - xbar) ** 2 for x in xs)
-    return -(num / den)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +233,15 @@ def test_slope_windows_stay_inside_the_history_ring(slope_window):
     with pytest.raises(ConfigError, match="slope_window"):
         PlasticityConfig(slope_window=slope_window)
     assert PlasticityConfig(slope_window=3).slope_window == 3
+
+
+@pytest.mark.parametrize("windows", [{}, {"xcorr_window": 1, "slope_window": 1}])
+def test_a_lag_that_leaves_no_slope_fit_is_refused_by_name(windows):
+    # max_lag 7 leaves one row of the history, and a slope fit needs two, so
+    # no window fits: the refusal names max_lag, not the window it empties
+    with pytest.raises(ConfigError, match="^" + re.escape("max_lag must lie in [1, 6], got 7") + "$"):
+        PlasticityConfig(max_lag=7, **windows)
+    assert max(shape.max_lag for shape in WINDOW_SHAPES) == 6
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from ortus.kernel import NetView, SimConfig
 from ortus.physiology import PhysioBinding, PhysioConfig
 from ortus.protocol import (
     EventKind,
+    MetricRow,
     Protocol,
     ProtocolError,
     ProtocolEvent,
@@ -622,6 +623,29 @@ def test_metrics_csv_format():
     assert lines[0] == "metric,neuron,start,end,value"
     assert lines[1].startswith("peak,osc,0,40,")
     assert lines[2] == "probe_peak_ratio,osc,,,2.5"
+
+
+def test_experiment_refuses_an_unknown_headline_before_any_run(
+    organism_net, conditioning_protocol_path, monkeypatch
+):
+    calls = []
+    real = ortus.protocol.run
+    monkeypatch.setattr(ortus.protocol, "run", lambda *args: calls.append(args) or real(*args))
+    protocol = load_protocol(conditioning_protocol_path, organism_net)
+    with pytest.raises(QueryError, match="^unknown --headline element 'eNOPE'$"):
+        ortus.protocol.experiment(organism_net, protocol, headline="eNOPE")
+    assert calls == []
+
+
+def test_an_experiment_s_rows_end_with_the_probe_ratio(organism_net, conditioning_protocol_path):
+    # summary.csv is written from the rows alone, and metrics_csv's extra
+    # rows give the same text
+    result = ortus.protocol.experiment(organism_net, load_protocol(conditioning_protocol_path, organism_net))
+    *rows, last = result.rows
+    assert last == MetricRow("probe_peak_ratio", "eFEAR", None, None, result.ratio)
+    assert rows[-1].metric == "interval_cv"  # after the lung's rhythm
+    assert metrics_csv(result.rows) == metrics_csv(rows, [("probe_peak_ratio", "eFEAR", result.ratio)])
+    assert metrics_csv(result.rows).splitlines()[-1] == f"probe_peak_ratio,eFEAR,,,{result.ratio!r}"
 
 
 # ---------------------------------------------------------------------------
