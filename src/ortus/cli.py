@@ -24,7 +24,7 @@ from pathlib import Path
 from . import connectome as cn
 from . import dsl
 from .connectome import BuildConfig, build
-from .errors import OrtusError, read_utf8
+from .errors import OrtusError, read_number, read_utf8
 from .protocol import METRICS_HEADER, RunConfig, TraceLog, experiment, load_protocol, run
 
 EXIT_OK = 0
@@ -83,7 +83,7 @@ def _coerce(field: dataclasses.Field, text: str):
         if low in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"expected a boolean, got {text!r}")
-    return type(default)(text)
+    return read_number(text, count=isinstance(default, int)) if isinstance(default, (int, float)) else text
 
 
 def _settings(cfgs: Configs) -> dict[str, tuple[object, dataclasses.Field]]:

@@ -38,7 +38,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import TypeVar
 
-from .errors import THRESHOLD, WEIGHT, OrtusError, bound_error
+from .errors import THRESHOLD, WEIGHT, OrtusError, bound_error, read_number
 
 DEFAULT_THRESHOLD = 0.05
 DEFAULT_WEIGHT = 0.5
@@ -118,7 +118,7 @@ def tokenize(source: str) -> list[Token]:
             line, line_start = line + 1, m.end()
         elif kind == "number":
             try:
-                value = float(text)
+                value = read_number(text)
             except ValueError:
                 raise ParseError(f"malformed number {text!r}", line, col) from None
             tokens.append(Token(TokenKind.NUMBER, text, line, col, value=value))
@@ -338,7 +338,7 @@ class _Parser:
 
     def _number(self, key: str) -> float:
         tok = self.expect(TokenKind.NUMBER, f"{key} value", ("number",))
-        return float(tok.value)  # type: ignore[arg-type]
+        return tok.value  # type: ignore[return-value]
 
     def _element(self, kw: Token) -> ElementDecl:
         name = self._ident("element name")

@@ -1,9 +1,10 @@
-"""Shared exception hierarchy, the one reader of input text, and the one interval check of
-every bounded number: configs, ``.ort`` files and protocols share it and the bounds below."""
+"""Shared exception hierarchy, the one reader of input text and of a number in it, and the one
+interval check of every bounded number: configs, ``.ort`` files and protocols share them."""
 
 import dataclasses
 import math
 import numbers
+from contextlib import suppress
 from pathlib import Path
 
 ACTIVATION = "[-1, 1]"  # activation levels: the reversal range
@@ -27,6 +28,15 @@ def bound_error(name: str, value, interval: str) -> str | None:
     above = lo < value if interval[0] == "(" else lo <= value
     below = value < hi if interval[-1] == ")" else value <= hi
     return None if above and below else f"{name} must lie in {interval}, got {value!r}"
+
+
+def read_number(text: str, count: bool = False) -> float:
+    """`text` as a count (decimal digits only: int() also reads '+5') or as float() reads it, but
+    never across a '_' (float() reads '1_0' as 10.0) or spaces; else ValueError('bad number ...')."""
+    if text.isdecimal() if count else "_" not in text and text == text.strip():
+        with suppress(ValueError):  # float('1e'); int() of over 4,300 digits
+            return int(text) if count else float(text)
+    raise ValueError(f"bad number {text!r}")
 
 
 def require_numbers(cfg, **intervals: str) -> None:

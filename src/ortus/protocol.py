@@ -44,7 +44,7 @@ import numpy as np
 
 from . import physiology
 from .connectome import Connectome, write_tables
-from .errors import ACTIVATION, OrtusError, bound_error, read_utf8, require_numbers
+from .errors import ACTIVATION, OrtusError, bound_error, read_number, read_utf8, require_numbers
 from .kernel import NetView, SimConfig, step
 from .physiology import PhysioBinding, PhysioConfig
 from .plasticity import H_LEN, PlasticityConfig, plasticity_step
@@ -102,6 +102,12 @@ def parse_protocol(text: str, net: Connectome, source: str = "<protocol>") -> Pr
     def fail(lineno: int, message: str) -> ProtocolError:
         return ProtocolError(f"{source}:{lineno}: {message}")
 
+    def number(lineno: int, text: str, count_refusal: str | None = None) -> float:
+        try:  # a count where its refusal is given, else an amount
+            return read_number(text, count=count_refusal is not None)
+        except ValueError as exc:
+            raise fail(lineno, count_refusal or str(exc)) from None
+
     def resolve(lineno: int, name: str) -> int:
         if name not in net.name_to_id:
             raise fail(lineno, f"unknown element {name!r}")
@@ -115,10 +121,7 @@ def parse_protocol(text: str, net: Connectome, source: str = "<protocol>") -> Pr
         if words[0] == "steps":
             if total is not None:
                 raise fail(lineno, "steps declared twice")
-            # isdecimal, not isdigit: int() cannot read digits such as '²'
-            if len(words) != 2 or not words[1].isdecimal():
-                raise fail(lineno, "expected: steps <N>")
-            total = int(words[1])
+            total = number(lineno, " ".join(words[1:]), "expected: steps <N>")
             if message := bound_error("steps", total, "[1, inf)"):
                 raise fail(lineno, message)
             continue
@@ -128,11 +131,7 @@ def parse_protocol(text: str, net: Connectome, source: str = "<protocol>") -> Pr
             raise fail(lineno, "steps must be declared before events")
         if len(words) < 3 or ".." not in words[1]:
             raise fail(lineno, "expected: at <start>..<end> <action> ...")
-        start_s, _, end_s = words[1].partition("..")
-        # digits only, as for steps: int() also reads '-0', '+5' and '1_0'
-        if not (start_s.isdecimal() and end_s.isdecimal()):
-            raise fail(lineno, f"bad step range {words[1]!r}")
-        start, end = int(start_s), int(end_s)
+        start, end = (number(lineno, s, f"bad step range {words[1]!r}") for s in words[1].split("..", 1))
         if not (0 <= start < end <= total):
             raise fail(lineno, f"range {start}..{end} must satisfy 0 <= start < end <= {total}")
         try:
@@ -155,7 +154,7 @@ def parse_protocol(text: str, net: Connectome, source: str = "<protocol>") -> Pr
         operand, bound_name = ("amplitude", "amplitude") if kind is EventKind.INJECT else ("value", "clamp value")
         if len(args) != 2:
             raise fail(lineno, f"expected: {kind.value} <element> <{operand}>")
-        value = _number(args[1], lineno, fail)
+        value = number(lineno, args[1])
         if message := bound_error(bound_name, value, ACTIVATION):
             raise fail(lineno, message)
         ev = ProtocolEvent(start, end, kind, args[0], resolve(lineno, args[0]), value)
@@ -174,15 +173,6 @@ def parse_protocol(text: str, net: Connectome, source: str = "<protocol>") -> Pr
     if total is None:
         raise ProtocolError(f"{source}: missing steps declaration")
     return Protocol(total, tuple(events))
-
-
-def _number(text: str, lineno: int, fail) -> float:
-    try:
-        if "_" in text:  # float() reads '1_0' as 10.0
-            raise ValueError
-        return float(text)
-    except ValueError:
-        raise fail(lineno, f"bad number {text!r}") from None
 
 
 def load_protocol(path: str | Path, net: Connectome) -> Protocol:
@@ -571,7 +561,7 @@ def experiment(
     called through this module's globals, which ``perfbench/child.py``
     rebinds to time them."""
     if headline not in net.name_to_id:
-        raise QueryError(f"unknown --headline element {headline!r}")
+        raise QueryError(f"unknown headline element {headline!r}")
     cfg = cfg or RunConfig()
     probe = probe_event(protocol)
     trace, control = run(net, protocol, cfg), run(net, control_variant(protocol), cfg)

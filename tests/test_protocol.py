@@ -632,7 +632,7 @@ def test_experiment_refuses_an_unknown_headline_before_any_run(
     real = ortus.protocol.run
     monkeypatch.setattr(ortus.protocol, "run", lambda *args: calls.append(args) or real(*args))
     protocol = load_protocol(conditioning_protocol_path, organism_net)
-    with pytest.raises(QueryError, match="^unknown --headline element 'eNOPE'$"):
+    with pytest.raises(QueryError, match="^unknown headline element 'eNOPE'$"):
         ortus.protocol.experiment(organism_net, protocol, headline="eNOPE")
     assert calls == []
 

@@ -2,8 +2,8 @@
 outside its own definition, and every dataclass field and method is read
 outside its own definition: by another part of the package (the re-exports
 in ``__init__.py`` do not count) or by the benchmark under ``perfbench/``.
-Code that only the tests use belongs in ``tests/``.  Every module uses what
-it imports.  And the errors form one flat level under ``OrtusError``."""
+Code that only the tests use belongs in ``tests/``.  Every module and every
+test file uses what it imports.  And the errors form one flat level under ``OrtusError``."""
 
 import ast
 import importlib
@@ -176,15 +176,15 @@ def test_every_dataclass_field_and_method_is_read_outside_the_tests():
 
 def test_every_module_uses_what_it_imports():
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":  # re-exports only
+    for path in [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "tests").glob("*.py"))]:
+        if path == PACKAGE / "__init__.py":  # re-exports only
             continue
         tree = ast.parse(path.read_text())
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
                 bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
-                unused += [f"{path.name}: {name}" for name in bound if name not in used]
+                unused += [f"{path.relative_to(ROOT)}: {name}" for name in bound if name not in used]
     assert unused == []
 
 
